@@ -166,15 +166,22 @@ class LinkBudget:
 def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
     """Tabulate success probability, rate, and budget for u = 1..u_max.
 
-    Entries are exactly the pointwise ops, memoized; index 0 holds sentinels.
+    Entries equal the pointwise ops; index 0 holds sentinels.  Each rate is
+    derived from the success probability already tabulated (``rate``'s own
+    formula), so the quadrature runs once per u for ``p_succ`` and once more
+    inside ``packet_budget``.
     """
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
     p_succ = np.ones(u_max + 1)
     rates = np.zeros(u_max + 1)
     budgets = np.zeros(u_max + 1, dtype=int)
+    log_term = math.log1p(cfg.tau)
     for u in range(1, u_max + 1):
         p_succ[u] = success_probability(u, cfg)
-        rates[u] = rate(u, cfg)
+        if cfg.scheme is Scheme.ORTHOGONAL:
+            rates[u] = p_succ[1] * log_term / u
+        else:
+            rates[u] = p_succ[u] * log_term
         budgets[u] = packet_budget(u, cfg)
     return LinkBudget(p_succ=p_succ, rate=rates, budget=budgets, scheme=cfg.scheme)

@@ -81,18 +81,24 @@ def request_load(c_i: int, d, cfg: SystemConfig, lb: LinkBudget) -> int:
     return int(max(0, cfg.L - c_i - delivered))
 
 
-def _saturating_self_convolutions(pmf: np.ndarray, copies: int, cap: int) -> np.ndarray:
-    """Distribution of a sum of `copies` i.i.d. draws, mass at >= cap folded into cap.
+def _saturating_convolve(dist: np.ndarray, pmf: np.ndarray, cap: int) -> np.ndarray:
+    """Distribution of dist's sum plus one draw from pmf, mass at >= cap folded into cap.
 
     Folding is exact for our use: every saturated outcome contributes zero to
     the positive-part load, so only the bins below cap need to be exact.
     """
+    full = np.convolve(dist, pmf)
+    out = full[: cap + 1].copy()
+    out[cap] += full[cap + 1 :].sum()
+    return out
+
+
+def _saturating_self_convolutions(pmf: np.ndarray, copies: int, cap: int) -> np.ndarray:
+    """Distribution of a sum of `copies` i.i.d. draws, mass at >= cap folded into cap."""
     dist = np.zeros(cap + 1)
     dist[0] = 1.0
     for _ in range(copies):
-        full = np.convolve(dist, pmf)
-        dist = full[: cap + 1].copy()
-        dist[cap] += full[cap + 1 :].sum()
+        dist = _saturating_convolve(dist, pmf, cap)
     return dist
 
 
@@ -104,6 +110,11 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
     transmitter's packet count is the cache PMF conditioned on d > 0, capped
     at the budget for that transmitter count.  Mass at >= L is folded into
     the L bin (it can never leave residual load).
+
+    The u-fold convolution power is carried over from u-1 while budget[u]
+    stays the same and rebuilt only where the budget steps, so the work is
+    u_max times the number of distinct budgets, not u_max**2, and every bit
+    matches a from-scratch power per u.
     """
     L = cfg.L
     q0 = q_i[0]
@@ -122,15 +133,19 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
     mixed[0] = pu[0]
     for u in range(1, u_max + 1):
         b = int(lb.budget[u])
-        per_tx = np.zeros(L + 1)
-        if b == 0:
-            per_tx[0] = 1.0
-        elif b >= L:
-            per_tx[1:] = cond
+        if u > 1 and b == lb.budget[u - 1]:
+            power = _saturating_convolve(power, per_tx, L)
         else:
-            per_tx[1:b] = cond[: b - 1]
-            per_tx[b] = cond[b - 1 :].sum()
-        mixed += pu[u] * _saturating_self_convolutions(per_tx, u, L)
+            per_tx = np.zeros(L + 1)
+            if b == 0:
+                per_tx[0] = 1.0
+            elif b >= L:
+                per_tx[1:] = cond
+            else:
+                per_tx[1:b] = cond[: b - 1]
+                per_tx[b] = cond[b - 1 :].sum()
+            power = _saturating_self_convolutions(per_tx, u, L)
+        mixed += pu[u] * power
     return mixed, poisson_tail(mean, u_max)
 
 
@@ -148,12 +163,30 @@ def shortfall_table(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
     return table, tail
 
 
+def _per_distinct_row(fn, q: np.ndarray) -> list:
+    """[fn(row) for row in q], calling fn once per distinct row of q.
+
+    Rows are matched by their bytes, so a shared result is exactly what fn
+    would have returned for each of its rows.
+    """
+    memo = {}
+    for row in q:
+        key = row.tobytes()
+        if key not in memo:
+            memo[key] = fn(row)
+    return [memo[row.tobytes()] for row in q]
+
+
 def shortfall_tables(dist: NeighborCacheDistribution, cfg: SystemConfig, lb: LinkBudget):
-    """Per-content shortfall tables, shape (F, L+1), plus per-content tail masses."""
-    tables = np.empty((cfg.F, cfg.L + 1))
-    tails = np.empty(cfg.F)
-    for i in range(cfg.F):
-        tables[i], tails[i] = shortfall_table(dist.q[i], cfg, lb)
+    """Per-content shortfall tables, shape (F, L+1), plus per-content tail masses.
+
+    Contents with the same cache PMF share a table, so one table is computed
+    per distinct row of ``dist.q`` (the CLI's uniform caches make all F rows
+    equal) and scattered back to the F contents.
+    """
+    pairs = _per_distinct_row(lambda q_i: shortfall_table(q_i, cfg, lb), dist.q[: cfg.F])
+    tables = np.array([table for table, _ in pairs])
+    tails = np.array([tail for _, tail in pairs])
     return tables, tails
 
 

@@ -26,7 +26,7 @@ from .channel import (
     build_link_budget,
     success_probability,
 )
-from .load import average_load_fast, link_budget_for, shortfall_tables
+from .load import _per_distinct_row, average_load_fast, link_budget_for, shortfall_tables
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -412,7 +412,7 @@ def high_mobility_constants(
 
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
     fn = oma_delivery_mean if Scheme(scheme) is Scheme.ORTHOGONAL else noma_delivery_mean
-    return np.array([fn(dist.q[i], cfg) for i in range(cfg.F)])
+    return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg), dist.q[: cfg.F]))
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -528,7 +528,7 @@ def jensen_gap_check(
     cfg = cfg.with_scheme(scheme)
     lb = link_budget_for(cfg)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
-    pairs = [_floored_delivery(dist.q[i], cfg, lb) for i in range(cfg.F)]
+    pairs = _per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg, lb), dist.q[: cfg.F])
     delivery = np.array([value for value, _ in pairs])
     composite = float(np.dot(f, np.maximum(0.0, cfg.L - placement.c - delivery)))
     evaluation = average_load_fast(placement, dist, cfg, lb)

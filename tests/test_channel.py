@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -179,10 +180,10 @@ class TestLinkBudget:
         assert lb.p_succ[1] == success_probability(1, cfg)
 
     def test_tables_match_pointwise_ops(self):
-        for scheme in Scheme:
-            cfg = default_config(scheme=scheme)
-            lb = build_link_budget(cfg, 6)
-            for u in range(1, 7):
+        for scheme, snr in itertools.product(Scheme, (100.0, 1e4)):
+            cfg = default_config(scheme=scheme, snr=snr)
+            lb = build_link_budget(cfg, 10)
+            for u in range(1, 11):
                 assert lb.p_succ[u] == success_probability(u, cfg)
                 assert lb.rate[u] == rate(u, cfg)
                 assert lb.budget[u] == packet_budget(u, cfg)

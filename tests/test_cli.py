@@ -1,10 +1,11 @@
 import pytest
 
-from d2dcache import Scheme, zipf_popularity
+from d2dcache import Scheme, default_config, zipf_popularity
 from d2dcache.cli import (
     CSV_HEADER,
     ConfigError,
     SweepSpec,
+    _suite_quadrature_vs_mc,
     main,
     parse_config,
 )
@@ -208,3 +209,10 @@ class TestOptimizeCommand:
 
 def test_validate_command(config_path):
     assert main(["validate", "--config", config_path, "--seed", "3"]) == 0
+
+
+def test_quadrature_suite_at_certain_success():
+    # u=1 succeeds in every MC trial here, so the MC standard error is 0; the
+    # Wilson interval keeps a width and contains the quadrature value
+    ok, detail = _suite_quadrature_vs_mc(default_config(quad_nodes=8, alpha=2.0, snr=1e8), 0)
+    assert ok, detail

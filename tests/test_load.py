@@ -6,12 +6,14 @@ from d2dcache import (
     Method,
     NeighborCacheDistribution,
     Placement,
+    Scheme,
     average_load_enum,
     average_load_fast,
     build_link_budget,
     default_config,
     link_budget_for,
     marginal_gain,
+    poisson_truncation,
     request_load,
     zipf_popularity,
 )
@@ -225,3 +227,74 @@ class TestMarginalGain:
                   - average_load_fast(grown, uniform_dist, cfg, lb).total)
         assert marginal_gain(pl, 0, uniform_dist, cfg, lb) == pytest.approx(
             direct, abs=1e-12)
+
+
+class TestSharedWork:
+    """Work shared across contents and transmitter counts is bit-identical to
+    doing it per item."""
+
+    def test_shortfall_tables_once_per_distinct_row(self, monkeypatch):
+        from d2dcache import load
+        from d2dcache.load import shortfall_table, shortfall_tables
+
+        cfg = default_config(F=6, L=4, M=3, lam=3.0)
+        a = np.full(5, 0.2)
+        b = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+        c = np.array([0.1, 0.0, 0.3, 0.0, 0.6])
+        q = np.array([a, b, a, c, b, a])
+        lb = link_budget_for(cfg)
+        built = []
+        monkeypatch.setattr(load, "shortfall_table",
+                            lambda q_i, *args: built.append(q_i) or shortfall_table(q_i, *args))
+        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg, lb)
+        assert len(built) == 3
+        pairs = [shortfall_table(q_i, cfg, lb) for q_i in q]
+        assert np.array_equal(tables, np.array([table for table, _ in pairs]))
+        assert np.array_equal(tails, np.array([tail for _, tail in pairs]))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_delivered_pmf_matches_from_scratch_powers(self, scheme, monkeypatch):
+        from scipy import stats
+        from d2dcache import load
+        from d2dcache.load import (
+            _saturating_convolve,
+            _saturating_self_convolutions,
+            delivered_packets_pmf,
+        )
+        from d2dcache.model import poisson_tail
+
+        cfg = default_config(F=1, L=10, M=0, lam=6.0, snr=1e4, scheme=scheme)
+        lb = link_budget_for(cfg)
+        q_i = np.array([0.3] + [0.07] * 10)
+        mean = (1.0 - q_i[0]) * cfg.mean_capable
+        u_max = poisson_truncation(cfg, mean)
+        steps = np.diff(lb.budget[1 : u_max + 1])
+        assert np.count_nonzero(steps) >= 2 and np.any(steps == 0)
+
+        # the per-u construction: every convolution power built from scratch
+        pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
+        cond = q_i[1:] / (1.0 - q_i[0])
+        reference = np.zeros(cfg.L + 1)
+        reference[0] = pu[0]
+        for u in range(1, u_max + 1):
+            b = int(lb.budget[u])
+            per_tx = np.zeros(cfg.L + 1)
+            if b == 0:
+                per_tx[0] = 1.0
+            elif b >= cfg.L:
+                per_tx[1:] = cond
+            else:
+                per_tx[1:b] = cond[: b - 1]
+                per_tx[b] = cond[b - 1 :].sum()
+            reference += pu[u] * _saturating_self_convolutions(per_tx, u, cfg.L)
+
+        steps_taken = []
+        monkeypatch.setattr(load, "_saturating_convolve",
+                            lambda *args: steps_taken.append(1) or _saturating_convolve(*args))
+        pmf, tail = delivered_packets_pmf(q_i, cfg, lb)
+        assert np.array_equal(pmf, reference)
+        # one convolution per u within a run of equal budgets, u where it steps
+        budget = lb.budget[: u_max + 1]
+        assert len(steps_taken) == sum(
+            1 if u > 1 and budget[u] == budget[u - 1] else u for u in range(1, u_max + 1))
+        assert tail == poisson_tail(mean, u_max)

@@ -269,6 +269,20 @@ class TestHighMobilityPlacement:
                             else noma_delivery_mean)(uniform_dist.q[0], cfg)
                 assert pl.c.max() <= _math.ceil(cfg.L - delivery)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_repeated_rows_match_per_row(self, cfg, scheme):
+        from d2dcache.optimize import _integerize, _per_content_delivery
+        fn = oma_delivery_mean if scheme is Scheme.ORTHOGONAL else noma_delivery_mean
+        a = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
+        b = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+        interleaved = np.array([a, b, a, b, a])
+        per_row = np.array([fn(q_i, cfg) for q_i in interleaved])
+        assert np.array_equal(
+            _per_content_delivery(scheme, NeighborCacheDistribution(interleaved), cfg), per_row)
+        repeated = NeighborCacheDistribution(np.array([b] * cfg.F))
+        expected = Placement(_integerize(fn(b, cfg), cfg), cfg)
+        assert high_mobility_placement(scheme, repeated, cfg) == expected
+
     def test_heterogeneous_distributions_warn(self, cfg):
         q = np.full((cfg.F, cfg.L + 1), 1.0 / (cfg.L + 1))
         q[1] = [0.9, 0.02, 0.02, 0.02, 0.02, 0.02]
