@@ -5,6 +5,10 @@ from the model's distributions and averages the resulting per-request BS
 load.  This estimates the same mean-field objective the analytic evaluators
 compute (budgets built from the expected stay time), so agreement within
 confidence intervals validates those evaluators end to end.
+
+Trials are drawn in blocks.  Block ``b`` has its own RNG stream keyed
+``[seed, b]`` and is always drawn at full size, then truncated to the trials
+requested, so growing the trial count never changes earlier trials.
 """
 
 from __future__ import annotations
@@ -14,27 +18,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import packet_budget
-from .model import NeighborCacheDistribution, Placement, SystemConfig, zipf_popularity
+from .model import (
+    CapacityError,
+    NeighborCacheDistribution,
+    Placement,
+    SystemConfig,
+    zipf_popularity,
+)
+
+BLOCK_TRIALS = 256          # trials per RNG stream unless the draw cap lowers it
+MAX_BLOCK_DRAWS = 2**22     # expected cache-count draws per block (32 MB of uniforms)
 
 
 @dataclass(frozen=True)
 class SampledState:
-    """One draw of the neighborhood: capable-user count, caches, positions."""
+    """Sampled neighborhoods of one or more trials, neighbors stacked in trial order."""
 
     n: int
     d: np.ndarray          # (n, F) cached-packet counts
     positions: np.ndarray  # (n,) radii in [0, radius]
+    trial: np.ndarray      # (n,) trial index of each neighbor
 
     def __post_init__(self):
-        self.d.setflags(write=False)
-        self.positions.setflags(write=False)
+        for a in (self.d, self.positions, self.trial):
+            a.setflags(write=False)
 
 
 def sample_state(
-    dist: NeighborCacheDistribution, cfg: SystemConfig, rng: np.random.Generator
+    dist: NeighborCacheDistribution,
+    cfg: SystemConfig,
+    rng: np.random.Generator,
+    trials: int = 1,
 ) -> SampledState:
-    """Draw one neighborhood: Poisson count, i.i.d. caches, uniform-in-disc radii."""
-    n = int(rng.poisson(cfg.mean_capable))
+    """Draw ``trials`` neighborhoods: Poisson counts, i.i.d. caches, disc radii.
+
+    Neighbors are stacked in trial order; ``trial`` maps each one to its trial.
+    """
+    counts = rng.poisson(cfg.mean_capable, size=trials)
+    n = int(counts.sum())
     cum = np.cumsum(dist.q, axis=1)
     d = np.empty((n, cfg.F), dtype=int)
     if n:
@@ -45,20 +66,19 @@ def sample_state(
                 np.searchsorted(cum[i], u[:, i], side="right"), cfg.L
             )
     positions = cfg.radius * np.sqrt(rng.random(n))
-    return SampledState(n=n, d=d, positions=positions)
+    trial = np.repeat(np.arange(trials), counts)
+    return SampledState(n=n, d=d, positions=positions, trial=trial)
 
 
-class _BudgetCache:
-    """Packet budgets computed on demand; sampled counts are unbounded."""
-
-    def __init__(self, cfg: SystemConfig):
-        self.cfg = cfg
-        self.known = {0: 0}
-
-    def __call__(self, u: int) -> int:
-        if u not in self.known:
-            self.known[u] = packet_budget(u, self.cfg)
-        return self.known[u]
+def _block_trials(cfg: SystemConfig) -> int:
+    """Trials per block: BLOCK_TRIALS, fewer when they would exceed MAX_BLOCK_DRAWS."""
+    draws = cfg.mean_capable * cfg.F      # expected cache-count draws per trial
+    if draws > MAX_BLOCK_DRAWS:
+        raise CapacityError(
+            f"one trial draws {draws:.3g} cache counts on average (eta*lam/mu * F), "
+            f"above the cap {MAX_BLOCK_DRAWS}"
+        )
+    return min(BLOCK_TRIALS, int(MAX_BLOCK_DRAWS / max(draws, 1.0)))
 
 
 def estimate_average_load(
@@ -71,41 +91,50 @@ def estimate_average_load(
 ):
     """Monte Carlo estimate of the average BS load; returns (estimate, stderr).
 
-    Each trial draws a fresh neighborhood from its own RNG stream (keyed by
-    seed and trial index, so growing the trial count never changes earlier
-    trials).  With ``stratified`` the request is averaged exactly over the
-    popularity weights inside each trial; otherwise the content is sampled.
+    Trials are drawn in blocks whose size depends on ``cfg`` only.  Each block
+    has its own RNG stream keyed ``[seed, block]`` and is drawn at full size,
+    then truncated, so growing the trial count never changes earlier trials.
+    With ``stratified`` the request is averaged exactly over the popularity
+    weights inside each trial; otherwise one content per trial is sampled.
+    Raises CapacityError when one trial's expected draws exceed the cap.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    B = _block_trials(cfg)
+    F = cfg.F
+    f = zipf_popularity(F, cfg.gamma).probs
     cum_f = np.cumsum(f)
-    budget = _BudgetCache(cfg)
-    c = placement.c
-    L = cfg.L
+    budget = np.zeros(1, dtype=int)   # packet_budget(k) at k; -1 until first needed
+    missing = cfg.L - placement.c
 
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        state = sample_state(dist, cfg, rng)
-        if state.n == 0:
-            shortfall = (L - c).astype(float)
-        else:
-            u = (state.d > 0).sum(axis=0)
-            delivered = np.zeros(cfg.F)
-            for i in np.flatnonzero(u):
-                b = budget(int(u[i]))
-                di = state.d[:, i]
-                delivered[i] = np.minimum(di[di > 0], b).sum()
-            shortfall = np.maximum(0.0, L - c - delivered)
+    blocks = -(-trials // B)
+    values = np.empty(blocks * B)
+    for b in range(blocks):
+        rng = np.random.default_rng([seed, b])
+        state = sample_state(dist, cfg, rng, B)
+        # (trial, content) cell of every cached-count draw
+        cell = (state.trial[:, None] * F + np.arange(F)).ravel()
+        held = state.d.ravel()
+        u = np.bincount(cell[held > 0], minlength=B * F)
+        if u.max() >= budget.size:
+            budget = np.append(budget, np.full(u.max() + 1 - budget.size, -1))
+        needed = np.bincount(u, minlength=budget.size) > 0
+        for k in np.flatnonzero(needed & (budget < 0)):
+            budget[k] = packet_budget(int(k), cfg)
+        delivered = np.bincount(cell, weights=np.minimum(held, budget[u][cell]),
+                                minlength=B * F)
+        shortfall = np.maximum(0.0, missing - delivered.reshape(B, F))
         if stratified:
-            values[t] = float(np.dot(f, shortfall))
+            values[b * B:(b + 1) * B] = shortfall @ f
         else:
-            i = int(np.searchsorted(cum_f, rng.random(), side="right"))
-            values[t] = shortfall[min(i, cfg.F - 1)]
+            i = np.minimum(np.searchsorted(cum_f, rng.random(B), side="right"), F - 1)
+            values[b * B:(b + 1) * B] = shortfall[np.arange(B), i]
 
+    values = values[:trials]
     estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    # deviations from the first trial: equal trials give a stderr of exactly 0
+    spread = values - values[0]
+    stderr = float(spread.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return estimate, stderr

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from d2dcache import (
+    CapacityError,
     NeighborCacheDistribution,
     Placement,
     average_load_fast,
@@ -13,6 +16,21 @@ from d2dcache import (
     sample_state,
     zipf_popularity,
 )
+from d2dcache.montecarlo import BLOCK_TRIALS
+
+
+def _request_load_trials(pl, dist, cfg, trials, seed):
+    """Per-trial loads rebuilt from the block streams through request_load."""
+    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    lb = build_link_budget(cfg, 20)
+    values = []
+    for b in range(-(-trials // BLOCK_TRIALS)):
+        state = sample_state(dist, cfg, np.random.default_rng([seed, b]), BLOCK_TRIALS)
+        for t in range(BLOCK_TRIALS):
+            d = state.d[state.trial == t]
+            values.append(sum(f[i] * request_load(int(pl.c[i]), d[:, i], cfg, lb)
+                              for i in range(cfg.F)))
+    return np.array(values[:trials])
 
 
 class TestSampleState:
@@ -45,6 +63,13 @@ class TestSampleState:
         p_hat = zero / total
         se = np.sqrt(p_hat * (1 - p_hat) / total)
         assert abs(p_hat - 0.4) <= 3 * se
+
+    def test_block_maps_neighbors_to_trials(self, cfg, uniform_dist):
+        state = sample_state(uniform_dist, cfg, np.random.default_rng(13), trials=50)
+        counts = np.random.default_rng(13).poisson(cfg.mean_capable, size=50)
+        assert state.trial.shape == (state.n,)
+        assert state.d.shape == (state.n, cfg.F)
+        assert np.array_equal(np.bincount(state.trial, minlength=50), counts)
 
     def test_positions_within_disc(self, cfg, uniform_dist):
         rng = np.random.default_rng(12)
@@ -104,21 +129,55 @@ class TestEstimateAverageLoad:
         assert abs(s_est - u_est) <= 3 * np.hypot(s_se, u_se)
 
     def test_matches_request_load_composition(self, cfg, uniform_dist):
-        # the vectorized trial body must reproduce request_load exactly
+        # the vectorized block body must reproduce request_load exactly,
+        # across a block boundary
         pl = Placement([2, 1, 1, 1, 0], cfg)
-        f = zipf_popularity(cfg.F, cfg.gamma).probs
-        lb = build_link_budget(cfg, 20)
-        seed = 8
-        est, _ = estimate_average_load(pl, uniform_dist, cfg, trials=100, seed=seed)
-        values = []
-        for t in range(100):
-            rng = np.random.default_rng([seed, t])
-            state = sample_state(uniform_dist, cfg, rng)
-            values.append(sum(
-                f[i] * request_load(int(pl.c[i]), state.d[:, i], cfg, lb)
-                for i in range(cfg.F)
-            ))
+        trials = BLOCK_TRIALS + 3
+        est, _ = estimate_average_load(pl, uniform_dist, cfg, trials=trials, seed=8)
+        values = _request_load_trials(pl, uniform_dist, cfg, trials, seed=8)
         assert est == pytest.approx(np.mean(values), abs=1e-12)
+
+    def test_block_boundary_prefixes(self, cfg, uniform_dist):
+        # every trial count around a block boundary averages a prefix of the
+        # same trial sequence
+        pl = Placement([2, 1, 1, 1, 0], cfg)
+        values = _request_load_trials(pl, uniform_dist, cfg, BLOCK_TRIALS + 1, seed=9)
+        for trials in (BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1):
+            est, se = estimate_average_load(pl, uniform_dist, cfg, trials, seed=9)
+            assert est == pytest.approx(np.mean(values[:trials]), abs=1e-12)
+            assert se == pytest.approx(np.std(values[:trials], ddof=1) / np.sqrt(trials),
+                                       abs=1e-12)
+
+    def test_stderr_exactly_zero_when_trials_agree(self):
+        # at 0 dB every packet budget is 0, so every trial has the same load
+        cfg = default_config(snr=1.0)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        pl = greedy_placement(dist, cfg)[0]
+        est, se = estimate_average_load(pl, dist, cfg, trials=100_000, seed=900)
+        assert se == 0.0
+        analytic = average_load_fast(pl, dist, cfg)
+        assert abs(est - analytic.total) <= analytic.truncation_bound + 1e-12
+
+    def test_single_trial_over_draw_cap_raises_before_allocating(self):
+        cfg = default_config(F=1000, M=5, lam=2e6)     # mean_capable 1e6
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        pl = Placement([0] * cfg.F, cfg)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                estimate_average_load(pl, dist, cfg, trials=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_huge_mean_below_draw_cap(self):
+        cfg = default_config(lam=1e6)                  # mean_capable 5e5, F=5
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        pl = Placement([1] * cfg.F, cfg)
+        est, se = estimate_average_load(pl, dist, cfg, trials=3, seed=0)
+        assert np.isfinite(est) and np.isfinite(se)
+        assert 0.0 <= est <= cfg.L
 
     def test_input_validation(self, cfg, uniform_dist):
         pl = Placement([0] * cfg.F, cfg)
