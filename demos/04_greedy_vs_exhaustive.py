@@ -1,8 +1,9 @@
 """Greedy placement against the exhaustive optimum across transmit SNR.
 
 The load-reduction objective is monotone submodular over the uniform matroid
-of packet sets, so greedy carries a 1-1/e guarantee; on this benchmark it
-matches the exhaustive optimum at every grid point.
+of packet sets, so greedy carries a 1-1/e guarantee.  Each content's term is
+also convex in its packet count, so greedy is in fact exactly optimal and
+matches the exact DP optimum at every grid point.
 """
 
 import math

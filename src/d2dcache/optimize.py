@@ -1,9 +1,11 @@
-"""Placement optimization: greedy, exhaustive oracle, high-mobility closed forms.
+"""Placement optimization: greedy, exact DP oracle, high-mobility closed forms.
 
-The placement problem maximizes a monotone submodular set function (the load
-reduction) over the uniform matroid of packet sets of size at most M, so the
-greedy algorithm carries the classic 1 - 1/e guarantee.  This module also
-implements the brute-force matroid/submodularity verification harnesses and
+The load reduction is monotone submodular over the uniform matroid of packet
+sets of size at most M, which gives greedy the paper's 1 - 1/e guarantee
+(acceptance criterion 4 checks it).  It is also a sum over contents of terms
+convex in c_i, so greedy is exactly optimal (Federgruen & Groenevelt, 1986).
+The oracle is an exact min-plus DP over contents with a work cap.  This
+module also implements the brute-force matroid/submodularity harnesses and
 the entire high-mobility analysis: expected deliverable packet counts, the
 threshold closed-form placements, the relaxed real-valued objective, and the
 Jensen-gap bound check.
@@ -26,7 +28,7 @@ from .channel import (
     build_link_budget,
     success_probability,
 )
-from .load import _per_distinct_row, average_load_fast, link_budget_for, shortfall_tables
+from .load import _per_distinct_row, average_load_fast, scenario
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -37,6 +39,9 @@ from .model import (
     poisson_truncation,
     zipf_popularity,
 )
+
+# Work cap of the exact placement DP, F * (min(L, M) + 1) * (M + 1) steps.
+DP_MAX_WORK = 10**8
 
 
 class PacketSet:
@@ -88,73 +93,52 @@ def greedy_placement(dist: NeighborCacheDistribution, cfg: SystemConfig):
     per-content counts, so the per-content shortfall tables are computed once
     and consumed greedily.  The trace lists (content, gain) per step.
     """
-    lb = link_budget_for(cfg)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
-    tables, _ = shortfall_tables(dist, cfg, lb)
+    s = scenario(dist, cfg)
     c = np.zeros(cfg.F, dtype=int)
     trace = []
     for _ in range(cfg.M):
         gains = np.full(cfg.F, -np.inf)
         open_contents = c < cfg.L
         idx = np.flatnonzero(open_contents)
-        gains[idx] = f[idx] * (tables[idx, c[idx]] - tables[idx, c[idx] + 1])
+        gains[idx] = s.f[idx] * (s.tables[idx, c[idx]] - s.tables[idx, c[idx] + 1])
         best = int(np.argmax(gains))
         trace.append((best, float(gains[best])))
         c[best] += 1
     return Placement(c, cfg), trace
 
 
-def _count_placements(F: int, L: int, M: int) -> int:
-    counts = np.zeros(M + 1, dtype=object)
-    counts[0] = 1
-    for _ in range(F):
-        new = np.zeros(M + 1, dtype=object)
-        for s in range(M + 1):
-            if counts[s]:
-                for c in range(min(L, M - s) + 1):
-                    new[s + c] += counts[s]
-        counts = new
-    return int(counts.sum())
+def exhaustive_placement(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Placement:
+    """Minimize the average load over every feasible placement, exactly.
 
-
-def exhaustive_placement(
-    dist: NeighborCacheDistribution,
-    cfg: SystemConfig,
-    cap: int = 10**6,
-) -> Placement:
-    """Minimize the average load over every feasible placement.
-
-    Verification oracle: refuses when the feasible set exceeds ``cap``
-    placements.  Ties go to the lexicographically smallest placement.
+    A min-plus dynamic program over contents: ``value[b]`` is the least load
+    of contents i..F-1 within b packets, and ``choice[i, b]`` the first c
+    (fewest packets) attaining it, so ties go to the lexicographically
+    smallest placement.  Verification oracle: refuses above DP_MAX_WORK.
     """
-    n_feasible = _count_placements(cfg.F, cfg.L, cfg.M)
-    if n_feasible > cap:
+    K = min(cfg.L, cfg.M)
+    work = cfg.F * (K + 1) * (cfg.M + 1)
+    if work > DP_MAX_WORK:
         raise CapacityError(
-            f"{n_feasible} feasible placements exceed the enumeration cap {cap}"
+            f"exact placement search needs {work} steps, above the cap {DP_MAX_WORK}"
         )
-    lb = link_budget_for(cfg)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
-    tables, _ = shortfall_tables(dist, cfg, lb)
-    weighted = f[:, None] * tables
-
-    best_value = math.inf
-    best = None
+    s = scenario(dist, cfg)
+    weighted = s.f[:, None] * s.tables
+    value = np.zeros(cfg.M + 1)
+    choice = np.zeros((cfg.F, cfg.M + 1), dtype=np.min_scalar_type(K))
+    for i in reversed(range(cfg.F)):
+        best = weighted[i, 0] + value
+        for c in range(1, K + 1):
+            cand = weighted[i, c] + value[: cfg.M + 1 - c]    # budgets b >= c
+            better = cand < best[c:]
+            best[c:][better] = cand[better]
+            choice[i, c:][better] = c
+        value = best
     c = np.zeros(cfg.F, dtype=int)
-
-    def recurse(i: int, budget: int, value: float):
-        nonlocal best_value, best
-        if i == cfg.F:
-            if value < best_value:
-                best_value = value
-                best = c.copy()
-            return
-        for ci in range(min(cfg.L, budget) + 1):
-            c[i] = ci
-            recurse(i + 1, budget - ci, value + weighted[i, ci])
-        c[i] = 0
-
-    recurse(0, cfg.M, 0.0)
-    return Placement(best, cfg)
+    budget = cfg.M
+    for i in range(cfg.F):
+        c[i] = choice[i, budget]
+        budget -= c[i]
+    return Placement(c, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +233,11 @@ def check_submodularity(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    lb = link_budget_for(cfg)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
-    tables, _ = shortfall_tables(dist, cfg, lb)
+    s = scenario(dist, cfg)
 
     def gain(ps: PacketSet, i: int) -> float:
         ci = ps.counts[i]
-        return float(f[i] * (tables[i, ci] - tables[i, ci + 1]))
+        return float(s.f[i] * (s.tables[i, ci] - s.tables[i, ci + 1]))
 
     violations = 0
     worst = -math.inf
@@ -411,8 +393,13 @@ def high_mobility_constants(
 
 
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
-    fn = oma_delivery_mean if Scheme(scheme) is Scheme.ORTHOGONAL else noma_delivery_mean
-    return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg), dist.q[: cfg.F]))
+    """Per-content deliverable counts; orthogonal ones read the shared link budget."""
+    q = dist.q[: cfg.F]
+    if Scheme(scheme) is Scheme.NON_ORTHOGONAL:
+        return np.array(_per_distinct_row(lambda q_i: noma_delivery_mean(q_i, cfg), q))
+    cfg = cfg.with_scheme(Scheme.ORTHOGONAL)
+    lb = scenario(dist, cfg).lb
+    return np.array(_per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg, lb)[0], q))
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -435,23 +422,22 @@ def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarra
     return c
 
 
-def _integerize(deliverable: float, cfg: SystemConfig) -> np.ndarray:
+def _integerize(deliverable, cfg: SystemConfig) -> np.ndarray:
     """Exact integer optimum of the relaxed objective by marginal-value packing.
 
-    Under the threshold t = L - deliverable, a content's packets up to
-    floor(t) are each worth f_i, the packet crossing t is worth the
-    fractional remainder of f_i, and anything beyond ceil(t) is worthless.
-    Greedy by marginal value (ties to the more popular content) is optimal
-    for this separable concave objective.
+    ``deliverable`` is one count for every content or one per content.  Under
+    content i's threshold t_i = L - deliverable_i, its packets up to floor(t_i)
+    are each worth f_i, the packet crossing t_i is worth the fractional
+    remainder of f_i, and anything beyond ceil(t_i) (or any packet when
+    t_i <= 0) is worthless.  Greedy by marginal value (ties to the more
+    popular content) is optimal for this separable concave objective.
     """
-    t = cfg.L - deliverable
-    c = np.zeros(cfg.F, dtype=int)
-    if t <= 0:
-        return c
+    t = np.minimum(cfg.L, cfg.L - np.asarray(deliverable, dtype=float))
+    full = np.floor(t)
+    frac = t - full
+    cap = full + (frac > 0)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
-    full = min(cfg.L, math.floor(t))
-    frac = min(cfg.L, t) - full
-    cap = min(cfg.L, full + (1 if frac > 0 else 0))
+    c = np.zeros(cfg.F, dtype=int)
     for _ in range(cfg.M):
         marginal = np.where(c < full, f, np.where(c < cap, f * frac, -np.inf))
         best = int(np.argmax(marginal))
@@ -466,18 +452,10 @@ def high_mobility_placement(
 ) -> Placement:
     """Closed-form near-optimal placement for fast-moving neighbors.
 
-    Uses the scheme's expected deliverable packet count as the per-content
-    cache threshold.  With heterogeneous cache distributions the threshold is
-    taken from content 1 and a warning flags the approximation.
+    Each content's cache threshold is L minus its own expected deliverable
+    packet count under the scheme.
     """
-    delivery = _per_content_delivery(scheme, dist, cfg)
-    if np.ptp(delivery) > 1e-9:
-        warnings.warn(
-            "heterogeneous cache distributions: using content 1's deliverable "
-            "count for the closed-form threshold",
-            stacklevel=2,
-        )
-    return Placement(_integerize(delivery[0], cfg), cfg)
+    return Placement(_integerize(_per_content_delivery(scheme, dist, cfg), cfg), cfg)
 
 
 def relaxed_objective(
@@ -526,12 +504,11 @@ def jensen_gap_check(
     stay_time times the scheme's gap constant.
     """
     cfg = cfg.with_scheme(scheme)
-    lb = link_budget_for(cfg)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
-    pairs = _per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg, lb), dist.q[: cfg.F])
+    s = scenario(dist, cfg)
+    pairs = _per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg, s.lb), dist.q[: cfg.F])
     delivery = np.array([value for value, _ in pairs])
-    composite = float(np.dot(f, np.maximum(0.0, cfg.L - placement.c - delivery)))
-    evaluation = average_load_fast(placement, dist, cfg, lb)
+    composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - delivery)))
+    evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
 
     degenerate = False
@@ -544,6 +521,6 @@ def jensen_gap_check(
     bound = expected_stay_time(cfg) * abs(const)
     # both sides of the gap carry surfaced truncation error; allow for it
     slack = 1e-9 + evaluation.truncation_bound + float(
-        np.dot(f, [err for _, err in pairs])
+        np.dot(s.f, [err for _, err in pairs])
     )
     return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack), degenerate=degenerate)

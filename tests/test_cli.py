@@ -177,18 +177,53 @@ class TestSweepCommand:
         assert len(loads) == 4
         assert all(b <= a + 1e-12 for a, b in zip(loads, loads[1:]))
 
-    def test_capacity_errors_surface_verbatim(self, tmp_path, capsys):
-        # 31 contents: exhaustive search over the feasible set must refuse
+    def test_capacity_errors_surface_verbatim(self, tmp_path, capsys, monkeypatch):
+        # F*(min(L,M)+1)*(M+1) = 1000*21*20001 DP steps: the exact search
+        # must refuse before building any shortfall table
+        from d2dcache import load
+
+        def no_tables(*args):
+            raise AssertionError("tables built before the capacity check")
+
+        monkeypatch.setattr(load, "shortfall_tables", no_tables)
         path = tmp_path / "big.cfg"
-        path.write_text(GOOD_CONFIG.replace("F=5", "F=31").replace("M=5", "M=40"))
+        path.write_text(GOOD_CONFIG.replace("F=5", "F=1000").replace("L=5", "L=20")
+                        .replace("M=5", "M=20000"))
         rc = main(["sweep", "--config", str(path), "--axis", "snr_db",
                    "--values", "0,10", "--methods", "exhaustive",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
-        assert "enumeration cap" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "exact placement search needs 420021000 steps, above the cap 100000000\n")
 
 
 class TestOptimizeCommand:
+    def test_each_scheme_builds_tables_and_budget_once(self, tmp_path, config_path,
+                                                       monkeypatch):
+        from d2dcache import load, optimize
+
+        calls = {"shortfall_tables": 0, "build_link_budget": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (load, optimize):   # every namespace that binds them
+            for name in calls:
+                if hasattr(module, name):
+                    count(module, name)
+        load._build_scenario.cache_clear()
+        rc = main(["optimize", "--config", config_path,
+                   "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both",
+                   "--out", str(tmp_path / "opt.csv")])
+        assert rc == 0
+        assert calls == {"shortfall_tables": 2, "build_link_budget": 2}
+
     def test_writes_placements(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "opt.csv")
         rc = main(["optimize", "--config", config_path,

@@ -179,13 +179,12 @@ class TestFastEvaluator:
         assert a.per_content[1] != b.per_content[1]
 
     def test_monotone_in_placement(self, cfg, uniform_dist):
-        lb = link_budget_for(cfg)
         base = Placement([2, 1, 1, 0, 0], cfg)
-        total = average_load_fast(base, uniform_dist, cfg, lb).total
+        total = average_load_fast(base, uniform_dist, cfg).total
         for i in range(cfg.F):
             c = base.c.copy()
             c[i] += 1
-            grown = average_load_fast(Placement(c, cfg), uniform_dist, cfg, lb)
+            grown = average_load_fast(Placement(c, cfg), uniform_dist, cfg)
             assert grown.total <= total + 1e-12
 
 
@@ -203,7 +202,6 @@ class TestMarginalGain:
         rng = np.random.default_rng(17)
         for _ in range(10):
             cfg, dist, _ = random_small_instance(rng)
-            lb = link_budget_for(cfg)
             for i in range(cfg.F):
                 gains = []
                 for k in range(cfg.L):
@@ -211,7 +209,7 @@ class TestMarginalGain:
                     c[i] = min(k, cfg.M) if cfg.M else 0
                     if c.sum() > cfg.M or c[i] != k:
                         break
-                    gains.append(marginal_gain(Placement(c, cfg), i, dist, cfg, lb))
+                    gains.append(marginal_gain(Placement(c, cfg), i, dist, cfg))
                 assert all(g >= -1e-12 for g in gains)
                 assert all(b <= a + 1e-9 for a, b in zip(gains, gains[1:]))
 
@@ -220,12 +218,11 @@ class TestMarginalGain:
             marginal_gain(Placement([5, 0, 0, 0, 0], cfg), 0, uniform_dist, cfg)
 
     def test_matches_direct_difference(self, cfg, uniform_dist):
-        lb = link_budget_for(cfg)
         pl = Placement([2, 0, 0, 0, 0], cfg)
         grown = Placement([3, 0, 0, 0, 0], cfg)
-        direct = (average_load_fast(pl, uniform_dist, cfg, lb).total
-                  - average_load_fast(grown, uniform_dist, cfg, lb).total)
-        assert marginal_gain(pl, 0, uniform_dist, cfg, lb) == pytest.approx(
+        direct = (average_load_fast(pl, uniform_dist, cfg).total
+                  - average_load_fast(grown, uniform_dist, cfg).total)
+        assert marginal_gain(pl, 0, uniform_dist, cfg) == pytest.approx(
             direct, abs=1e-12)
 
 
@@ -298,3 +295,15 @@ class TestSharedWork:
         assert len(steps_taken) == sum(
             1 if u > 1 and budget[u] == budget[u - 1] else u for u in range(1, u_max + 1))
         assert tail == poisson_tail(mean, u_max)
+
+    def test_scenario_is_shared_and_read_only(self, cfg, uniform_dist):
+        from d2dcache.load import scenario
+
+        s = scenario(uniform_dist, cfg)
+        # an equal config and equal cache rows hit the same entry
+        assert scenario(NeighborCacheDistribution(uniform_dist.q.copy()),
+                        default_config()) is s
+        for array in (s.f, s.tables, s.tails, s.lb.budget):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            s.tables[0, 0] = 1.0

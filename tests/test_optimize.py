@@ -28,6 +28,23 @@ from d2dcache import (
     success_probability,
     zipf_popularity,
 )
+from d2dcache.load import scenario
+
+
+def oracle_instances(seed, count):
+    """Random instances with F, L <= 4: uniform and heterogeneous cache rows,
+    gamma = 0 (many ties) and random gamma."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        F, L = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        q = rng.random((F, L + 1)) if k % 2 else np.ones((F, L + 1))
+        q /= q.sum(axis=1, keepdims=True)
+        cfg = default_config(
+            F=F, L=L, M=int(rng.integers(0, F * L + 1)),
+            gamma=0.0 if k % 4 < 2 else float(rng.uniform(0.0, 2.0)),
+            lam=float(rng.uniform(0.0, 4.0)), snr=float(10 ** rng.uniform(0, 4)),
+        )
+        yield cfg, NeighborCacheDistribution(q)
 
 
 class TestGreedy:
@@ -96,9 +113,26 @@ class TestExhaustive:
         dist = NeighborCacheDistribution.uniform(2, 1)
         assert exhaustive_placement(dist, cfg).c.tolist() == [0, 1]
 
-    def test_capacity_error(self, cfg, uniform_dist):
-        with pytest.raises(CapacityError):
-            exhaustive_placement(uniform_dist, cfg, cap=10)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_dp_matches_brute_force_and_greedy(self, scheme):
+        # the brute force is the reference: every feasible placement's load
+        for cfg, dist in oracle_instances(11, 120):
+            cfg = cfg.with_scheme(scheme)
+            s = scenario(dist, cfg)
+            every = np.array([c for c in itertools.product(range(cfg.L + 1), repeat=cfg.F)
+                              if sum(c) <= cfg.M])
+            brute = (s.f * s.tables[np.arange(cfg.F), every]).sum(axis=1).min()
+            dp = average_load_fast(exhaustive_placement(dist, cfg), dist, cfg).total
+            greedy = average_load_fast(greedy_placement(dist, cfg)[0], dist, cfg).total
+            assert dp == pytest.approx(brute, abs=1e-12)
+            assert greedy == pytest.approx(dp, abs=1e-12)
+
+    def test_dp_reaches_greedy_load_at_a_thousand_contents(self):
+        cfg = default_config(F=1000, L=20, M=2000, lam=20.0)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        dp = average_load_fast(exhaustive_placement(dist, cfg), dist, cfg).total
+        greedy = average_load_fast(greedy_placement(dist, cfg)[0], dist, cfg).total
+        assert dp == pytest.approx(greedy, abs=1e-12)
 
 
 class TestMatroid:
@@ -283,12 +317,26 @@ class TestHighMobilityPlacement:
         expected = Placement(_integerize(fn(b, cfg), cfg), cfg)
         assert high_mobility_placement(scheme, repeated, cfg) == expected
 
-    def test_heterogeneous_distributions_warn(self, cfg):
-        q = np.full((cfg.F, cfg.L + 1), 1.0 / (cfg.L + 1))
-        q[1] = [0.9, 0.02, 0.02, 0.02, 0.02, 0.02]
-        dist = NeighborCacheDistribution(q)
-        with pytest.warns(UserWarning, match="heterogeneous"):
-            high_mobility_placement(Scheme.ORTHOGONAL, dist, cfg)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_heterogeneous_rows_reach_relaxed_optimum(self, scheme):
+        # each content has its own threshold; brute force over every
+        # feasible integer placement
+        from d2dcache.optimize import _per_content_delivery
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            F, L = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            q = rng.random((F, L + 1))
+            q /= q.sum(axis=1, keepdims=True)
+            cfg = default_config(F=F, L=L, M=int(rng.integers(1, F * L + 1)),
+                                 lam=float(rng.uniform(0.5, 4.0)), snr=1e4)
+            dist = NeighborCacheDistribution(q)
+            delivery = _per_content_delivery(scheme, dist, cfg)
+            best = min(relaxed_objective(c, scheme, dist, cfg, delivery)
+                       for c in itertools.product(range(L + 1), repeat=F)
+                       if sum(c) <= cfg.M)
+            placement = high_mobility_placement(scheme, dist, cfg)
+            got = relaxed_objective(placement.c, scheme, dist, cfg, delivery)
+            assert got == pytest.approx(best, abs=1e-12), (cfg, placement)
 
 
 class TestRelaxedObjective:
