@@ -16,14 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Scheme, SystemConfig
+from .model import Scheme, SystemConfig, _readonly
 
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(n: int, upper: float):
-    """Nodes/weights for integrating over [0, upper]."""
+    """Read-only nodes/weights for integrating over [0, upper]."""
     t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * upper * (t + 1.0), 0.5 * upper * w
+    return _readonly(0.5 * upper * (t + 1.0)), _readonly(0.5 * upper * w)
 
 
 def _interference_factor_at(r, cfg: SystemConfig):
@@ -68,18 +68,26 @@ def _beta_pow(beta: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)   # small: a grid point uses one config per scheme
+def _disc_terms(cfg: SystemConfig):
+    """Read-only outer nodes r, weights w, noise factor and interference factor
+    beta at each node: every part of the success probability but the power u-1."""
+    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    noise = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr)
+    return r, w, _readonly(noise), _readonly(_interference_factor_at(r, cfg))
+
+
 def success_probability(u: int, cfg: SystemConfig) -> float:
     """P[SINR > tau | u transmitters], by nested Gauss-Legendre quadrature.
 
     Outer integral over the transmitter distance r (density 2r/R^2), inner
     over each of the u-1 interferer distances; the inner factor is the empty
-    product (1) at u=1.
+    product (1) at u=1.  Only the power of the inner factor depends on u, so
+    the rest is built once per config.
     """
     if u < 1:
         raise ValueError(f"u must be >= 1 (no transmitter otherwise), got {u}")
-    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    noise = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr)
-    beta = _interference_factor_at(r, cfg) if u > 1 else np.ones_like(r)
+    r, w, noise, beta = _disc_terms(cfg)
     integrand = noise * _beta_pow(beta, u - 1) * 2.0 * r / cfg.radius**2
     return float(np.dot(w, integrand))
 
@@ -89,7 +97,8 @@ def success_probability_mc(u: int, cfg: SystemConfig, trials: int, seed: int):
 
     Positions uniform in the disc (r = R*sqrt(U)), Rayleigh power gains
     Exp(1), interference summed over the u-1 other transmitters.  Returns
-    (estimate, stderr); deterministic for a fixed seed.
+    (estimate, stderr); deterministic for a fixed seed.  At an estimate of 0
+    or 1 the stderr is the one-sigma Wilson half-width, never 0.
     """
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
@@ -107,9 +116,24 @@ def success_probability_mc(u: int, cfg: SystemConfig, trials: int, seed: int):
             interference = (hi * x ** (-cfg.alpha)).sum(axis=1) * cfg.snr
     sinr = signal / (1.0 + interference)
     hits = sinr > cfg.tau
-    p = hits.mean()
-    stderr = math.sqrt(p * (1.0 - p) / trials)
-    return float(p), float(stderr)
+    p = float(hits.mean())
+    if 0.0 < p < 1.0:
+        stderr = math.sqrt(p * (1.0 - p) / trials)
+    else:   # the plug-in stderr is 0 here; the Wilson half-width is not
+        lo, up = wilson_interval(p, trials, 1.0)
+        stderr = (up - lo) / 2
+    return p, float(stderr)
+
+
+def wilson_interval(p: float, n: int, z: float):
+    """Wilson score interval for a binomial proportion p observed in n trials.
+
+    Unlike p +- z*stderr it keeps a nonzero width at p = 0 and p = 1.
+    """
+    z2n = z * z / n
+    center = (p + z2n / 2) / (1 + z2n)
+    half = z / (1 + z2n) * math.sqrt(p * (1 - p) / n + z2n / (4 * n))
+    return center - half, center + half
 
 
 def rate(u: int, cfg: SystemConfig) -> float:
@@ -168,8 +192,9 @@ def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
 
     Entries equal the pointwise ops; index 0 holds sentinels.  Each rate is
     derived from the success probability already tabulated (``rate``'s own
-    formula), so the quadrature runs once per u for ``p_succ`` and once more
-    inside ``packet_budget``.
+    formula).  ``packet_budget`` evaluates ``success_probability`` once more
+    per u, but the disc terms are built once per config, so that second
+    evaluation costs one power of beta and one dot product.
     """
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")

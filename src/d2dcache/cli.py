@@ -10,7 +10,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -36,7 +35,7 @@ from .optimize import (
     high_mobility_placement,
     jensen_gap_check,
 )
-from .channel import success_probability, success_probability_mc
+from .channel import success_probability, success_probability_mc, wilson_interval
 
 CSV_HEADER = "axis,value,scheme,method,load,load_normalized,trunc_bound,seed"
 
@@ -239,23 +238,12 @@ def _suite_enum_vs_fast(cfg: SystemConfig, seed: int):
     return True, "20 random instances"
 
 
-def _wilson_interval(p: float, n: int, z: float):
-    """Wilson score interval for a binomial proportion p observed in n trials.
-
-    Unlike p +- z*stderr it keeps a nonzero width at p = 0 and p = 1.
-    """
-    z2n = z * z / n
-    center = (p + z2n / 2) / (1 + z2n)
-    half = z / (1 + z2n) * math.sqrt(p * (1 - p) / n + z2n / (4 * n))
-    return center - half, center + half
-
-
 def _suite_quadrature_vs_mc(cfg: SystemConfig, seed: int):
     trials = 200_000
     for u in (1, 2, 3):
         exact = success_probability(u, cfg)
         est, _ = success_probability_mc(u, cfg, trials, seed + u)
-        lo, hi = _wilson_interval(est, trials, 3.0)
+        lo, hi = wilson_interval(est, trials, 3.0)
         if not lo - 1e-12 <= exact <= hi + 1e-12:   # rounding slack at p = 0 or 1
             return False, f"u={u}: {exact:.6f} outside Wilson [{lo:.6f}, {hi:.6f}]"
     return True, "u in {1,2,3} at 2e5 trials"

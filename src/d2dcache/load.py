@@ -19,7 +19,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy import stats
 
 from .channel import LinkBudget, build_link_budget
 from .model import (
@@ -28,6 +27,7 @@ from .model import (
     Placement,
     SystemConfig,
     _readonly,
+    poisson_pmf,
     poisson_tail,
     poisson_truncation,
     zipf_popularity,
@@ -128,7 +128,7 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
     u_max = poisson_truncation(cfg, mean)
     if u_max > lb.u_max:
         raise ValueError(f"link budget covers u <= {lb.u_max}, need u = {u_max}")
-    pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
+    pu = poisson_pmf(np.arange(u_max + 1), mean)
     cond = q_i[1:] / (1.0 - q0)  # packet-count PMF of a transmitter, on 1..L
 
     mixed = np.zeros(L + 1)
@@ -265,7 +265,7 @@ def average_load_enum(
     lb = build_link_budget(cfg, max(1, n_max))
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     mean = cfg.mean_capable
-    p_n = stats.poisson.pmf(np.arange(n_max + 1), mean) if mean > 0 else np.array([1.0])
+    p_n = poisson_pmf(np.arange(n_max + 1), mean) if mean > 0 else np.array([1.0])
 
     per_content = np.zeros(cfg.F)
     for i in range(cfg.F):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 class Scheme(str, Enum):
@@ -217,14 +217,25 @@ def capable_user_pmf(cfg: SystemConfig, n: int) -> float:
     mean = cfg.mean_capable
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
-    return float(stats.poisson.pmf(n, mean))
+    return float(poisson_pmf(n, mean))
+
+
+def poisson_pmf(k, mean: float):
+    """P[X = k] for X ~ Poisson(mean) > 0, elementwise over integers k >= 0.
+
+    The log-space formula scipy.stats.poisson evaluates, without its
+    per-call argument checking.
+    """
+    return np.clip(np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean), 0, 1)
 
 
 def poisson_tail(mean: float, n: int) -> float:
-    """P[X > n] for X ~ Poisson(mean)."""
+    """P[X > n] for X ~ Poisson(mean); 1 for n < 0, where pdtrc is NaN."""
     if mean == 0.0:
         return 0.0
-    return float(stats.poisson.sf(n, mean))
+    if n < 0:
+        return 1.0
+    return float(special.pdtrc(n, mean))
 
 
 def poisson_truncation(cfg: SystemConfig, mean: float | None = None) -> int:
@@ -238,7 +249,11 @@ def poisson_truncation(cfg: SystemConfig, mean: float | None = None) -> int:
         mean = cfg.mean_capable
     if mean == 0.0:
         return 0
-    n = int(stats.poisson.ppf(1.0 - cfg.n_trunc_epsilon, mean))
+    # scipy.stats' ppf as a start; the loops below fix n whatever the start
+    q = 1.0 - cfg.n_trunc_epsilon
+    n = max(0, math.ceil(special.pdtrik(q, mean)))
+    if n > 0 and special.pdtr(n - 1, mean) >= q:
+        n -= 1
     while poisson_tail(mean, n) >= cfg.n_trunc_epsilon:
         n += 1
     while n > 0 and poisson_tail(mean, n - 1) < cfg.n_trunc_epsilon:

@@ -35,9 +35,9 @@ class SampledState:
     """Sampled neighborhoods of one or more trials, neighbors stacked in trial order."""
 
     n: int
-    d: np.ndarray          # (n, F) cached-packet counts
+    d: np.ndarray          # (n, F) cached-packet counts, smallest unsigned dtype holding L
     positions: np.ndarray  # (n,) radii in [0, radius]
-    trial: np.ndarray      # (n,) trial index of each neighbor
+    trial: np.ndarray      # (n,) int32 trial index of each neighbor
 
     def __post_init__(self):
         for a in (self.d, self.positions, self.trial):
@@ -57,7 +57,7 @@ def sample_state(
     counts = rng.poisson(cfg.mean_capable, size=trials)
     n = int(counts.sum())
     cum = np.cumsum(dist.q, axis=1)
-    d = np.empty((n, cfg.F), dtype=int)
+    d = np.empty((n, cfg.F), dtype=np.min_scalar_type(cfg.L))   # uint8 when L <= 255
     if n:
         u = rng.random((n, cfg.F))
         for i in range(cfg.F):
@@ -66,7 +66,7 @@ def sample_state(
                 np.searchsorted(cum[i], u[:, i], side="right"), cfg.L
             )
     positions = cfg.radius * np.sqrt(rng.random(n))
-    trial = np.repeat(np.arange(trials), counts)
+    trial = np.repeat(np.arange(trials, dtype=np.int32), counts)
     return SampledState(n=n, d=d, positions=positions, trial=trial)
 
 
@@ -114,8 +114,8 @@ def estimate_average_load(
     for b in range(blocks):
         rng = np.random.default_rng([seed, b])
         state = sample_state(dist, cfg, rng, B)
-        # (trial, content) cell of every cached-count draw
-        cell = (state.trial[:, None] * F + np.arange(F)).ravel()
+        # (trial, content) cell of every draw; intp, as bincount copies other ints to intp
+        cell = (state.trial.astype(np.intp)[:, None] * F + np.arange(F)).ravel()
         held = state.d.ravel()
         u = np.bincount(cell[held > 0], minlength=B * F)
         if u.max() >= budget.size:
@@ -123,8 +123,9 @@ def estimate_average_load(
         needed = np.bincount(u, minlength=budget.size) > 0
         for k in np.flatnonzero(needed & (budget < 0)):
             budget[k] = packet_budget(int(k), cfg)
-        delivered = np.bincount(cell, weights=np.minimum(held, budget[u][cell]),
-                                minlength=B * F)
+        # min(d, b) = min(d, min(b, L)) as d <= L, so the gathered budget fits d's dtype
+        cap = np.minimum(budget[u], cfg.L).astype(held.dtype)
+        delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=B * F)
         shortfall = np.maximum(0.0, missing - delivered.reshape(B, F))
         if stratified:
             values[b * B:(b + 1) * B] = shortfall @ f

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, stats
 
 from .channel import (
     LinkBudget,
+    _disc_terms,
     _gauss_legendre,
     _interference_complement_at,
     build_link_budget,
@@ -36,6 +36,8 @@ from .model import (
     Scheme,
     SystemConfig,
     expected_stay_time,
+    poisson_pmf,
+    poisson_tail,
     poisson_truncation,
     zipf_popularity,
 )
@@ -290,8 +292,7 @@ def _transmitter_pmf(q_i: np.ndarray, cfg: SystemConfig):
     if mean == 0.0:
         return np.array([1.0]), 0.0
     u_max = poisson_truncation(cfg, mean)
-    pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
-    return pu, float(stats.poisson.sf(u_max, mean))
+    return poisson_pmf(np.arange(u_max + 1), mean), poisson_tail(mean, u_max)
 
 
 def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None = None):
@@ -310,7 +311,7 @@ def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None 
     mean = (1.0 - q_i[0]) * cfg.mean_capable
     if mean == 0.0:
         return value, 0.0
-    tail_mean = mean * float(stats.poisson.sf(u_max - 1, mean))
+    tail_mean = mean * poisson_tail(mean, u_max - 1)
     return value, float(lb.budget[1]) * tail_mean
 
 
@@ -348,6 +349,8 @@ def _beta_complement(r: float, cfg: SystemConfig) -> float:
     any fixed node spacing when tau*r**alpha is tiny; the envelope in the
     gap constant divides by this value, so it must be resolved adaptively.
     """
+    from scipy import integrate   # here, not at import: only this constant needs it
+
     a = cfg.tau * r ** cfg.alpha
     if a == 0.0:
         return 0.0
@@ -368,11 +371,11 @@ def _noma_gap_constant(cfg: SystemConfig) -> float:
     the envelope peaks at u = -1/ln(beta), giving exp(-1)/(beta * -ln(beta)).
     Computed through the complement 1-beta for stability near beta = 1.
     """
-    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    r, w, noise, _ = _disc_terms(cfg)
     betac = np.maximum([_beta_complement(rk, cfg) for rk in r], 1e-300)
     neg_log_beta = -np.log1p(-np.minimum(betac, 1.0 - 1e-16))
     envelope = math.exp(-1.0) / ((1.0 - betac) * neg_log_beta)
-    integrand = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr) * envelope * 2.0 * r / cfg.radius**2
+    integrand = noise * envelope * 2.0 * r / cfg.radius**2
     return float(-cfg.L * math.log1p(cfg.tau) * np.dot(w, integrand))
 
 

@@ -15,6 +15,13 @@ from d2dcache import (
     success_probability,
     success_probability_mc,
 )
+from d2dcache.channel import (
+    _beta_pow,
+    _disc_terms,
+    _gauss_legendre,
+    _interference_factor_at,
+    wilson_interval,
+)
 
 # Frozen by an independent 40-digit mpmath adaptive-quadrature script
 # (tau = 10**0.5, alpha = 4, radius = 5).
@@ -106,6 +113,30 @@ class TestSuccessProbability:
             b = success_probability(u, default_config(quad_nodes=cfg.quad_nodes * 2))
             assert abs(a - b) < 1e-8
 
+    def test_equals_a_build_from_scratch(self):
+        # reference: every term of the quadrature rebuilt on each call
+        def from_scratch(u, cfg):
+            r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+            noise = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr)
+            beta = _interference_factor_at(r, cfg) if u > 1 else np.ones_like(r)
+            return float(np.dot(w, noise * _beta_pow(beta, u - 1) * 2.0 * r / cfg.radius**2))
+
+        for c in (default_config(), default_config(snr=1e4, alpha=3.0, quad_nodes=16),
+                  default_config(tau=1e-12, radius=20.0), default_config(tau=1e3)):
+            for scheme in Scheme:
+                scfg = c.with_scheme(scheme)
+                for u in (1, 2, 3, 7, 40, 1000):
+                    assert success_probability(u, scfg) == from_scratch(u, scfg)
+
+    def test_disc_terms_read_only_and_a_hit_equals_a_fresh_build(self, cfg):
+        cached = _disc_terms(cfg)
+        assert _disc_terms(cfg) is cached
+        fresh = _disc_terms.__wrapped__(cfg)
+        for a, b in zip(cached, fresh):
+            assert np.array_equal(a, b)
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_u1_independent_of_interference_integral(self, cfg):
         # u=1 must equal the bare noise-limited integral over the disc
         from scipy.integrate import quad
@@ -121,7 +152,20 @@ class TestSuccessProbabilityMc:
     def test_low_threshold_limit(self):
         cfg = default_config(tau=1e-12)
         est, se = success_probability_mc(3, cfg, 1000, seed=0)
-        assert est == 1.0 and se == 0.0
+        # at p = 1 the one-sigma Wilson half-width is 1 / (2 (n + 1))
+        assert est == 1.0 and se == pytest.approx(1 / (2 * 1001), rel=1e-12)
+
+    def test_stderr_nonzero_at_certain_success(self):
+        cfg = default_config(quad_nodes=8, alpha=2.0, snr=1e8)
+        est, se = success_probability_mc(1, cfg, 200_000, seed=1)
+        assert est == 1.0 and se > 0.0
+        lo, hi = wilson_interval(est, 200_000, 1.0)
+        assert se == (hi - lo) / 2
+
+    def test_interior_stderr_is_the_plug_in_value(self, cfg):
+        est, se = success_probability_mc(2, cfg, 5000, seed=7)
+        assert 0.0 < est < 1.0
+        assert se == math.sqrt(est * (1.0 - est) / 5000)
 
     def test_deterministic_for_seed(self, cfg):
         a = success_probability_mc(2, cfg, 5000, seed=7)

@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import d2dcache
 
 from d2dcache import (
     ContentPopularity,
@@ -13,10 +20,13 @@ from d2dcache import (
     db_to_linear,
     default_config,
     expected_stay_time,
+    jensen_gap_check,
+    packet_budget,
     poisson_truncation,
     zipf_popularity,
 )
-from d2dcache.model import poisson_tail
+from d2dcache.model import poisson_pmf, poisson_tail
+from d2dcache.optimize import _floored_delivery
 
 # Frozen by an independent 40-digit mpmath script: i**-0.6 summed over i=1..5.
 ZIPF_5_06 = [
@@ -101,6 +111,66 @@ class TestPoissonTruncation:
             assert poisson_tail(mean, n) < eps
             if n > 0:
                 assert poisson_tail(mean, n - 1) >= eps
+
+
+def _stats_truncation(mean, eps):
+    """poisson_truncation as it was written on scipy.stats: ppf start, then the loops."""
+    n = int(stats.poisson.ppf(1.0 - eps, mean))
+    while stats.poisson.sf(n, mean) >= eps:
+        n += 1
+    while n > 0 and stats.poisson.sf(n - 1, mean) < eps:
+        n -= 1
+    return n
+
+
+class TestPoissonHelpers:
+    # scipy.stats is the independent reference; the library calls scipy.special
+    MEANS = np.exp(np.random.default_rng(5).uniform(np.log(1e-3), np.log(1e6), 2000))
+
+    def test_pmf_bit_equal_to_scipy_stats(self):
+        for m in self.MEANS:
+            around = np.floor(m + math.sqrt(m) * np.linspace(-8, 8, 33))
+            k = np.unique(np.concatenate([np.arange(10), np.maximum(around, 0)])).astype(int)
+            assert np.array_equal(poisson_pmf(k, m), stats.poisson.pmf(k, m)), m
+
+    def test_tail_bit_equal_to_scipy_stats(self):
+        for m in self.MEANS:
+            for n in {-1, 0, 1, int(m), int(m + 3 * math.sqrt(m)) + 1}:
+                assert poisson_tail(m, n) == float(stats.poisson.sf(n, m)), (m, n)
+        assert poisson_tail(0.3, -1) == 1.0
+
+    def test_truncation_equals_the_stats_version(self):
+        rng = np.random.default_rng(6)
+        for m in self.MEANS[::4]:
+            eps = float(10.0 ** rng.uniform(-12, -1))
+            cfg = default_config(eta=1.0, lam=float(m), mu=1.0, n_trunc_epsilon=eps)
+            assert poisson_truncation(cfg) == _stats_truncation(m, eps), (m, eps)
+
+
+def test_floored_delivery_bound_at_zero_truncation_point():
+    # the truncation point is 0 here, so the bound reads the tail at n = -1
+    cfg = default_config(lam=1e-12)
+    assert poisson_truncation(cfg) == 0
+    dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+    q_i = dist.q[0]
+    mean = (1.0 - q_i[0]) * cfg.mean_capable
+    placement = Placement([1] * cfg.F, cfg)
+    for scheme in Scheme:
+        scfg = cfg.with_scheme(scheme)
+        value, bound = _floored_delivery(q_i, scfg)
+        assert value == 0.0
+        assert math.isfinite(bound) and bound == packet_budget(1, scfg) * mean
+        assert jensen_gap_check(placement, scheme, dist, cfg).ok
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    code = ("import sys, d2dcache; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+    src = str(Path(d2dcache.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_expected_stay_time():

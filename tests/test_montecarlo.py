@@ -179,6 +179,20 @@ class TestEstimateAverageLoad:
         assert np.isfinite(est) and np.isfinite(se)
         assert 0.0 <= est <= cfg.L
 
+    def test_peak_memory_per_draw(self):
+        # one trial at mean 5e5 draws 2.5e6 cache counts; int64 counts,
+        # indices and gathers would peak near 37 bytes per draw
+        cfg = default_config(lam=1e6)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        pl = Placement([1] * cfg.F, cfg)
+        tracemalloc.start()
+        try:
+            estimate_average_load(pl, dist, cfg, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * cfg.mean_capable * cfg.F
+
     def test_input_validation(self, cfg, uniform_dist):
         pl = Placement([0] * cfg.F, cfg)
         with pytest.raises(ValueError):
