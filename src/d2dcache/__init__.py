@@ -49,7 +49,6 @@ from .optimize import (
     HighMobilityConstants,
     JensenGapReport,
     MatroidReport,
-    PacketSet,
     SubmodularityReport,
     check_matroid_axioms,
     check_submodularity,
@@ -76,7 +75,6 @@ __all__ = [
     "MatroidReport",
     "Method",
     "NeighborCacheDistribution",
-    "PacketSet",
     "Placement",
     "SampledState",
     "Scheme",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -313,6 +314,7 @@ def _parse_schemes(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(","))
 
 
+@lru_cache(maxsize=1)   # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="d2dcache",

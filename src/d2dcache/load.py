@@ -199,13 +199,16 @@ def link_budget_for(cfg: SystemConfig) -> LinkBudget:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Popularity, link budget, (F, L+1) shortfall tables and their tail masses
-    for one (cache rows, config) pair; read-only, as every caller shares it."""
+    """Popularity, link budget, (F, L+1) shortfall tables, their tail masses and
+    the (F, L) per-packet gains ``gains[i, c]``, the load decrease from the
+    (c+1)-th packet of content i, for one (cache rows, config) pair; read-only,
+    as every caller shares it."""
 
     f: np.ndarray
     lb: LinkBudget
     tables: np.ndarray
     tails: np.ndarray
+    gains: np.ndarray
 
 
 def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
@@ -221,7 +224,8 @@ def _build_scenario(cfg: SystemConfig, q_bytes: bytes, shape: tuple) -> Scenario
     lb = link_budget_for(cfg)
     tables, tails = shortfall_tables(dist, cfg, lb)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
-    return Scenario(f, lb, _readonly(tables), _readonly(tails))
+    gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
+    return Scenario(f, lb, _readonly(tables), _readonly(tails), _readonly(gains))
 
 
 def average_load_fast(
@@ -300,5 +304,4 @@ def marginal_gain(
     c_i = int(placement.c[i])
     if c_i >= cfg.L:
         raise ValueError(f"content {i} already holds all L={cfg.L} packets")
-    s = scenario(dist, cfg)
-    return float(s.f[i] * (s.tables[i, c_i] - s.tables[i, c_i + 1]))
+    return float(scenario(dist, cfg).gains[i, c_i])

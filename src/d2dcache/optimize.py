@@ -4,11 +4,12 @@ The load reduction is monotone submodular over the uniform matroid of packet
 sets of size at most M, which gives greedy the paper's 1 - 1/e guarantee
 (acceptance criterion 4 checks it).  It is also a sum over contents of terms
 convex in c_i, so greedy is exactly optimal (Federgruen & Groenevelt, 1986).
-The oracle is an exact min-plus DP over contents with a work cap.  This
-module also implements the brute-force matroid/submodularity harnesses and
-the entire high-mobility analysis: expected deliverable packet counts, the
-threshold closed-form placements, the relaxed real-valued objective, and the
-Jensen-gap bound check.
+Greedy and the high-mobility packing are one sorted selection: the M best of
+the F*L per-packet values.  The oracle is an exact min-plus DP over contents
+with a work cap.  This module also implements the brute-force
+matroid/submodularity harnesses and the entire high-mobility analysis:
+expected deliverable packet counts, the threshold closed-form placements,
+the relaxed real-valued objective, and the Jensen-gap bound check.
 """
 
 from __future__ import annotations
@@ -46,67 +47,36 @@ from .model import (
 DP_MAX_WORK = 10**8
 
 
-class PacketSet:
-    """A set of coded packets in canonical per-content-count form.
-
-    Packets of one content are interchangeable (MDS coding), so a packet set
-    is fully described by how many packets of each content it holds.
-    Feasible sets are exactly those with at most M packets in total.
-    """
-
-    def __init__(self, counts, L: int):
-        arr = np.asarray(counts, dtype=int)
-        if np.any(arr < 0) or np.any(arr > L):
-            raise ValueError(f"per-content counts must lie in 0..L={L}: {arr}")
-        self.counts = arr
-        self.L = L
-
-    @property
-    def size(self) -> int:
-        return int(self.counts.sum())
-
-    def is_feasible(self, M: int) -> bool:
-        return self.size <= M
-
-    def with_packet(self, i: int) -> "PacketSet":
-        if self.counts[i] >= self.L:
-            raise ValueError(f"content {i} already holds all {self.L} packets")
-        counts = self.counts.copy()
-        counts[i] += 1
-        return PacketSet(counts, self.L)
-
-    @classmethod
-    def from_placement(cls, placement: Placement, cfg: SystemConfig) -> "PacketSet":
-        return cls(placement.c, cfg.L)
-
-    def to_placement(self, cfg: SystemConfig) -> Placement:
-        return Placement(self.counts, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Greedy and exhaustive placement
 # ---------------------------------------------------------------------------
+
+def _packet_order(value: np.ndarray) -> np.ndarray:
+    """Flat indices i*L + c of an (F, L) per-packet value matrix in pick order.
+
+    Packets are ranked by the running minimum of their content's values, so a
+    packet never precedes an earlier one of its content even where a float
+    value rises by a rounding error; ties go to the lower content, then the
+    lower c.  This is the order in which a packet-by-packet argmax over the
+    contents' next packets picks them.
+    """
+    key = np.minimum.accumulate(value, axis=1)
+    return np.argsort(-key.ravel(), kind="stable")
+
 
 def greedy_placement(dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Greedy packet-by-packet placement; returns (placement, trace).
 
     Each of the M steps adds the packet with the largest marginal load
     decrease, ties broken by lowest content index.  Gains depend only on
-    per-content counts, so the per-content shortfall tables are computed once
-    and consumed greedily.  The trace lists (content, gain) per step.
+    per-content counts, so the steps are the first M packets of one sort of
+    the scenario's per-packet gains.  The trace lists (content, gain) per step.
     """
     s = scenario(dist, cfg)
-    c = np.zeros(cfg.F, dtype=int)
-    trace = []
-    for _ in range(cfg.M):
-        gains = np.full(cfg.F, -np.inf)
-        open_contents = c < cfg.L
-        idx = np.flatnonzero(open_contents)
-        gains[idx] = s.f[idx] * (s.tables[idx, c[idx]] - s.tables[idx, c[idx] + 1])
-        best = int(np.argmax(gains))
-        trace.append((best, float(gains[best])))
-        c[best] += 1
-    return Placement(c, cfg), trace
+    picks = _packet_order(s.gains)[: cfg.M]
+    contents = picks // cfg.L
+    trace = list(zip(contents.tolist(), s.gains.ravel()[picks].tolist()))
+    return Placement(np.bincount(contents, minlength=cfg.F), cfg), trace
 
 
 def exhaustive_placement(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Placement:
@@ -235,12 +205,7 @@ def check_submodularity(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    s = scenario(dist, cfg)
-
-    def gain(ps: PacketSet, i: int) -> float:
-        ci = ps.counts[i]
-        return float(s.f[i] * (s.tables[i, ci] - s.tables[i, ci + 1]))
-
+    gains = scenario(dist, cfg).gains
     violations = 0
     worst = -math.inf
     min_gain = math.inf
@@ -249,8 +214,7 @@ def check_submodularity(
         c = rng.integers(0, cfg.L + 1, cfg.F)
         c[i] = rng.integers(0, cfg.L)          # keep a packet of i addable
         c_sub = rng.integers(0, c + 1)
-        superset, subset = PacketSet(c, cfg.L), PacketSet(c_sub, cfg.L)
-        g_sup, g_sub = gain(superset, i), gain(subset, i)
+        g_sup, g_sub = float(gains[i, c[i]]), float(gains[i, c_sub[i]])
         excess = g_sup - g_sub
         worst = max(worst, excess)
         min_gain = min(min_gain, g_sup, g_sub)
@@ -286,13 +250,17 @@ class HighMobilityConstants:
             raise ValueError("gap constants must be nonpositive")
 
 
-def _transmitter_pmf(q_i: np.ndarray, cfg: SystemConfig):
-    """Poisson PMF of the per-content transmitter count, truncated with tail."""
+def _transmitters(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None):
+    """Truncated Poisson PMF of the per-content transmitter count, and ``lb``
+    or, when it is None or too short, a link budget covering that PMF."""
     mean = (1.0 - q_i[0]) * cfg.mean_capable
     if mean == 0.0:
-        return np.array([1.0]), 0.0
-    u_max = poisson_truncation(cfg, mean)
-    return poisson_pmf(np.arange(u_max + 1), mean), poisson_tail(mean, u_max)
+        pu = np.array([1.0])
+    else:
+        pu = poisson_pmf(np.arange(poisson_truncation(cfg, mean) + 1), mean)
+    if lb is None or lb.u_max < pu.size - 1:
+        lb = build_link_budget(cfg, max(1, pu.size - 1))
+    return pu, lb
 
 
 def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None = None):
@@ -302,15 +270,13 @@ def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None 
     budgets are non-increasing in u, so every missing term is at most
     budget(1) per transmitter.
     """
-    pu, _ = _transmitter_pmf(q_i, cfg)
-    u_max = pu.size - 1
-    if lb is None or lb.u_max < u_max:
-        lb = build_link_budget(cfg, max(1, u_max))
+    pu, lb = _transmitters(q_i, cfg, lb)
     u = np.arange(pu.size)
     value = float(np.dot(pu, u * lb.budget[: pu.size]))
     mean = (1.0 - q_i[0]) * cfg.mean_capable
     if mean == 0.0:
         return value, 0.0
+    u_max = pu.size - 1
     tail_mean = mean * poisson_tail(mean, u_max - 1)
     return value, float(lb.budget[1]) * tail_mean
 
@@ -329,17 +295,14 @@ def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     return floored_delivery_mean(q_i, cfg.with_scheme(Scheme.ORTHOGONAL))
 
 
-def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
+def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None = None) -> float:
     """Floor-free expected D2D delivery per stay under non-orthogonal access:
-    (L/mu) log(1+tau) E[u P[SINR>tau | u]]."""
+    (L/mu) log(1+tau) E[u P[SINR>tau | u]], reading P from ``lb`` when it
+    covers the truncation point."""
     cfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
-    pu, _ = _transmitter_pmf(q_i, cfg)
-    u_max = pu.size - 1
-    p_succ = np.ones(u_max + 1)
-    for u in range(1, u_max + 1):
-        p_succ[u] = success_probability(u, cfg)
-    u = np.arange(u_max + 1)
-    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(pu, u * p_succ))
+    pu, lb = _transmitters(q_i, cfg, lb)
+    u = np.arange(pu.size)
+    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(pu, u * lb.p_succ[: pu.size]))
 
 
 def _beta_complement(r: float, cfg: SystemConfig) -> float:
@@ -396,13 +359,11 @@ def high_mobility_constants(
 
 
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
-    """Per-content deliverable counts; orthogonal ones read the shared link budget."""
-    q = dist.q[: cfg.F]
-    if Scheme(scheme) is Scheme.NON_ORTHOGONAL:
-        return np.array(_per_distinct_row(lambda q_i: noma_delivery_mean(q_i, cfg), q))
-    cfg = cfg.with_scheme(Scheme.ORTHOGONAL)
+    """Per-content deliverable counts, reading the scheme's shared link budget."""
+    cfg = cfg.with_scheme(scheme)
     lb = scenario(dist, cfg).lb
-    return np.array(_per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg, lb)[0], q))
+    fn = noma_delivery_mean if cfg.scheme is Scheme.NON_ORTHOGONAL else floored_delivery_mean
+    return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg, lb), dist.q[: cfg.F]))
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -432,22 +393,17 @@ def _integerize(deliverable, cfg: SystemConfig) -> np.ndarray:
     content i's threshold t_i = L - deliverable_i, its packets up to floor(t_i)
     are each worth f_i, the packet crossing t_i is worth the fractional
     remainder of f_i, and anything beyond ceil(t_i) (or any packet when
-    t_i <= 0) is worthless.  Greedy by marginal value (ties to the more
-    popular content) is optimal for this separable concave objective.
+    t_i <= 0) is worthless.  The M most valuable packets of one sort (ties to
+    the more popular content) are optimal for this separable concave
+    objective; worthless ones are left out.
     """
     t = np.minimum(cfg.L, cfg.L - np.asarray(deliverable, dtype=float))
-    full = np.floor(t)
-    frac = t - full
-    cap = full + (frac > 0)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
-    c = np.zeros(cfg.F, dtype=int)
-    for _ in range(cfg.M):
-        marginal = np.where(c < full, f, np.where(c < cap, f * frac, -np.inf))
-        best = int(np.argmax(marginal))
-        if marginal[best] <= 0:
-            break
-        c[best] += 1
-    return c
+    # packet k (0-based) is worth f_i * clip(t_i - k, 0, 1): f_i, f_i*frac_i, 0
+    value = f[:, None] * np.clip(np.reshape(t, (-1, 1)) - np.arange(cfg.L), 0.0, 1.0)
+    picks = _packet_order(value)[: cfg.M]
+    picks = picks[value.ravel()[picks] > 0]
+    return np.bincount(picks // cfg.L, minlength=cfg.F)
 
 
 def high_mobility_placement(

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from d2dcache import Scheme, default_config, zipf_popularity
@@ -6,9 +8,29 @@ from d2dcache.cli import (
     ConfigError,
     SweepSpec,
     _suite_quadrature_vs_mc,
+    build_parser,
     main,
     parse_config,
 )
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
+DEFAULT_CFG = str(REPO / "demos" / "default.cfg")
+
+# The README's four commands, plus optimize with every method.  Their golden
+# outputs were written by running each command alone in a fresh process.
+README_RUNS = {
+    "eval": ["eval", "--config", DEFAULT_CFG, "--placement", "5,0,0,0,0",
+             "--out", "eval.csv"],
+    "optimize": ["optimize", "--config", DEFAULT_CFG, "--methods", "greedy,exhaustive",
+                 "--schemes", "both"],
+    "sweep": ["sweep", "--config", DEFAULT_CFG, "--axis", "snr_db",
+              "--values", "0,5,10,15,20,25,30,35,40",
+              "--methods", "greedy,exhaustive", "--schemes", "both", "--out", "sweep.csv"],
+    "validate": ["validate", "--config", DEFAULT_CFG],
+    "optimize_all": ["optimize", "--config", DEFAULT_CFG,
+                     "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both"],
+}
 
 GOOD_CONFIG = """\
 # benchmark scenario
@@ -224,6 +246,28 @@ class TestOptimizeCommand:
         assert rc == 0
         assert calls == {"shortfall_tables": 2, "build_link_budget": 2}
 
+    def test_noma_high_mobility_reads_the_scenario_budget(self, tmp_path, monkeypatch):
+        from d2dcache import channel, cli, load, optimize
+
+        calls = []
+        for module in (channel, load, optimize, cli):   # every namespace that binds it
+            if hasattr(module, "success_probability"):
+                original = module.success_probability
+
+                def counted(*args, _original=original, **kwargs):
+                    calls.append(args[0])
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, "success_probability", counted)
+        load._build_scenario.cache_clear()
+        rc = main(["optimize", "--config", DEFAULT_CFG,
+                   "--methods", "greedy,high_mobility", "--schemes", "non_orthogonal",
+                   "--out", str(tmp_path / "opt.csv")])
+        assert rc == 0
+        # all of them build the scenario's link budget, two per u; the
+        # high-mobility delivery mean reads its p_succ instead of adding 8
+        assert len(calls) == 18
+
     def test_writes_placements(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "opt.csv")
         rc = main(["optimize", "--config", config_path,
@@ -251,3 +295,22 @@ def test_quadrature_suite_at_certain_success():
     # Wilson interval keeps a width and contains the quadrature value
     ok, detail = _suite_quadrature_vs_mc(default_config(quad_nodes=8, alpha=2.0, snr=1e8), 0)
     assert ok, detail
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_readme_commands_match_golden_bytes(tmp_path, monkeypatch, capsys):
+    # all commands run back to back in this one process, so the shared parser
+    # and the memoized scenarios must not carry state from one to the next
+    for name, argv in README_RUNS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(argv) == 0, name
+        # golden files are <name>.stdout, <name>.csv and <name>.csv.manifest
+        golden = {p.name[len(name) + 1:]: p.read_bytes() for p in GOLDEN.glob(f"{name}.*")}
+        assert capsys.readouterr().out.encode() == golden.pop("stdout"), name
+        written = {p.name.split(".", 1)[1]: p.read_bytes() for p in workdir.iterdir()}
+        assert written == golden, name

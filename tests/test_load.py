@@ -303,7 +303,12 @@ class TestSharedWork:
         # an equal config and equal cache rows hit the same entry
         assert scenario(NeighborCacheDistribution(uniform_dist.q.copy()),
                         default_config()) is s
-        for array in (s.f, s.tables, s.tails, s.lb.budget):
+        for array in (s.f, s.tables, s.tails, s.gains, s.lb.budget):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             s.tables[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.gains[0, 0] = 1.0
+        # gains[i, c] is the table decrement of the (c+1)-th packet, bit for bit
+        assert s.gains.shape == (cfg.F, cfg.L)
+        assert np.array_equal(s.gains, s.f[:, None] * (s.tables[:, :-1] - s.tables[:, 1:]))

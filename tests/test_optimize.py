@@ -7,7 +7,6 @@ import pytest
 from d2dcache import (
     CapacityError,
     NeighborCacheDistribution,
-    PacketSet,
     Placement,
     Scheme,
     average_load_fast,
@@ -78,6 +77,87 @@ class TestGreedy:
         best_gain = base - x
         if best_gain > 0:
             assert (base - g) / best_gain >= 1 - 1 / math.e - 1e-12
+
+
+def greedy_reference(s, cfg):
+    """Greedy as a packet-by-packet argmax loop over the shortfall tables:
+    the reference that the sorted selection must reproduce exactly."""
+    c = np.zeros(cfg.F, dtype=int)
+    trace = []
+    for _ in range(cfg.M):
+        gains = np.full(cfg.F, -np.inf)
+        idx = np.flatnonzero(c < cfg.L)
+        gains[idx] = s.f[idx] * (s.tables[idx, c[idx]] - s.tables[idx, c[idx] + 1])
+        best = int(np.argmax(gains))
+        trace.append((best, float(gains[best])))
+        c[best] += 1
+    return c, trace
+
+
+def integerize_reference(deliverable, cfg):
+    """Marginal-value packing as a packet-by-packet argmax loop."""
+    t = np.minimum(cfg.L, cfg.L - np.asarray(deliverable, dtype=float))
+    full = np.floor(t)
+    frac = t - full
+    cap = full + (frac > 0)
+    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    c = np.zeros(cfg.F, dtype=int)
+    for _ in range(cfg.M):
+        marginal = np.where(c < full, f, np.where(c < cap, f * frac, -np.inf))
+        best = int(np.argmax(marginal))
+        if marginal[best] <= 0:
+            break
+        c[best] += 1
+    return c
+
+
+def selection_instances(seed, count):
+    """Random configs with F, L <= 8, gamma = 0 (ties) in half of them, and
+    cache rows that are uniform, one random row repeated, or all distinct."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        F, L = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        if k % 3 == 0:
+            q = np.ones((F, L + 1))
+        elif k % 3 == 1:
+            q = np.tile(rng.random(L + 1), (F, 1))
+        else:
+            q = rng.random((F, L + 1))
+        q /= q.sum(axis=1, keepdims=True)
+        cfg = default_config(
+            F=F, L=L, M=int(rng.integers(0, F * L + 1)),
+            gamma=0.0 if k % 2 else float(rng.uniform(0.0, 2.0)),
+            lam=float(rng.uniform(0.0, 4.0)), snr=float(10 ** rng.uniform(0, 4)),
+            scheme=list(Scheme)[k % 4 // 2],
+        )
+        yield cfg, NeighborCacheDistribution(q), rng
+
+
+class TestPacketSelection:
+    def test_greedy_equals_argmax_loop(self):
+        rising = 0
+        for cfg, dist, _ in selection_instances(5, 600):
+            s = scenario(dist, cfg)
+            placement, trace = greedy_placement(dist, cfg)
+            c, ref_trace = greedy_reference(s, cfg)
+            assert placement.c.tolist() == c.tolist(), cfg
+            assert trace == ref_trace, cfg
+            rising += bool(np.any(np.diff(s.gains, axis=1) > 0))
+        # some float gains rise by a rounding error as c grows, so the
+        # running-minimum ranking is exercised
+        assert rising > 0
+
+    def test_integerize_equals_argmax_loop(self):
+        from d2dcache.optimize import _integerize
+        for k, (cfg, _, rng) in enumerate(selection_instances(6, 600)):
+            # scalar, per-content, and out-of-range counts (below 0, above L);
+            # quarter steps hit integer thresholds and exact ties
+            shape = () if k % 2 else (cfg.F,)
+            deliverable = np.round(rng.uniform(-1.0, cfg.L + 1.0, shape) * 4) / 4
+            if k % 3 == 0:
+                deliverable = rng.uniform(-1.0, cfg.L + 1.0, shape)
+            assert (_integerize(deliverable, cfg).tolist()
+                    == integerize_reference(deliverable, cfg).tolist()), (cfg, deliverable)
 
 
 class TestExhaustive:
@@ -410,23 +490,3 @@ class TestJensenGap:
         for scheme in Scheme:
             rep = jensen_gap_check(pl, scheme, uniform_dist, cfg)
             assert rep.ok and not rep.degenerate
-
-
-class TestPacketSet:
-    def test_roundtrip_with_placement(self, cfg):
-        pl = Placement([3, 1, 1, 0, 0], cfg)
-        ps = PacketSet.from_placement(pl, cfg)
-        assert ps.size == 5
-        assert ps.to_placement(cfg) == pl
-
-    def test_feasibility_is_cardinality(self, cfg):
-        ps = PacketSet([2, 2, 2, 0, 0], cfg.L)
-        assert not ps.is_feasible(cfg.M)
-        assert ps.is_feasible(6)
-
-    def test_with_packet(self, cfg):
-        ps = PacketSet([0, 0, 0, 0, 0], cfg.L).with_packet(2)
-        assert ps.counts.tolist() == [0, 0, 1, 0, 0]
-        full = PacketSet([5, 0, 0, 0, 0], cfg.L)
-        with pytest.raises(ValueError):
-            full.with_packet(0)
