@@ -18,6 +18,10 @@ import numpy as np
 
 from .model import Scheme, SystemConfig, _readonly
 
+# Transmitter counts per block of an array call: bounds the (u, node) power
+# matrix at U_BLOCK * quad_nodes floats.
+U_BLOCK = 8192
+
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(n: int, upper: float):
@@ -58,16 +62,6 @@ def interference_factor(r: float, cfg: SystemConfig) -> float:
     return float(_interference_factor_at(np.array([r]), cfg)[0])
 
 
-def _beta_pow(beta: np.ndarray, k: int) -> np.ndarray:
-    """beta**k via exp(k*log(beta)), with the 0**0 = 1 convention at k = 0."""
-    if k == 0:
-        return np.ones_like(beta)
-    out = np.zeros_like(beta)
-    pos = beta > 0
-    out[pos] = np.exp(k * np.log(beta[pos]))
-    return out
-
-
 @lru_cache(maxsize=8)   # small: a grid point uses one config per scheme
 def _disc_terms(cfg: SystemConfig):
     """Read-only outer nodes r, weights w, noise factor and interference factor
@@ -77,19 +71,33 @@ def _disc_terms(cfg: SystemConfig):
     return r, w, _readonly(noise), _readonly(_interference_factor_at(r, cfg))
 
 
-def success_probability(u: int, cfg: SystemConfig) -> float:
+def success_probability(u, cfg: SystemConfig):
     """P[SINR > tau | u transmitters], by nested Gauss-Legendre quadrature.
 
     Outer integral over the transmitter distance r (density 2r/R^2), inner
     over each of the u-1 interferer distances; the inner factor is the empty
     product (1) at u=1.  Only the power of the inner factor depends on u, so
-    the rest is built once per config.
+    the rest is built once per config.  ``u`` is an int (gives a float) or an
+    integer array (gives an array), evaluated U_BLOCK entries at a time.
     """
-    if u < 1:
+    k = np.asarray(u) - 1
+    if np.any(k < 0):
         raise ValueError(f"u must be >= 1 (no transmitter otherwise), got {u}")
     r, w, noise, beta = _disc_terms(cfg)
-    integrand = noise * _beta_pow(beta, u - 1) * 2.0 * r / cfg.radius**2
-    return float(np.dot(w, integrand))
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(beta)
+    flat = k.reshape(-1, 1)
+    out = np.empty(flat.shape[0])
+    for lo in range(0, out.size, U_BLOCK):
+        kb = flat[lo:lo + U_BLOCK]
+        # beta**k as exp(k*log(beta)), with the 0**0 = 1 convention at beta = 0
+        with np.errstate(invalid="ignore"):
+            power = np.exp(kb * log_beta)
+        power[:, beta == 0] = kb == 0
+        integrand = noise * power * 2.0 * r / cfg.radius**2
+        # vecdot sums each row as np.dot does one vector; a matrix product may not
+        out[lo:lo + U_BLOCK] = np.vecdot(integrand, w)
+    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
 def success_probability_mc(u: int, cfg: SystemConfig, trials: int, seed: int):
@@ -136,14 +144,15 @@ def wilson_interval(p: float, n: int, z: float):
     return center - half, center + half
 
 
-def rate(u: int, cfg: SystemConfig) -> float:
+def rate(u, cfg: SystemConfig):
     """Average achievable D2D rate with u simultaneous transmitters.
 
     Orthogonal access splits the resource u ways and sees no interference;
     non-orthogonal access keeps the whole resource but pays the interference
-    through the success probability.  Rates are in nats (natural log).
+    through the success probability.  Rates are in nats (natural log).  Like
+    ``success_probability``, ``u`` is an int or an integer array.
     """
-    if u < 1:
+    if np.any(np.asarray(u) < 1):
         raise ValueError(f"u must be >= 1, got {u}")
     log_term = math.log1p(cfg.tau)
     if cfg.scheme is Scheme.ORTHOGONAL:
@@ -151,9 +160,13 @@ def rate(u: int, cfg: SystemConfig) -> float:
     return success_probability(u, cfg) * log_term
 
 
-def packet_budget(u: int, cfg: SystemConfig) -> int:
-    """Packets one neighbor can deliver during an expected stay: floor(L*rate/mu)."""
-    return int(math.floor(cfg.L * rate(u, cfg) / cfg.mu))
+def packet_budget(u, cfg: SystemConfig):
+    """Packets one neighbor can deliver during an expected stay: floor(L*rate/mu).
+
+    An int for an int ``u``, an integer array for an array ``u``.
+    """
+    budget = np.floor(cfg.L * rate(u, cfg) / cfg.mu)
+    return int(budget) if np.ndim(budget) == 0 else budget.astype(int)
 
 
 @dataclass(frozen=True)
@@ -190,23 +203,15 @@ class LinkBudget:
 def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
     """Tabulate success probability, rate, and budget for u = 1..u_max.
 
-    Entries equal the pointwise ops; index 0 holds sentinels.  Each rate is
-    derived from the success probability already tabulated (``rate``'s own
-    formula).  ``packet_budget`` evaluates ``success_probability`` once more
-    per u, but the disc terms are built once per config, so that second
-    evaluation costs one power of beta and one dot product.
+    Each table is its pointwise op applied to the array u = 1..u_max, so
+    entries equal the scalar calls; index 0 holds sentinels.
     """
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
-    p_succ = np.ones(u_max + 1)
-    rates = np.zeros(u_max + 1)
-    budgets = np.zeros(u_max + 1, dtype=int)
-    log_term = math.log1p(cfg.tau)
-    for u in range(1, u_max + 1):
-        p_succ[u] = success_probability(u, cfg)
-        if cfg.scheme is Scheme.ORTHOGONAL:
-            rates[u] = p_succ[1] * log_term / u
-        else:
-            rates[u] = p_succ[u] * log_term
-        budgets[u] = packet_budget(u, cfg)
-    return LinkBudget(p_succ=p_succ, rate=rates, budget=budgets, scheme=cfg.scheme)
+    u = np.arange(1, u_max + 1)
+    return LinkBudget(
+        p_succ=np.concatenate(([1.0], success_probability(u, cfg))),
+        rate=np.concatenate(([0.0], rate(u, cfg))),
+        budget=np.concatenate(([0], packet_budget(u, cfg))),
+        scheme=cfg.scheme,
+    )

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,10 +41,12 @@ from .channel import success_probability, success_probability_mc, wilson_interva
 
 CSV_HEADER = "axis,value,scheme,method,load,load_normalized,trunc_bound,seed"
 
-_INT_KEYS = {"F", "L", "M", "quad_nodes"}
-_FLOAT_KEYS = {"gamma", "eta", "lambda", "mu", "tau", "radius", "alpha", "snr",
-               "n_trunc_epsilon", "tau_db", "snr_db"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | {"scheme"}
+# Config-file key of each SystemConfig field (``lam`` is spelled ``lambda``),
+# the parser of every key, and the fields a file must set.
+_KEY = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(SystemConfig)}
+_PARSERS = {_KEY[name]: kind for name, kind in get_type_hints(SystemConfig).items()}
+_PARSERS |= {"tau_db": float, "snr_db": float}
+_REQUIRED = {f.name for f in fields(SystemConfig) if f.default is MISSING}
 
 AXES = ("snr_db", "mu", "lambda")
 METHODS = ("greedy", "exhaustive", "high_mobility", "monte_carlo")
@@ -55,6 +58,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
+    if isinstance(x, Scheme):
+        return x.value
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".12g")
@@ -76,17 +81,12 @@ def parse_config(path: str) -> SystemConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _ALL_KEYS:
+            if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                else:
-                    values[key] = Scheme(val)
+                values[key] = _PARSERS[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
 
@@ -98,8 +98,7 @@ def parse_config(path: str) -> SystemConfig:
     if "lambda" in values:
         values["lam"] = values.pop("lambda")
 
-    missing = {"F", "gamma", "L", "M", "eta", "lam", "mu", "tau", "radius",
-               "alpha", "snr"} - values.keys()
+    missing = _REQUIRED - values.keys()
     if missing:
         raise ConfigError(f"{path}: missing required keys: {sorted(missing)}")
     try:
@@ -110,22 +109,7 @@ def parse_config(path: str) -> SystemConfig:
 
 def config_lines(cfg: SystemConfig) -> list[str]:
     """Canonical key=value listing of a resolved config (linear scales)."""
-    return [
-        f"F={cfg.F}",
-        f"gamma={_fmt(cfg.gamma)}",
-        f"L={cfg.L}",
-        f"M={cfg.M}",
-        f"eta={_fmt(cfg.eta)}",
-        f"lambda={_fmt(cfg.lam)}",
-        f"mu={_fmt(cfg.mu)}",
-        f"tau={_fmt(cfg.tau)}",
-        f"radius={_fmt(cfg.radius)}",
-        f"alpha={_fmt(cfg.alpha)}",
-        f"snr={_fmt(cfg.snr)}",
-        f"scheme={cfg.scheme.value}",
-        f"n_trunc_epsilon={_fmt(cfg.n_trunc_epsilon)}",
-        f"quad_nodes={cfg.quad_nodes}",
-    ]
+    return [f"{key}={_fmt(getattr(cfg, name))}" for name, key in _KEY.items()]
 
 
 def write_manifest(out_path: str, cfg: SystemConfig, seed: int, command: str,

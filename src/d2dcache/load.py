@@ -104,7 +104,16 @@ def _saturating_self_convolutions(pmf: np.ndarray, copies: int, cap: int) -> np.
     return dist
 
 
-def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
+def _transmitters(q_i: np.ndarray, cfg: SystemConfig):
+    """Mean and truncated Poisson PMF of one content's transmitter count: the
+    capable users thinned by P[d > 0]."""
+    mean = (1.0 - q_i[0]) * cfg.mean_capable
+    if mean == 0.0:
+        return mean, np.array([1.0])
+    return mean, poisson_pmf(np.arange(poisson_truncation(cfg, mean) + 1), mean)
+
+
+def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     """PMF of the D2D-delivered packet count for one content, and its tail bound.
 
     Collapses the (capable-count, cache-vector) expectation: the number of
@@ -119,23 +128,20 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
     matches a from-scratch power per u.
     """
     L = cfg.L
-    q0 = q_i[0]
-    mean = (1.0 - q0) * cfg.mean_capable
+    mean, pu = _transmitters(q_i, cfg)
     if mean == 0.0:
         pmf = np.zeros(L + 1)
         pmf[0] = 1.0
         return pmf, 0.0
-    u_max = poisson_truncation(cfg, mean)
-    if u_max > lb.u_max:
-        raise ValueError(f"link budget covers u <= {lb.u_max}, need u = {u_max}")
-    pu = poisson_pmf(np.arange(u_max + 1), mean)
-    cond = q_i[1:] / (1.0 - q0)  # packet-count PMF of a transmitter, on 1..L
+    u_max = pu.size - 1
+    budget = link_budget_for(cfg).budget
+    cond = q_i[1:] / (1.0 - q_i[0])  # packet-count PMF of a transmitter, on 1..L
 
     mixed = np.zeros(L + 1)
     mixed[0] = pu[0]
     for u in range(1, u_max + 1):
-        b = int(lb.budget[u])
-        if u > 1 and b == lb.budget[u - 1]:
+        b = int(budget[u])
+        if u > 1 and b == budget[u - 1]:
             power = _saturating_convolve(power, per_tx, L)
         else:
             per_tx = np.zeros(L + 1)
@@ -151,18 +157,15 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
     return mixed, poisson_tail(mean, u_max)
 
 
-def shortfall_table(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget):
+def shortfall_table(q_i: np.ndarray, cfg: SystemConfig):
     """E[(L - c - delivered)^+] for c = 0..L, for one content.
 
     The delivered-packet distribution does not depend on the typical user's
     own cache, so one PMF serves every cache level.
     """
-    pmf, tail = delivered_packets_pmf(q_i, cfg, lb)
-    s = np.arange(cfg.L + 1)
-    table = np.array(
-        [np.dot(pmf, np.maximum(0, cfg.L - c - s)) for c in range(cfg.L + 1)]
-    )
-    return table, tail
+    pmf, tail = delivered_packets_pmf(q_i, cfg)
+    k = np.arange(cfg.L + 1)
+    return np.vecdot(np.maximum(0, cfg.L - k[:, None] - k), pmf), tail
 
 
 def _per_distinct_row(fn, q: np.ndarray) -> list:
@@ -179,33 +182,34 @@ def _per_distinct_row(fn, q: np.ndarray) -> list:
     return [memo[row.tobytes()] for row in q]
 
 
-def shortfall_tables(dist: NeighborCacheDistribution, cfg: SystemConfig, lb: LinkBudget):
+def shortfall_tables(dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Per-content shortfall tables, shape (F, L+1), plus per-content tail masses.
 
     Contents with the same cache PMF share a table, so one table is computed
     per distinct row of ``dist.q`` (the CLI's uniform caches make all F rows
     equal) and scattered back to the F contents.
     """
-    pairs = _per_distinct_row(lambda q_i: shortfall_table(q_i, cfg, lb), dist.q[: cfg.F])
+    pairs = _per_distinct_row(lambda q_i: shortfall_table(q_i, cfg), dist.q[: cfg.F])
     tables = np.array([table for table, _ in pairs])
     tails = np.array([tail for _, tail in pairs])
     return tables, tails
 
 
+@lru_cache(maxsize=8)   # small, as _disc_terms: a grid point uses one config per scheme
 def link_budget_for(cfg: SystemConfig) -> LinkBudget:
-    """Link budget covering every transmitter count the truncated sums can see."""
+    """The link budget of ``cfg``, covering every transmitter count the
+    truncated sums can see; memoized, as every evaluator reads it."""
     return build_link_budget(cfg, max(1, poisson_truncation(cfg)))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Popularity, link budget, (F, L+1) shortfall tables, their tail masses and
+    """Popularity, (F, L+1) shortfall tables, their tail masses and
     the (F, L) per-packet gains ``gains[i, c]``, the load decrease from the
     (c+1)-th packet of content i, for one (cache rows, config) pair; read-only,
     as every caller shares it."""
 
     f: np.ndarray
-    lb: LinkBudget
     tables: np.ndarray
     tails: np.ndarray
     gains: np.ndarray
@@ -221,11 +225,10 @@ def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
 @lru_cache(maxsize=8)   # small: callers reuse a scenario within one grid point
 def _build_scenario(cfg: SystemConfig, q_bytes: bytes, shape: tuple) -> Scenario:
     dist = NeighborCacheDistribution(np.frombuffer(q_bytes).reshape(shape))
-    lb = link_budget_for(cfg)
-    tables, tails = shortfall_tables(dist, cfg, lb)
+    tables, tails = shortfall_tables(dist, cfg)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
-    return Scenario(f, lb, _readonly(tables), _readonly(tails), _readonly(gains))
+    return Scenario(f, _readonly(tables), _readonly(tails), _readonly(gains))
 
 
 def average_load_fast(
@@ -266,7 +269,7 @@ def average_load_enum(
             f"enumeration needs n <= {N_ENUM_MAX}, truncation point is {n_max}; "
             "use average_load_fast"
         )
-    lb = build_link_budget(cfg, max(1, n_max))
+    lb = link_budget_for(cfg)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     mean = cfg.mean_capable
     p_n = poisson_pmf(np.arange(n_max + 1), mean) if mean > 0 else np.array([1.0])

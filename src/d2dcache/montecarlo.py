@@ -87,15 +87,14 @@ def estimate_average_load(
     cfg: SystemConfig,
     trials: int,
     seed: int,
-    stratified: bool = True,
 ):
     """Monte Carlo estimate of the average BS load; returns (estimate, stderr).
 
     Trials are drawn in blocks whose size depends on ``cfg`` only.  Each block
     has its own RNG stream keyed ``[seed, block]`` and is drawn at full size,
     then truncated, so growing the trial count never changes earlier trials.
-    With ``stratified`` the request is averaged exactly over the popularity
-    weights inside each trial; otherwise one content per trial is sampled.
+    The request is averaged exactly over the popularity weights inside each
+    trial.
     Raises CapacityError when one trial's expected draws exceed the cap.
     """
     if trials < 1:
@@ -105,8 +104,7 @@ def estimate_average_load(
     B = _block_trials(cfg)
     F = cfg.F
     f = zipf_popularity(F, cfg.gamma).probs
-    cum_f = np.cumsum(f)
-    budget = np.zeros(1, dtype=int)   # packet_budget(k) at k; -1 until first needed
+    budget = np.zeros(1, dtype=int)   # packet budget at u = 0..; grown per block
     missing = cfg.L - placement.c
 
     blocks = -(-trials // B)
@@ -119,19 +117,12 @@ def estimate_average_load(
         held = state.d.ravel()
         u = np.bincount(cell[held > 0], minlength=B * F)
         if u.max() >= budget.size:
-            budget = np.append(budget, np.full(u.max() + 1 - budget.size, -1))
-        needed = np.bincount(u, minlength=budget.size) > 0
-        for k in np.flatnonzero(needed & (budget < 0)):
-            budget[k] = packet_budget(int(k), cfg)
+            budget = np.concatenate(([0], packet_budget(np.arange(1, u.max() + 1), cfg)))
         # min(d, b) = min(d, min(b, L)) as d <= L, so the gathered budget fits d's dtype
         cap = np.minimum(budget[u], cfg.L).astype(held.dtype)
         delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=B * F)
         shortfall = np.maximum(0.0, missing - delivered.reshape(B, F))
-        if stratified:
-            values[b * B:(b + 1) * B] = shortfall @ f
-        else:
-            i = np.minimum(np.searchsorted(cum_f, rng.random(B), side="right"), F - 1)
-            values[b * B:(b + 1) * B] = shortfall[np.arange(B), i]
+        values[b * B:(b + 1) * B] = shortfall @ f
 
     values = values[:trials]
     estimate = float(values.mean())

@@ -22,14 +22,18 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import (
-    LinkBudget,
     _disc_terms,
     _gauss_legendre,
     _interference_complement_at,
-    build_link_budget,
     success_probability,
 )
-from .load import _per_distinct_row, average_load_fast, scenario
+from .load import (
+    _per_distinct_row,
+    _transmitters,
+    average_load_fast,
+    link_budget_for,
+    scenario,
+)
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -37,9 +41,7 @@ from .model import (
     Scheme,
     SystemConfig,
     expected_stay_time,
-    poisson_pmf,
     poisson_tail,
-    poisson_truncation,
     zipf_popularity,
 )
 
@@ -250,44 +252,29 @@ class HighMobilityConstants:
             raise ValueError("gap constants must be nonpositive")
 
 
-def _transmitters(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None):
-    """Truncated Poisson PMF of the per-content transmitter count, and ``lb``
-    or, when it is None or too short, a link budget covering that PMF."""
-    mean = (1.0 - q_i[0]) * cfg.mean_capable
-    if mean == 0.0:
-        pu = np.array([1.0])
-    else:
-        pu = poisson_pmf(np.arange(poisson_truncation(cfg, mean) + 1), mean)
-    if lb is None or lb.u_max < pu.size - 1:
-        lb = build_link_budget(cfg, max(1, pu.size - 1))
-    return pu, lb
-
-
-def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None = None):
+def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig):
     """E[u * budget(u)] and an upper bound on its truncation error.
 
     The error bound uses E[u; u > U] = mean * P[u >= U] and the fact that
     budgets are non-increasing in u, so every missing term is at most
     budget(1) per transmitter.
     """
-    pu, lb = _transmitters(q_i, cfg, lb)
-    u = np.arange(pu.size)
-    value = float(np.dot(pu, u * lb.budget[: pu.size]))
-    mean = (1.0 - q_i[0]) * cfg.mean_capable
+    mean, pu = _transmitters(q_i, cfg)
+    budget = link_budget_for(cfg).budget
+    value = float(np.dot(pu, np.arange(pu.size) * budget[: pu.size]))
     if mean == 0.0:
         return value, 0.0
-    u_max = pu.size - 1
-    tail_mean = mean * poisson_tail(mean, u_max - 1)
-    return value, float(lb.budget[1]) * tail_mean
+    tail_mean = mean * poisson_tail(mean, pu.size - 2)   # mean * P[u >= u_max]
+    return value, float(budget[1]) * tail_mean
 
 
-def floored_delivery_mean(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None = None) -> float:
+def floored_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     """E[u * budget(u)]: expected packets D2D hands over per stay, with floors.
 
     This is the saturation level of the high-mobility regime, where every
     transmitter delivers its full per-stay budget regardless of cache depth.
     """
-    return _floored_delivery(q_i, cfg, lb)[0]
+    return _floored_delivery(q_i, cfg)[0]
 
 
 def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
@@ -295,14 +282,14 @@ def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     return floored_delivery_mean(q_i, cfg.with_scheme(Scheme.ORTHOGONAL))
 
 
-def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig, lb: LinkBudget | None = None) -> float:
+def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     """Floor-free expected D2D delivery per stay under non-orthogonal access:
-    (L/mu) log(1+tau) E[u P[SINR>tau | u]], reading P from ``lb`` when it
-    covers the truncation point."""
+    (L/mu) log(1+tau) E[u P[SINR>tau | u]], reading P from the config's link
+    budget."""
     cfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
-    pu, lb = _transmitters(q_i, cfg, lb)
-    u = np.arange(pu.size)
-    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(pu, u * lb.p_succ[: pu.size]))
+    _, pu = _transmitters(q_i, cfg)
+    p_succ = link_budget_for(cfg).p_succ[: pu.size]
+    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(pu, np.arange(pu.size) * p_succ))
 
 
 def _beta_complement(r: float, cfg: SystemConfig) -> float:
@@ -342,18 +329,23 @@ def _noma_gap_constant(cfg: SystemConfig) -> float:
     return float(-cfg.L * math.log1p(cfg.tau) * np.dot(w, integrand))
 
 
+def _gap_constant(cfg: SystemConfig) -> float:
+    """Negative lower-bound constant of the Jensen gap under cfg's scheme."""
+    if cfg.scheme is Scheme.ORTHOGONAL:
+        return -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
+    return _noma_gap_constant(cfg)
+
+
 def high_mobility_constants(
     dist: NeighborCacheDistribution, cfg: SystemConfig, content: int = 0
 ) -> HighMobilityConstants:
     """All high-mobility constants for one content's cache distribution."""
     q_i = dist.q[content]
-    oma_cfg = cfg.with_scheme(Scheme.ORTHOGONAL)
-    c_oma = -cfg.L * success_probability(1, oma_cfg) * math.log1p(cfg.tau)
     return HighMobilityConstants(
         oma_packets=oma_delivery_mean(q_i, cfg),
         noma_packets=noma_delivery_mean(q_i, cfg),
-        oma_gap_constant=c_oma,
-        noma_gap_constant=_noma_gap_constant(cfg.with_scheme(Scheme.NON_ORTHOGONAL)),
+        oma_gap_constant=_gap_constant(cfg.with_scheme(Scheme.ORTHOGONAL)),
+        noma_gap_constant=_gap_constant(cfg.with_scheme(Scheme.NON_ORTHOGONAL)),
         stay_time=expected_stay_time(cfg),
     )
 
@@ -361,9 +353,8 @@ def high_mobility_constants(
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Per-content deliverable counts, reading the scheme's shared link budget."""
     cfg = cfg.with_scheme(scheme)
-    lb = scenario(dist, cfg).lb
     fn = noma_delivery_mean if cfg.scheme is Scheme.NON_ORTHOGONAL else floored_delivery_mean
-    return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg, lb), dist.q[: cfg.F]))
+    return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg), dist.q[: cfg.F]))
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -464,20 +455,16 @@ def jensen_gap_check(
     """
     cfg = cfg.with_scheme(scheme)
     s = scenario(dist, cfg)
-    pairs = _per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg, s.lb), dist.q[: cfg.F])
+    pairs = _per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg), dist.q[: cfg.F])
     delivery = np.array([value for value, _ in pairs])
     composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - delivery)))
     evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
 
-    degenerate = False
-    if cfg.scheme is Scheme.ORTHOGONAL:
-        const = -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
-    else:
-        r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-        degenerate = bool(np.min(_interference_complement_at(r, cfg)) <= 0.0)
-        const = _noma_gap_constant(cfg)
-    bound = expected_stay_time(cfg) * abs(const)
+    r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    degenerate = (cfg.scheme is Scheme.NON_ORTHOGONAL
+                  and bool(np.min(_interference_complement_at(r, cfg)) <= 0.0))
+    bound = expected_stay_time(cfg) * abs(_gap_constant(cfg))
     # both sides of the gap carry surfaced truncation error; allow for it
     slack = 1e-9 + evaluation.truncation_bound + float(
         np.dot(s.f, [err for _, err in pairs])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from d2dcache import (
     success_probability_mc,
 )
 from d2dcache.channel import (
-    _beta_pow,
+    U_BLOCK,
     _disc_terms,
     _gauss_legendre,
     _interference_factor_at,
@@ -115,11 +116,20 @@ class TestSuccessProbability:
 
     def test_equals_a_build_from_scratch(self):
         # reference: every term of the quadrature rebuilt on each call
+        def beta_pow(beta, k):
+            """beta**k via exp(k*log(beta)), with the 0**0 = 1 convention at k = 0."""
+            if k == 0:
+                return np.ones_like(beta)
+            out = np.zeros_like(beta)
+            pos = beta > 0
+            out[pos] = np.exp(k * np.log(beta[pos]))
+            return out
+
         def from_scratch(u, cfg):
             r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
             noise = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr)
             beta = _interference_factor_at(r, cfg) if u > 1 else np.ones_like(r)
-            return float(np.dot(w, noise * _beta_pow(beta, u - 1) * 2.0 * r / cfg.radius**2))
+            return float(np.dot(w, noise * beta_pow(beta, u - 1) * 2.0 * r / cfg.radius**2))
 
         for c in (default_config(), default_config(snr=1e4, alpha=3.0, quad_nodes=16),
                   default_config(tau=1e-12, radius=20.0), default_config(tau=1e3)):
@@ -127,6 +137,39 @@ class TestSuccessProbability:
                 scfg = c.with_scheme(scheme)
                 for u in (1, 2, 3, 7, 40, 1000):
                     assert success_probability(u, scfg) == from_scratch(u, scfg)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_array_u_equals_scalar_calls_across_a_block(self, scheme):
+        cfg = default_config(scheme=scheme, snr=1e4)
+        u = np.arange(1, U_BLOCK + 3)      # the last two rows fall in a second block
+        p, r, b = success_probability(u, cfg), rate(u, cfg), packet_budget(u, cfg)
+        assert p.shape == r.shape == b.shape == u.shape
+        assert b.dtype.kind == "i"
+        for k in u:
+            assert p[k - 1] == success_probability(int(k), cfg)
+            assert r[k - 1] == rate(int(k), cfg)
+            assert b[k - 1] == packet_budget(int(k), cfg)
+        assert type(success_probability(2, cfg)) is float
+        assert type(packet_budget(2, cfg)) is int
+        # the shape of u is kept, and a bad entry anywhere is refused
+        grid = np.array([[1, 2], [3, 4]])
+        assert np.array_equal(success_probability(grid, cfg), p[grid - 1])
+        with pytest.raises(ValueError):
+            success_probability(np.array([1, 0, 2]), cfg)
+
+    def test_zero_interference_factor_keeps_zero_to_the_zero(self, monkeypatch):
+        from d2dcache import channel
+
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
+        r, w, noise, beta = _disc_terms(cfg)
+        zeroed = beta.copy()
+        zeroed[::2] = 0.0
+        monkeypatch.setattr(channel, "_disc_terms", lambda c: (r, w, noise, zeroed))
+        scale = noise * 2.0 * r / cfg.radius**2
+        p = success_probability(np.array([1, 3]), cfg)
+        assert p[0] == float(np.dot(w, scale))      # beta**0 = 1, 0**0 included
+        assert p[1] == pytest.approx(np.dot(w, scale * np.where(zeroed > 0, zeroed**2, 0.0)),
+                                     rel=1e-12, abs=0.0)
 
     def test_disc_terms_read_only_and_a_hit_equals_a_fresh_build(self, cfg):
         cached = _disc_terms(cfg)
@@ -240,6 +283,20 @@ class TestLinkBudget:
     def test_budget_non_increasing_orthogonal(self):
         lb = build_link_budget(default_config(snr=1e4), 10)
         assert np.all(np.diff(lb.budget[1:]) <= 0)
+
+    def test_memory_is_bounded_by_the_block(self):
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
+        _disc_terms(cfg)
+        tracemalloc.start()
+        try:
+            lb = build_link_budget(cfg, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lb.u_max == 200_000
+        # the tables plus a few block temporaries of U_BLOCK * 64 floats (4 MB
+        # each); one unblocked (u, node) matrix alone would be 102 MB
+        assert peak < 64 * 2**20
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):

@@ -240,6 +240,7 @@ class TestOptimizeCommand:
                 if hasattr(module, name):
                     count(module, name)
         load._build_scenario.cache_clear()
+        load.link_budget_for.cache_clear()
         rc = main(["optimize", "--config", config_path,
                    "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both",
                    "--out", str(tmp_path / "opt.csv")])
@@ -260,13 +261,15 @@ class TestOptimizeCommand:
 
                 monkeypatch.setattr(module, "success_probability", counted)
         load._build_scenario.cache_clear()
+        load.link_budget_for.cache_clear()
         rc = main(["optimize", "--config", DEFAULT_CFG,
                    "--methods", "greedy,high_mobility", "--schemes", "non_orthogonal",
                    "--out", str(tmp_path / "opt.csv")])
         assert rc == 0
-        # all of them build the scenario's link budget, two per u; the
-        # high-mobility delivery mean reads its p_succ instead of adding 8
-        assert len(calls) == 18
+        # all of them build the config's link budget, one array call each for
+        # p_succ, the rates and the budgets; the high-mobility delivery mean
+        # reads its p_succ instead of adding more
+        assert len(calls) == 3
 
     def test_writes_placements(self, tmp_path, config_path, capsys):
         out = str(tmp_path / "opt.csv")

@@ -239,13 +239,12 @@ class TestSharedWork:
         b = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
         c = np.array([0.1, 0.0, 0.3, 0.0, 0.6])
         q = np.array([a, b, a, c, b, a])
-        lb = link_budget_for(cfg)
         built = []
         monkeypatch.setattr(load, "shortfall_table",
                             lambda q_i, *args: built.append(q_i) or shortfall_table(q_i, *args))
-        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg, lb)
+        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
         assert len(built) == 3
-        pairs = [shortfall_table(q_i, cfg, lb) for q_i in q]
+        pairs = [shortfall_table(q_i, cfg) for q_i in q]
         assert np.array_equal(tables, np.array([table for table, _ in pairs]))
         assert np.array_equal(tails, np.array([tail for _, tail in pairs]))
 
@@ -288,7 +287,7 @@ class TestSharedWork:
         steps_taken = []
         monkeypatch.setattr(load, "_saturating_convolve",
                             lambda *args: steps_taken.append(1) or _saturating_convolve(*args))
-        pmf, tail = delivered_packets_pmf(q_i, cfg, lb)
+        pmf, tail = delivered_packets_pmf(q_i, cfg)
         assert np.array_equal(pmf, reference)
         # one convolution per u within a run of equal budgets, u where it steps
         budget = lb.budget[: u_max + 1]
@@ -303,7 +302,7 @@ class TestSharedWork:
         # an equal config and equal cache rows hit the same entry
         assert scenario(NeighborCacheDistribution(uniform_dist.q.copy()),
                         default_config()) is s
-        for array in (s.f, s.tables, s.tails, s.gains, s.lb.budget):
+        for array in (s.f, s.tables, s.tails, s.gains, link_budget_for(cfg).budget):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             s.tables[0, 0] = 1.0

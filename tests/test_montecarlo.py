@@ -121,13 +121,6 @@ class TestEstimateAverageLoad:
                                         seed=30 + snr_db)
         assert abs(est - analytic.total) <= 3 * se + analytic.truncation_bound
 
-    def test_stratified_and_unstratified_agree(self, cfg, uniform_dist):
-        pl = Placement([2, 1, 1, 1, 0], cfg)
-        s_est, s_se = estimate_average_load(pl, uniform_dist, cfg, 20_000, seed=5)
-        u_est, u_se = estimate_average_load(pl, uniform_dist, cfg, 20_000, seed=6,
-                                            stratified=False)
-        assert abs(s_est - u_est) <= 3 * np.hypot(s_se, u_se)
-
     def test_matches_request_load_composition(self, cfg, uniform_dist):
         # the vectorized block body must reproduce request_load exactly,
         # across a block boundary

@@ -311,6 +311,23 @@ class TestDeliveryMeans:
             enum_delivery_oracle(q, cfg.with_scheme(Scheme.NON_ORTHOGONAL),
                                  Scheme.NON_ORTHOGONAL), abs=1e-7)
 
+    def test_one_budget_per_config(self, monkeypatch):
+        from d2dcache import load
+
+        built = []
+        build = load.build_link_budget
+        monkeypatch.setattr(load, "build_link_budget",
+                            lambda *args: built.append(args) or build(*args))
+        load.link_budget_for.cache_clear()
+        cfg = default_config(lam=100.0)
+        rng = np.random.default_rng(4)
+        rows = rng.dirichlet(np.ones(cfg.L + 1), size=50)
+        values = [noma_delivery_mean(q_i, cfg) for q_i in rows]
+        assert len(built) == 1
+        # the shared budget gives what a library call used to build per call
+        assert values[0] == noma_delivery_mean(rows[0], cfg)
+        assert len(built) == 1
+
     def test_constants_container(self, cfg, uniform_dist):
         hm = high_mobility_constants(uniform_dist, cfg)
         assert hm.oma_packets >= 0 and hm.noma_packets >= 0
@@ -382,6 +399,20 @@ class TestHighMobilityPlacement:
                 delivery = (oma_delivery_mean if scheme is Scheme.ORTHOGONAL
                             else noma_delivery_mean)(uniform_dist.q[0], cfg)
                 assert pl.c.max() <= _math.ceil(cfg.L - delivery)
+
+    def test_builds_no_shortfall_table(self, cfg, uniform_dist, monkeypatch):
+        # the deliverable counts read the link budget only, also when the
+        # config's own scheme differs from the placement's
+        from d2dcache import load
+
+        def no_tables(*args):
+            raise AssertionError("shortfall table built")
+
+        monkeypatch.setattr(load, "shortfall_table", no_tables)
+        load._build_scenario.cache_clear()
+        for scheme in Scheme:
+            pl = high_mobility_placement(scheme, uniform_dist, cfg)
+            assert pl.c.sum() <= cfg.M
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_repeated_rows_match_per_row(self, cfg, scheme):
