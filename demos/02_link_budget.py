@@ -5,10 +5,13 @@ SINR simulation, then how the two multiple-access schemes turn it into rates
 and integer packet budgets.
 """
 
+import numpy as np
+
 from d2dcache import (
     Scheme,
     build_link_budget,
     default_config,
+    rate,
     success_probability,
     success_probability_mc,
 )
@@ -30,7 +33,7 @@ def main():
             c = default_config(snr=10.0 ** (snr_db / 10), scheme=scheme)
             lb = build_link_budget(c, 6)
             print(f"snr={snr_db}dB {scheme.value:15s} "
-                  f"rate(u)={[f'{r:.3f}' for r in lb.rate[1:]]} "
+                  f"rate(u)={[f'{r:.3f}' for r in rate(np.arange(1, 7), c)]} "
                   f"budget(u)={lb.budget[1:].tolist()}")
     print("orthogonal access splits the resource 1/u; non-orthogonal keeps it")
     print("all but pays interference through the success probability.")

@@ -18,9 +18,9 @@ import numpy as np
 
 from .model import Scheme, SystemConfig, _readonly
 
-# Transmitter counts per block of an array call: bounds the (u, node) power
-# matrix at U_BLOCK * quad_nodes floats.
-U_BLOCK = 8192
+# (u, node) terms per block of an array call, max(1, BLOCK_ENTRIES // quad_nodes)
+# rows, so a block's memory does not grow with the node count.
+BLOCK_ENTRIES = 8192 * 64
 
 
 @lru_cache(maxsize=32)
@@ -78,7 +78,7 @@ def success_probability(u, cfg: SystemConfig):
     over each of the u-1 interferer distances; the inner factor is the empty
     product (1) at u=1.  Only the power of the inner factor depends on u, so
     the rest is built once per config.  ``u`` is an int (gives a float) or an
-    integer array (gives an array), evaluated U_BLOCK entries at a time.
+    integer array (gives an array), evaluated BLOCK_ENTRIES (u, node) terms at a time.
     """
     k = np.asarray(u) - 1
     if np.any(k < 0):
@@ -88,15 +88,17 @@ def success_probability(u, cfg: SystemConfig):
         log_beta = np.log(beta)
     flat = k.reshape(-1, 1)
     out = np.empty(flat.shape[0])
-    for lo in range(0, out.size, U_BLOCK):
-        kb = flat[lo:lo + U_BLOCK]
+    rows = max(1, BLOCK_ENTRIES // cfg.quad_nodes)
+    for lo in range(0, out.size, rows):
+        kb = flat[lo:lo + rows]
         # beta**k as exp(k*log(beta)), with the 0**0 = 1 convention at beta = 0
         with np.errstate(invalid="ignore"):
             power = np.exp(kb * log_beta)
         power[:, beta == 0] = kb == 0
-        integrand = noise * power * 2.0 * r / cfg.radius**2
+        # the integrand reuses the name, so one block array, not two, outlives a step
+        power = noise * power * 2.0 * r / cfg.radius**2
         # vecdot sums each row as np.dot does one vector; a matrix product may not
-        out[lo:lo + U_BLOCK] = np.vecdot(integrand, w)
+        out[lo:lo + rows] = np.vecdot(power, w)
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
@@ -171,29 +173,18 @@ def packet_budget(u, cfg: SystemConfig):
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Per-u tables of success probability, rate, and packet budget.
+    """Per-u packet budgets, indexed directly by u; index 0 is a sentinel
+    (no transmitter: budget 0) so that ``budget[u]`` reads naturally."""
 
-    Arrays are indexed directly by u; index 0 is a sentinel (no transmitter:
-    success 1, rate 0, budget 0) so that ``budget[u]`` reads naturally.
-    """
-
-    p_succ: np.ndarray
-    rate: np.ndarray
     budget: np.ndarray
     scheme: Scheme
 
     @property
     def u_max(self) -> int:
-        return self.p_succ.size - 1
+        return self.budget.size - 1
 
     def __post_init__(self):
-        for name in ("p_succ", "rate", "budget"):
-            getattr(self, name).setflags(write=False)
-        ps, b = self.p_succ[1:], self.budget[1:]
-        if np.any(ps < -1e-12) or np.any(ps > 1 + 1e-12):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        if np.any(np.diff(ps) > 1e-12):
-            raise ValueError("success probability must be non-increasing in u")
+        b = _readonly(self.budget)[1:]
         if np.any(b < 0):
             raise ValueError("packet budgets must be nonnegative")
         if self.scheme is Scheme.ORTHOGONAL and np.any(np.diff(b) > 0):
@@ -201,17 +192,9 @@ class LinkBudget:
 
 
 def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
-    """Tabulate success probability, rate, and budget for u = 1..u_max.
-
-    Each table is its pointwise op applied to the array u = 1..u_max, so
-    entries equal the scalar calls; index 0 holds sentinels.
-    """
+    """The packet budgets of u = 1..u_max, one ``packet_budget`` call on the
+    array u, so entries equal the scalar calls; index 0 holds the sentinel."""
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
-    u = np.arange(1, u_max + 1)
-    return LinkBudget(
-        p_succ=np.concatenate(([1.0], success_probability(u, cfg))),
-        rate=np.concatenate(([0.0], rate(u, cfg))),
-        budget=np.concatenate(([0], packet_budget(u, cfg))),
-        scheme=cfg.scheme,
-    )
+    budget = np.concatenate(([0], packet_budget(np.arange(1, u_max + 1), cfg)))
+    return LinkBudget(budget=budget, scheme=cfg.scheme)

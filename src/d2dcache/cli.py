@@ -149,6 +149,8 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep needs at least one axis value")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigError("axis values must be finite")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("axis values must be strictly increasing")
         if not self.methods or any(m not in METHODS for m in self.methods):
@@ -158,11 +160,14 @@ class SweepSpec:
 
 
 def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
-    if axis == "snr_db":
-        return replace(cfg, snr=db_to_linear(value))
-    if axis == "mu":
-        return replace(cfg, mu=value)
-    return replace(cfg, lam=value)
+    try:
+        if axis == "snr_db":
+            return replace(cfg, snr=db_to_linear(value))
+        if axis == "mu":
+            return replace(cfg, mu=value)
+        return replace(cfg, lam=value)
+    except ValueError as exc:   # SystemConfig's range checks
+        raise ConfigError(f"{axis}={_fmt(value)}: {exc}") from exc
 
 
 def _placement_for(method: str, scheme: Scheme, dist, cfg):
@@ -293,9 +298,10 @@ def _parse_placement(text: str, cfg: SystemConfig) -> Placement:
 
 
 def _parse_schemes(text: str) -> tuple:
-    if text == "both":
-        return tuple(SCHEMES)
-    return tuple(part.strip() for part in text.split(","))
+    schemes = tuple(SCHEMES) if text == "both" else tuple(p.strip() for p in text.split(","))
+    if any(s not in SCHEMES for s in schemes):
+        raise ConfigError(f"schemes must be 'both' or a subset of {tuple(SCHEMES)}: {text!r}")
+    return schemes
 
 
 @lru_cache(maxsize=1)   # parsing does not change the parser; build it once
@@ -386,9 +392,15 @@ def main(argv=None) -> int:
             return 0
 
         # sweep
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+        try:
+            values = tuple(float(v) for v in args.values.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
         spec = SweepSpec(
             axis=args.axis,
-            values=tuple(float(v) for v in args.values.split(",")),
+            values=values,
             methods=tuple(args.methods.split(",")),
             schemes=_parse_schemes(args.schemes),
         )

@@ -283,13 +283,14 @@ def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
 
 
 def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
-    """Floor-free expected D2D delivery per stay under non-orthogonal access:
-    (L/mu) log(1+tau) E[u P[SINR>tau | u]], reading P from the config's link
-    budget."""
+    """Floor-free expected D2D delivery per stay under non-orthogonal access,
+    (L/mu) log(1+tau) E[u P[SINR>tau | u]], exactly: P is a quadrature sum of
+    beta_k**(u-1) terms, and E[u beta**(u-1)] = m exp(-m(1-beta)) for Poisson u."""
     cfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
-    _, pu = _transmitters(q_i, cfg)
-    p_succ = link_budget_for(cfg).p_succ[: pu.size]
-    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(pu, np.arange(pu.size) * p_succ))
+    m = (1.0 - q_i[0]) * cfg.mean_capable
+    r, w, noise, beta = _disc_terms(cfg)
+    integrand = noise * m * np.exp(-m * (1.0 - beta)) * 2.0 * r / cfg.radius**2
+    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(w, integrand))
 
 
 def _beta_complement(r: float, cfg: SystemConfig) -> float:
@@ -351,7 +352,7 @@ def high_mobility_constants(
 
 
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
-    """Per-content deliverable counts, reading the scheme's shared link budget."""
+    """Per-content deliverable counts under the scheme, one per distinct cache row."""
     cfg = cfg.with_scheme(scheme)
     fn = noma_delivery_mean if cfg.scheme is Scheme.NON_ORTHOGONAL else floored_delivery_mean
     return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg), dist.q[: cfg.F]))

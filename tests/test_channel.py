@@ -17,7 +17,7 @@ from d2dcache import (
     success_probability_mc,
 )
 from d2dcache.channel import (
-    U_BLOCK,
+    BLOCK_ENTRIES,
     _disc_terms,
     _gauss_legendre,
     _interference_factor_at,
@@ -140,15 +140,17 @@ class TestSuccessProbability:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_array_u_equals_scalar_calls_across_a_block(self, scheme):
-        cfg = default_config(scheme=scheme, snr=1e4)
-        u = np.arange(1, U_BLOCK + 3)      # the last two rows fall in a second block
-        p, r, b = success_probability(u, cfg), rate(u, cfg), packet_budget(u, cfg)
-        assert p.shape == r.shape == b.shape == u.shape
-        assert b.dtype.kind == "i"
-        for k in u:
-            assert p[k - 1] == success_probability(int(k), cfg)
-            assert r[k - 1] == rate(int(k), cfg)
-            assert b[k - 1] == packet_budget(int(k), cfg)
+        # 8192 rows a block at 64 nodes, 1024 at 512
+        for nodes in (64, 512):
+            cfg = default_config(scheme=scheme, snr=1e4, quad_nodes=nodes)
+            u = np.arange(1, BLOCK_ENTRIES // nodes + 3)   # the last two rows start a block
+            p, r, b = success_probability(u, cfg), rate(u, cfg), packet_budget(u, cfg)
+            assert p.shape == r.shape == b.shape == u.shape
+            assert b.dtype.kind == "i"
+            for k in u:
+                assert p[k - 1] == success_probability(int(k), cfg)
+                assert r[k - 1] == rate(int(k), cfg)
+                assert b[k - 1] == packet_budget(int(k), cfg)
         assert type(success_probability(2, cfg)) is float
         assert type(packet_budget(2, cfg)) is int
         # the shape of u is kept, and a bad entry anywhere is refused
@@ -264,21 +266,20 @@ class TestLinkBudget:
     def test_single_entry(self, cfg):
         lb = build_link_budget(cfg, 1)
         assert lb.u_max == 1
-        assert lb.p_succ[1] == success_probability(1, cfg)
+        assert lb.budget.tolist() == [0, packet_budget(1, cfg)]
 
     def test_tables_match_pointwise_ops(self):
         for scheme, snr in itertools.product(Scheme, (100.0, 1e4)):
             cfg = default_config(scheme=scheme, snr=snr)
             lb = build_link_budget(cfg, 10)
             for u in range(1, 11):
-                assert lb.p_succ[u] == success_probability(u, cfg)
-                assert lb.rate[u] == rate(u, cfg)
                 assert lb.budget[u] == packet_budget(u, cfg)
 
     def test_p_succ_non_increasing_noma(self):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, snr=1e4)
-        lb = build_link_budget(cfg, 10)
-        assert np.all(np.diff(lb.p_succ[1:]) <= 1e-12)
+        p = success_probability(np.arange(1, 11), cfg)
+        assert np.all(p >= 0) and np.all(p <= 1)
+        assert np.all(np.diff(p) <= 1e-12)
 
     def test_budget_non_increasing_orthogonal(self):
         lb = build_link_budget(default_config(snr=1e4), 10)
@@ -294,14 +295,25 @@ class TestLinkBudget:
         finally:
             tracemalloc.stop()
         assert lb.u_max == 200_000
-        # the tables plus a few block temporaries of U_BLOCK * 64 floats (4 MB
-        # each); one unblocked (u, node) matrix alone would be 102 MB
+        # the budget table plus one or two block arrays of BLOCK_ENTRIES floats
+        # (4 MB each); one unblocked (u, node) matrix alone would be 102 MB
         assert peak < 64 * 2**20
+
+    def test_memory_per_block_does_not_grow_with_the_nodes(self):
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, quad_nodes=512)
+        _disc_terms(cfg)
+        tracemalloc.start()
+        try:
+            build_link_budget(cfg, 8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block is BLOCK_ENTRIES (u, node) pairs at any node count; 8192
+        # rows of 512 nodes would be 32 MB per temporary
+        assert peak < 16 * 2**20
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
-            LinkBudget(p_succ=np.array([1.0, 0.5, 0.9]), rate=np.zeros(3),
-                       budget=np.zeros(3, dtype=int), scheme=Scheme.ORTHOGONAL)
+            LinkBudget(budget=np.array([0, 1, 2]), scheme=Scheme.ORTHOGONAL)
         with pytest.raises(ValueError):
-            LinkBudget(p_succ=np.array([1.0, 0.5]), rate=np.zeros(2),
-                       budget=np.array([0, -1]), scheme=Scheme.ORTHOGONAL)
+            LinkBudget(budget=np.array([0, -1]), scheme=Scheme.NON_ORTHOGONAL)

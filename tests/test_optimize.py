@@ -27,7 +27,9 @@ from d2dcache import (
     success_probability,
     zipf_popularity,
 )
+from d2dcache.channel import _disc_terms
 from d2dcache.load import scenario
+from d2dcache.model import poisson_pmf
 
 
 def oracle_instances(seed, count):
@@ -284,6 +286,15 @@ def enum_delivery_oracle(q_i, cfg, scheme):
     return total
 
 
+def long_noma_sum(q_i, cfg):
+    """(L/mu) log(1+tau) E[u P[SINR>tau | u]] as the Poisson sum over u, run
+    40 standard deviations past the mean, where the terms left out underflow."""
+    m = (1.0 - q_i[0]) * cfg.mean_capable
+    u = np.arange(1, int(m + 40 * math.sqrt(m)) + 60)
+    p_succ = success_probability(u, cfg)
+    return cfg.L / cfg.mu * math.log1p(cfg.tau) * float(np.dot(poisson_pmf(u, m), u * p_succ))
+
+
 class TestDeliveryMeans:
     def test_zero_without_arrivals(self):
         cfg = default_config(lam=0.0)
@@ -311,7 +322,40 @@ class TestDeliveryMeans:
             enum_delivery_oracle(q, cfg.with_scheme(Scheme.NON_ORTHOGONAL),
                                  Scheme.NON_ORTHOGONAL), abs=1e-7)
 
-    def test_one_budget_per_config(self, monkeypatch):
+    def test_noma_closed_form_equals_a_long_sum(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            cfg = default_config(
+                scheme=Scheme.NON_ORTHOGONAL, L=int(rng.integers(1, 8)),
+                eta=float(rng.uniform(0.05, 1.0)), lam=float(10 ** rng.uniform(-1, 2)),
+                mu=float(10 ** rng.uniform(-1, 1)), snr=float(10 ** rng.uniform(0, 4)),
+                tau=float(10 ** rng.uniform(-1, 1.5)), alpha=float(rng.uniform(2.5, 4.5)),
+                quad_nodes=int(rng.choice([16, 64])),
+            )
+            q = rng.dirichlet(np.ones(cfg.L + 1))
+            assert noma_delivery_mean(q, cfg) == pytest.approx(
+                long_noma_sum(q, cfg), rel=1e-9, abs=0.0)
+
+    def test_noma_closed_form_edges(self, monkeypatch):
+        from d2dcache import channel, optimize
+
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, lam=4.0, snr=1e4)
+        q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
+        # at a zeroed interference factor only u = 1 transmits (0**0 = 1),
+        # which the closed form gives as m * exp(-m)
+        r, w, noise, beta = _disc_terms(cfg)
+        zeroed = beta.copy()
+        zeroed[::2] = 0.0
+        for module in (channel, optimize):
+            monkeypatch.setattr(module, "_disc_terms", lambda c: (r, w, noise, zeroed))
+        assert noma_delivery_mean(q, cfg) == pytest.approx(long_noma_sum(q, cfg),
+                                                           rel=1e-9, abs=0.0)
+        monkeypatch.undo()
+        # no capable users, or no neighbour holding a packet: exactly nothing
+        assert noma_delivery_mean(q, default_config(lam=0.0)) == 0.0
+        assert noma_delivery_mean(np.eye(1, cfg.L + 1)[0], cfg) == 0.0
+
+    def test_builds_no_link_budget(self, monkeypatch):
         from d2dcache import load
 
         built = []
@@ -323,10 +367,10 @@ class TestDeliveryMeans:
         rng = np.random.default_rng(4)
         rows = rng.dirichlet(np.ones(cfg.L + 1), size=50)
         values = [noma_delivery_mean(q_i, cfg) for q_i in rows]
-        assert len(built) == 1
-        # the shared budget gives what a library call used to build per call
         assert values[0] == noma_delivery_mean(rows[0], cfg)
-        assert len(built) == 1
+        # a mean capable count of 5e5 costs one sum over the nodes too
+        assert math.isfinite(noma_delivery_mean(rows[0], default_config(lam=1e6)))
+        assert built == []
 
     def test_constants_container(self, cfg, uniform_dist):
         hm = high_mobility_constants(uniform_dist, cfg)
