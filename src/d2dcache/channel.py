@@ -16,16 +16,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Scheme, SystemConfig, _readonly
+from .model import CapacityError, Scheme, SystemConfig, _readonly
 
 # (u, node) terms per block of an array call, max(1, BLOCK_ENTRIES // quad_nodes)
 # rows, so a block's memory does not grow with the node count.
 BLOCK_ENTRIES = 8192 * 64
 
+# Most (node, node) pairs of a rule: the interference factors at the nodes
+# take (n, n) arrays of about 24 bytes per pair, about 100 MB at 2048 nodes.
+MAX_NODE_PAIRS = 2048 * 2048
+
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(n: int, upper: float):
-    """Read-only nodes/weights for integrating over [0, upper]."""
+    """Read-only nodes/weights for integrating over [0, upper]; a rule above
+    MAX_NODE_PAIRS raises CapacityError before anything is allocated."""
+    if n * n > MAX_NODE_PAIRS:
+        raise CapacityError(
+            f"quad_nodes={n} makes {n * n} node pairs, above the cap {MAX_NODE_PAIRS}"
+        )
     t, w = np.polynomial.legendre.leggauss(n)
     return _readonly(0.5 * upper * (t + 1.0)), _readonly(0.5 * upper * w)
 
@@ -39,16 +48,6 @@ def _interference_factor_at(r, cfg: SystemConfig):
     num = xa * 2.0 * x / cfg.radius**2
     den = xa[None, :] + cfg.tau * (r[..., None] ** cfg.alpha)
     return (num[None, :] / den * w[None, :]).sum(axis=-1)
-
-
-def _interference_complement_at(r, cfg: SystemConfig):
-    """1 - interference factor, computed directly (stable for tiny tau*r**a)."""
-    x, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    r = np.asarray(r, dtype=float)
-    ra = cfg.tau * (r[..., None] ** cfg.alpha)
-    num = 2.0 * x / cfg.radius**2
-    den = x[None, :] ** cfg.alpha + ra
-    return (ra * num[None, :] / den * w[None, :]).sum(axis=-1)
 
 
 def interference_factor(r: float, cfg: SystemConfig) -> float:

@@ -15,18 +15,12 @@ the relaxed real-valued objective, and the Jensen-gap bound check.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import (
-    _disc_terms,
-    _gauss_legendre,
-    _interference_complement_at,
-    success_probability,
-)
+from .channel import _disc_terms, success_probability
 from .load import (
     _per_distinct_row,
     _transmitters,
@@ -47,6 +41,13 @@ from .model import (
 
 # Work cap of the exact placement DP, F * (min(L, M) + 1) * (M + 1) steps.
 DP_MAX_WORK = 10**8
+
+# Transmitter counts u = 1..U_SCAN (at least) scanned for the peak of
+# u * P[SINR > tau | u]; past the peak u * p(u) falls towards its u -> inf
+# limit.  The peak moves out about tenfold per 10 dB less snr: at radius 5,
+# alpha 4 and tau -5-15 dB it lies at u <= 4 for snr 30-40 dB, 10 at 20 dB,
+# 123 at 10 dB and about 1250 at 0 dB.
+U_SCAN = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,14 @@ def check_submodularity(
 
 @dataclass(frozen=True)
 class HighMobilityConstants:
-    """Per-stay deliverable packet counts and Jensen-gap bound constants."""
+    """Per-stay deliverable packet counts and Jensen-gap bound constants.
+
+    A gap constant is c = -L sup_u u*rate(u): u transmitters deliver at most
+    u*budget(u) <= T*L*u*rate(u) packets in a stay of length T.  It is finite
+    under both schemes: u*rate(u) is p(1) log(1+tau) at every u under
+    orthogonal access, and u*p(u) log(1+tau) under non-orthogonal access,
+    which tends to a finite limit as u grows.
+    """
 
     oma_packets: float        # expected floored D2D delivery, orthogonal
     noma_packets: float       # floor-free expected delivery, non-orthogonal
@@ -255,9 +263,11 @@ class HighMobilityConstants:
 def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig):
     """E[u * budget(u)] and an upper bound on its truncation error.
 
-    The error bound uses E[u; u > U] = mean * P[u >= U] and the fact that
-    budgets are non-increasing in u, so every missing term is at most
-    budget(1) per transmitter.
+    E[u * budget(u)] is the expected packets D2D hands over per stay, with
+    floors: the saturation level of the high-mobility regime.  The error bound
+    uses E[u; u > U] = mean * P[u >= U] and the fact that budgets are
+    non-increasing in u, so every missing term is at most budget(1) per
+    transmitter.
     """
     mean, pu = _transmitters(q_i, cfg)
     budget = link_budget_for(cfg).budget
@@ -268,18 +278,9 @@ def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig):
     return value, float(budget[1]) * tail_mean
 
 
-def floored_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
-    """E[u * budget(u)]: expected packets D2D hands over per stay, with floors.
-
-    This is the saturation level of the high-mobility regime, where every
-    transmitter delivers its full per-stay budget regardless of cache depth.
-    """
-    return _floored_delivery(q_i, cfg)[0]
-
-
 def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     """Expected floored D2D delivery per stay under orthogonal access."""
-    return floored_delivery_mean(q_i, cfg.with_scheme(Scheme.ORTHOGONAL))
+    return _floored_delivery(q_i, cfg.with_scheme(Scheme.ORTHOGONAL))[0]
 
 
 def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
@@ -293,48 +294,25 @@ def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(w, integrand))
 
 
-def _beta_complement(r: float, cfg: SystemConfig) -> float:
-    """1 - interference factor by adaptive quadrature.
-
-    The integrand's knee sits at x = (tau * r**alpha)**(1/alpha), far below
-    any fixed node spacing when tau*r**alpha is tiny; the envelope in the
-    gap constant divides by this value, so it must be resolved adaptively.
-    """
-    from scipy import integrate   # here, not at import: only this constant needs it
-
-    a = cfg.tau * r ** cfg.alpha
-    if a == 0.0:
-        return 0.0
-    knee = min(cfg.radius, a ** (1.0 / cfg.alpha))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(
-            lambda x: a / (x ** cfg.alpha + a) * 2.0 * x / cfg.radius**2,
-            0.0, cfg.radius, points=[knee], limit=200, epsabs=1e-300, epsrel=1e-10,
-        )
-    return value
-
-
-def _noma_gap_constant(cfg: SystemConfig) -> float:
-    """Lower-bound constant for the non-orthogonal Jensen gap.
-
-    Integrates the per-distance envelope of u * beta(r)**(u-1) over the disc;
-    the envelope peaks at u = -1/ln(beta), giving exp(-1)/(beta * -ln(beta)).
-    Computed through the complement 1-beta for stability near beta = 1.
-    """
-    r, w, noise, _ = _disc_terms(cfg)
-    betac = np.maximum([_beta_complement(rk, cfg) for rk in r], 1e-300)
-    neg_log_beta = -np.log1p(-np.minimum(betac, 1.0 - 1e-16))
-    envelope = math.exp(-1.0) / ((1.0 - betac) * neg_log_beta)
-    integrand = noise * envelope * 2.0 * r / cfg.radius**2
-    return float(-cfg.L * math.log1p(cfg.tau) * np.dot(w, integrand))
-
-
 def _gap_constant(cfg: SystemConfig) -> float:
-    """Negative lower-bound constant of the Jensen gap under cfg's scheme."""
+    """-L sup_u u*rate(u), the negative Jensen-gap constant of cfg's scheme.
+
+    Orthogonal: u*rate(u) = p(1) log(1+tau) at every u.  Non-orthogonal: the
+    larger of u*p(u) scanned over u = 1..max(U_SCAN, the link budget's u_max),
+    every count the evaluators read, and its u -> inf limit.  For alpha > 2,
+    1-beta(r) ~ K r^2/R^2 near r = 0 with K = tau^(2/alpha) (2pi/alpha) /
+    sin(2pi/alpha), so u*p(u) -> 1/K; for alpha <= 2 it tends to 0.
+    """
     if cfg.scheme is Scheme.ORTHOGONAL:
-        return -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
-    return _noma_gap_constant(cfg)
+        sup = success_probability(1, cfg)
+    else:
+        u = np.arange(1, max(U_SCAN, link_budget_for(cfg).u_max) + 1)
+        a = cfg.alpha
+        limit = 0.0
+        if a > 2:
+            limit = a * math.sin(2 * math.pi / a) / (2 * math.pi * cfg.tau ** (2 / a))
+        sup = max(float(np.max(u * success_probability(u, cfg))), limit)
+    return -cfg.L * sup * math.log1p(cfg.tau)
 
 
 def high_mobility_constants(
@@ -354,8 +332,11 @@ def high_mobility_constants(
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Per-content deliverable counts under the scheme, one per distinct cache row."""
     cfg = cfg.with_scheme(scheme)
-    fn = noma_delivery_mean if cfg.scheme is Scheme.NON_ORTHOGONAL else floored_delivery_mean
-    return np.array(_per_distinct_row(lambda q_i: fn(q_i, cfg), dist.q[: cfg.F]))
+    if cfg.scheme is Scheme.NON_ORTHOGONAL:
+        fn = lambda q_i: noma_delivery_mean(q_i, cfg)
+    else:
+        fn = lambda q_i: _floored_delivery(q_i, cfg)[0]
+    return np.array(_per_distinct_row(fn, dist.q[: cfg.F]))
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -439,7 +420,6 @@ class JensenGapReport:
     gap: float
     bound: float
     ok: bool
-    degenerate: bool = False
 
 
 def jensen_gap_check(
@@ -452,7 +432,11 @@ def jensen_gap_check(
 
     The composite moves the positive part outside the expectation, replacing
     the random D2D delivery with its floored mean; the shift is bounded by
-    stay_time times the scheme's gap constant.
+    stay_time times |c|, with c = -L sup_u u*rate(u) the scheme's gap
+    constant.  Each stay's delivery is at most u*budget(u) <= T*L*u*rate(u),
+    so c bounds it at every transmitter count.  The supremum is finite: under
+    orthogonal access u*rate(u) does not depend on u, and under
+    non-orthogonal access u*p(u) tends to a finite limit as u grows.
     """
     cfg = cfg.with_scheme(scheme)
     s = scenario(dist, cfg)
@@ -461,13 +445,9 @@ def jensen_gap_check(
     composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - delivery)))
     evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
-
-    r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    degenerate = (cfg.scheme is Scheme.NON_ORTHOGONAL
-                  and bool(np.min(_interference_complement_at(r, cfg)) <= 0.0))
     bound = expected_stay_time(cfg) * abs(_gap_constant(cfg))
     # both sides of the gap carry surfaced truncation error; allow for it
     slack = 1e-9 + evaluation.truncation_bound + float(
         np.dot(s.f, [err for _, err in pairs])
     )
-    return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack), degenerate=degenerate)
+    return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack))

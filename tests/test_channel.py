@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from d2dcache import (
+    CapacityError,
     LinkBudget,
     Scheme,
     build_link_budget,
@@ -18,6 +19,7 @@ from d2dcache import (
 )
 from d2dcache.channel import (
     BLOCK_ENTRIES,
+    MAX_NODE_PAIRS,
     _disc_terms,
     _gauss_legendre,
     _interference_factor_at,
@@ -67,6 +69,27 @@ class TestInterferenceFactor:
             interference_factor(-0.1, cfg)
         with pytest.raises(ValueError):
             interference_factor(cfg.radius + 0.1, cfg)
+
+    def test_node_count_above_the_pair_cap_allocates_nothing(self, monkeypatch):
+        # 2048 nodes (about 100 MB of node pairs) is the largest rule allowed
+        assert 2048**2 <= MAX_NODE_PAIRS < 2049**2
+
+        def no_rule(n):
+            raise AssertionError(f"a {n}-node rule was built")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+        for nodes in (2049, 16384):
+            cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, quad_nodes=nodes)
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match="node pairs"):
+                    success_probability(1, cfg)
+                with pytest.raises(CapacityError, match="node pairs"):
+                    interference_factor(1.0, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestSuccessProbability:

@@ -194,13 +194,19 @@ class TestSweepCommand:
         ["sweep", "--axis", "snr_db", "--values", "10", "--methods", "monte_carlo",
          "--trials", "0"],
         ["optimize", "--schemes", "bogus"],
+        ["sweep", "--axis", "snr_db", "--values", "10", "--methods", "monte_carlo",
+         "--seed", "-1"],
+        ["validate", "--seed", "-5"],
     ])
     def test_bad_input_is_one_line_on_stderr(self, args, tmp_path, config_path, capsys):
-        rc = main(args + ["--config", config_path, "--out", str(tmp_path / "x.csv")])
+        # validate writes no CSV and takes no --out
+        out = [] if args[0] == "validate" else ["--out", str(tmp_path / "x.csv")]
+        rc = main(args + ["--config", config_path] + out)
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not (tmp_path / "x.csv").exists()
+        assert captured.out == ""
 
     def test_lambda_axis_monotone_load(self, tmp_path, config_path):
         # more incoming neighbors can only lower the optimized load

