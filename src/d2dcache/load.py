@@ -7,7 +7,11 @@ the neighbors' cache contents (i.i.d. per-content PMFs).  Two independent
 evaluators are provided: exact enumeration over neighbor cache vectors (the
 oracle, feasible only for small truncation points) and a collapsed
 thinned-Poisson + capped-convolution evaluator (the fast path, exact up to
-the same truncation).
+the same truncation).  The fast path convolves only where delivery is
+uncertain: u transmitters with budget 0 deliver nothing, and u >= L with
+budget >= 1 deliver at least L packets, whose bin no shortfall table reads;
+so only u < L with budget >= 1 takes convolutions (u < min(L, u0), u0 the
+first zero budget, when budgets fall with u).
 """
 
 from __future__ import annotations
@@ -122,10 +126,22 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     at the budget for that transmitter count.  Mass at >= L is folded into
     the L bin (it can never leave residual load).
 
-    The u-fold convolution power is carried over from u-1 while budget[u]
-    stays the same and rebuilt only where the budget steps, so the work is
-    u_max times the number of distinct budgets, not u_max**2, and every bit
-    matches a from-scratch power per u.
+    Each transmitter count u falls in one of three ranges:
+
+    - silent, budget[u] == 0: nothing is delivered, so pu[u] goes to bin 0;
+    - saturated, u >= L and budget[u] >= 1: each transmitter delivers at
+      least one packet, so pu[u] goes to bin L;
+    - the rest, u < L with budget[u] >= 1: a capped u-fold convolution,
+      carried over from u-1 while the budget stays the same and rebuilt
+      where it steps, so at most L*(L-1)/2 convolutions whatever the mean.
+
+    LinkBudget enforces non-increasing budgets only under orthogonal access,
+    so a power is carried only from a u-1 convolved with the same budget.
+    Every bin below L matches a from-scratch power per u bit for bit: a
+    convolved power's bin 0 is exactly 0.0, so bin 0 is pu[0] plus the
+    silent pu[u] summed in u order, and a saturated power is exactly 0.0
+    below L.  Bin L may differ by rounding; no shortfall table reads it, as
+    its weight max(0, L - c - L) is 0.
     """
     L = cfg.L
     mean, pu = _transmitters(q_i, cfg)
@@ -134,26 +150,27 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
         pmf[0] = 1.0
         return pmf, 0.0
     u_max = pu.size - 1
-    budget = link_budget_for(cfg).budget
+    budget = link_budget_for(cfg).budget[: u_max + 1]
     cond = q_i[1:] / (1.0 - q_i[0])  # packet-count PMF of a transmitter, on 1..L
 
     mixed = np.zeros(L + 1)
-    mixed[0] = pu[0]
-    for u in range(1, u_max + 1):
+    mixed[0] = np.add.accumulate(pu[budget == 0])[-1]   # in u order; np.sum is pairwise
+    for u in range(1, min(L, u_max + 1)):
         b = int(budget[u])
+        if b == 0:
+            continue
         if u > 1 and b == budget[u - 1]:
             power = _saturating_convolve(power, per_tx, L)
         else:
             per_tx = np.zeros(L + 1)
-            if b == 0:
-                per_tx[0] = 1.0
-            elif b >= L:
+            if b >= L:
                 per_tx[1:] = cond
             else:
                 per_tx[1:b] = cond[: b - 1]
                 per_tx[b] = cond[b - 1 :].sum()
             power = _saturating_self_convolutions(per_tx, u, L)
         mixed += pu[u] * power
+    mixed[L] += pu[L:][budget[L:] >= 1].sum()
     return mixed, poisson_tail(mean, u_max)
 
 

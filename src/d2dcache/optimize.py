@@ -294,6 +294,7 @@ def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(w, integrand))
 
 
+@lru_cache(maxsize=8)   # as link_budget_for: the non-orthogonal scan is a quadrature pass
 def _gap_constant(cfg: SystemConfig) -> float:
     """-L sup_u u*rate(u), the negative Jensen-gap constant of cfg's scheme.
 

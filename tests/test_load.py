@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import (
     CapacityError,
+    LinkBudget,
     Method,
     NeighborCacheDistribution,
     Placement,
@@ -48,6 +51,45 @@ def random_small_instance(rng, sharp=False):
     while c.sum() > cfg.M:
         c[np.argmax(c)] -= 1
     return cfg, dist, Placement(c, cfg)
+
+
+def from_scratch_pmf(q_i, cfg, budget=None):
+    """The delivered-packet PMF of one content with every u-fold convolution
+    power built from scratch per u, its truncation point and its tail mass;
+    ``budget`` defaults to the config's link budget."""
+    from scipy import stats
+    from d2dcache.load import _saturating_self_convolutions
+    from d2dcache.model import poisson_tail
+
+    mean = (1.0 - q_i[0]) * cfg.mean_capable
+    reference = np.zeros(cfg.L + 1)
+    if mean == 0.0:
+        reference[0] = 1.0
+        return reference, 0, 0.0
+    u_max = poisson_truncation(cfg, mean)
+    if budget is None:
+        budget = link_budget_for(cfg).budget
+    pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
+    cond = q_i[1:] / (1.0 - q_i[0])
+    reference[0] = pu[0]
+    for u in range(1, u_max + 1):
+        b = int(budget[u])
+        per_tx = np.zeros(cfg.L + 1)
+        if b == 0:
+            per_tx[0] = 1.0
+        elif b >= cfg.L:
+            per_tx[1:] = cond
+        else:
+            per_tx[1:b] = cond[: b - 1]
+            per_tx[b] = cond[b - 1 :].sum()
+        reference += pu[u] * _saturating_self_convolutions(per_tx, u, cfg.L)
+    return reference, u_max, poisson_tail(mean, u_max)
+
+
+def shortfall_from_pmf(pmf, cfg):
+    """E[(L - c - delivered)^+] for c = 0..L, as load.shortfall_table forms it."""
+    k = np.arange(cfg.L + 1)
+    return np.vecdot(np.maximum(0, cfg.L - k[:, None] - k), pmf)
 
 
 class TestRequestLoad:
@@ -250,50 +292,122 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_delivered_pmf_matches_from_scratch_powers(self, scheme, monkeypatch):
-        from scipy import stats
         from d2dcache import load
-        from d2dcache.load import (
-            _saturating_convolve,
-            _saturating_self_convolutions,
-            delivered_packets_pmf,
-        )
-        from d2dcache.model import poisson_tail
+        from d2dcache.load import _saturating_convolve, delivered_packets_pmf
 
         cfg = default_config(F=1, L=10, M=0, lam=6.0, snr=1e4, scheme=scheme)
         lb = link_budget_for(cfg)
         q_i = np.array([0.3] + [0.07] * 10)
-        mean = (1.0 - q_i[0]) * cfg.mean_capable
-        u_max = poisson_truncation(cfg, mean)
-        steps = np.diff(lb.budget[1 : u_max + 1])
+        steps = np.diff(lb.budget[1 : cfg.L])
         assert np.count_nonzero(steps) >= 2 and np.any(steps == 0)
-
-        # the per-u construction: every convolution power built from scratch
-        pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
-        cond = q_i[1:] / (1.0 - q_i[0])
-        reference = np.zeros(cfg.L + 1)
-        reference[0] = pu[0]
-        for u in range(1, u_max + 1):
-            b = int(lb.budget[u])
-            per_tx = np.zeros(cfg.L + 1)
-            if b == 0:
-                per_tx[0] = 1.0
-            elif b >= cfg.L:
-                per_tx[1:] = cond
-            else:
-                per_tx[1:b] = cond[: b - 1]
-                per_tx[b] = cond[b - 1 :].sum()
-            reference += pu[u] * _saturating_self_convolutions(per_tx, u, cfg.L)
+        reference, u_max, ref_tail = from_scratch_pmf(q_i, cfg)
 
         steps_taken = []
         monkeypatch.setattr(load, "_saturating_convolve",
                             lambda *args: steps_taken.append(1) or _saturating_convolve(*args))
         pmf, tail = delivered_packets_pmf(q_i, cfg)
-        assert np.array_equal(pmf, reference)
-        # one convolution per u within a run of equal budgets, u where it steps
-        budget = lb.budget[: u_max + 1]
+        assert np.array_equal(pmf[:-1], reference[:-1])
+        # bin L gathers the saturated mass in another order; no table reads it
+        assert pmf[-1] == pytest.approx(reference[-1], rel=4 * np.finfo(float).eps)
+        assert np.array_equal(shortfall_from_pmf(pmf, cfg), shortfall_from_pmf(reference, cfg))
+        # convolutions only for u < L with budget >= 1: one per u within a
+        # run of equal budgets, u where it steps
+        budget = lb.budget
         assert len(steps_taken) == sum(
-            1 if u > 1 and budget[u] == budget[u - 1] else u for u in range(1, u_max + 1))
-        assert tail == poisson_tail(mean, u_max)
+            1 if u > 1 and budget[u] == budget[u - 1] else u
+            for u in range(1, min(cfg.L, u_max + 1)) if budget[u] >= 1)
+        assert tail == ref_tail
+
+    def test_silence_past_saturation_reaches_bin_zero(self):
+        """Budgets >= 1 past u = L that reach 0 before the truncation point:
+        the counts from the first zero budget on deliver nothing, even though
+        they are >= L."""
+        from d2dcache.load import shortfall_table
+
+        cfg = default_config(F=1, L=4, M=0, lam=11.4, mu=0.5, snr=1e4)
+        q_i = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
+        budget = link_budget_for(cfg).budget
+        u0 = int(np.argmax(budget[1:] == 0)) + 1
+        reference, u_max, ref_tail = from_scratch_pmf(q_i, cfg)
+        assert cfg.L < u0 <= u_max and np.all(budget[1:u0] >= 1)
+        table, tail = shortfall_table(q_i, cfg)
+        assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
+        assert tail == ref_tail
+        # the silent counts carry most of the mass here
+        assert table[0] > 0.5 * cfg.L
+
+    def test_budget_that_rises_again_is_rebuilt(self, monkeypatch):
+        """Non-orthogonal budgets are not checked for monotonicity: a budget
+        that comes back after a silent count is rebuilt, not carried over,
+        and silent and saturated counts may alternate."""
+        from d2dcache import load
+        from d2dcache.load import shortfall_table
+
+        cfg = default_config(F=1, L=6, M=0, lam=8.0, scheme=Scheme.NON_ORTHOGONAL)
+        u_max = poisson_truncation(cfg)
+        budget = np.array([0, 2, 0, 2, 2, 3] + [1, 0] * u_max)[: u_max + 1]
+        lb = LinkBudget(budget=budget, scheme=cfg.scheme)
+        monkeypatch.setattr(load, "link_budget_for", lambda _: lb)
+        q_i = np.array([0.2, 0.1, 0.3, 0.1, 0.1, 0.1, 0.1])
+        reference, _, ref_tail = from_scratch_pmf(q_i, cfg, budget)
+        table, tail = shortfall_table(q_i, cfg)
+        assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
+        assert tail == ref_tail
+
+    def test_table_at_mean_5e5_is_its_limit_within_bounded_work(self, monkeypatch):
+        """At mean 5e5 nearly all the mass lies past the first zero budget, so
+        the table is its silent limit [L, L-1, ..., 0]; the convolutions stay
+        within the u < L range, however large the mean."""
+        from d2dcache import load
+        from d2dcache.load import _saturating_convolve, shortfall_tables
+
+        cfg = default_config(F=2, L=20, M=0, lam=1e6)
+        assert cfg.mean_capable == 5e5 and cfg.scheme is Scheme.ORTHOGONAL
+        q = np.array([np.full(21, 1 / 21), np.eye(21)[20]])
+        calls = []
+        monkeypatch.setattr(load, "_saturating_convolve",
+                            lambda *args: calls.append(1) or _saturating_convolve(*args))
+        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
+        assert 0 < len(calls) <= cfg.L * (cfg.L - 1) // 2
+        limit = np.arange(cfg.L, -1, -1)
+        # the log-space Poisson terms of load._transmitters lose mass at this
+        # mean as well: they sum to 1 - tail - 6.1e-10, hence the 1e-9
+        for table, tail in zip(tables, tails):
+            assert np.all(np.abs(table - limit) <= cfg.L * (tail + 1e-9))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_tables_equal_from_scratch_reference(self, data):
+        """Random configs and cache rows, with repeated rows and q0 = 1: every
+        table and tail equals the per-u from-scratch construction exactly."""
+        from d2dcache.load import shortfall_tables
+
+        L = data.draw(st.integers(1, 20), label="L")
+        F = data.draw(st.integers(1, 4), label="F")
+        cfg = default_config(
+            F=F, L=L, M=0,
+            lam=data.draw(st.floats(0.0, 40.0), label="lam"),
+            mu=data.draw(st.floats(0.5, 2.0), label="mu"),
+            snr=10 ** data.draw(st.floats(-1.0, 4.0), label="log10 snr"),
+            scheme=data.draw(st.sampled_from(list(Scheme)), label="scheme"),
+        )
+        weights = st.lists(st.floats(0.0, 1.0), min_size=L + 1, max_size=L + 1)
+        rows = []
+        for _ in range(F):
+            kind = data.draw(st.sampled_from(["random", "repeat", "empty"]), label="row")
+            if kind == "repeat" and rows:
+                rows.append(rows[0])
+            elif kind == "empty":
+                rows.append(np.eye(L + 1)[0])
+            else:
+                w = np.array(data.draw(weights, label="weights")) + 1e-3
+                rows.append(w / w.sum())
+        q = np.array(rows)
+        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
+        for q_i, table, tail in zip(q, tables, tails):
+            reference, _, ref_tail = from_scratch_pmf(q_i, cfg)
+            assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
+            assert tail == ref_tail
 
     def test_scenario_is_shared_and_read_only(self, cfg, uniform_dist):
         from d2dcache.load import scenario

@@ -644,5 +644,19 @@ class TestGapConstant:
                 fine = replace(cfg, quad_nodes=1024)
                 assert _gap_constant(cfg) == pytest.approx(_gap_constant(fine), rel=1e-4)
 
+    def test_memoized_per_config(self, monkeypatch):
+        from d2dcache import optimize
+
+        calls = []
+        monkeypatch.setattr(optimize, "success_probability",
+                            lambda *args: calls.append(args) or success_probability(*args))
+        _gap_constant.cache_clear()
+        first = _gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
+        assert len(calls) == 1
+        # an equal config, built anew, repeats no quadrature
+        again = _gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
+        assert len(calls) == 1
+        assert isinstance(again, float) and again == first
+
     def test_orthogonal_constant_is_the_u1_rate(self, cfg):
         assert _gap_constant(cfg) == -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
