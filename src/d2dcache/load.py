@@ -11,7 +11,11 @@ the same truncation).  The fast path convolves only where delivery is
 uncertain: u transmitters with budget 0 deliver nothing, and u >= L with
 budget >= 1 deliver at least L packets, whose bin no shortfall table reads;
 so only u < L with budget >= 1 takes convolutions (u < min(L, u0), u0 the
-first zero budget, when budgets fall with u).
+first zero budget, when budgets fall with u).  Budgets depend on u and the
+config only, so every distinct cache row shares one schedule: the rows are
+batched, each with its own Poisson window, and a convolution step is one
+(rows, L+1) transition-matrix product.  Bins below L equal a per-row
+construction up to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import LinkBudget, build_link_budget
+from .channel import BLOCK_ENTRIES, LinkBudget, build_link_budget
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -36,6 +40,10 @@ from .model import (
     poisson_truncation,
     zipf_popularity,
 )
+
+# Smallest normal float: a divisor floored at it turns 0/0 into 0 and leaves
+# every 1 - q0 > 0, which is at least 2**-53, as it is.
+_TINY = np.finfo(float).tiny
 
 # Enumeration oracle refuses beyond this many neighbors per term: (L+1)**5
 # vectors at L=5 is still cheap, (L+1)**6 is not.  Verification-only cap.
@@ -87,129 +95,163 @@ def request_load(c_i: int, d, cfg: SystemConfig, lb: LinkBudget) -> int:
     return int(max(0, cfg.L - c_i - delivered))
 
 
-def _saturating_convolve(dist: np.ndarray, pmf: np.ndarray, cap: int) -> np.ndarray:
-    """Distribution of dist's sum plus one draw from pmf, mass at >= cap folded into cap.
-
-    Folding is exact for our use: every saturated outcome contributes zero to
-    the positive-part load, so only the bins below cap need to be exact.
-    """
-    full = np.convolve(dist, pmf)
-    out = full[: cap + 1].copy()
-    out[cap] += full[cap + 1 :].sum()
-    return out
+def _transmitter_windows(q_i: np.ndarray, cfg: SystemConfig):
+    """Per row of q_i: the mean transmitter count, the capable users thinned
+    by P[d > 0], and the Poisson truncation point of that mean."""
+    mean = (1.0 - q_i[:, 0]) * cfg.mean_capable
+    return mean, poisson_truncation(cfg, mean)
 
 
-def _saturating_self_convolutions(pmf: np.ndarray, copies: int, cap: int) -> np.ndarray:
-    """Distribution of a sum of `copies` i.i.d. draws, mass at >= cap folded into cap."""
-    dist = np.zeros(cap + 1)
-    dist[0] = 1.0
-    for _ in range(copies):
-        dist = _saturating_convolve(dist, pmf, cap)
-    return dist
+def _transmitter_pmfs(mean: np.ndarray, u_max: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(rows, counts.size) Poisson PMFs of the transmitter counts, each row
+    0.0 past its own truncation point, so a row's sums see its window only."""
+    pu = poisson_pmf(counts, mean[:, None])
+    pu[counts > u_max[:, None]] = 0.0
+    return pu
 
 
-def _transmitters(q_i: np.ndarray, cfg: SystemConfig):
-    """Mean and truncated Poisson PMF of one content's transmitter count: the
-    capable users thinned by P[d > 0]."""
-    mean = (1.0 - q_i[0]) * cfg.mean_capable
-    if mean == 0.0:
-        return mean, np.array([1.0])
-    return mean, poisson_pmf(np.arange(poisson_truncation(cfg, mean) + 1), mean)
+def _row_blocks(rows: int, width: int):
+    """Slices of at most BLOCK_ENTRIES // width rows (one at least), so a
+    (block, width) working array stays within BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // width)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+@lru_cache(maxsize=32)
+def _transition_index(L: int) -> np.ndarray:
+    """Gather index of the transposed capped transition matrix from the row
+    [per_tx[0..L], tail[0..L]], tail[m] the per-transmitter mass at >= m:
+    entry (k, j), the chance of a move from j to k delivered packets, reads
+    per_tx[k - j] for j <= k < L, tail[L - j] for the fold k = L, and
+    per_tx[0] = 0 (a transmitter delivers one packet at least) for j > k."""
+    k, j = np.indices((L + 1, L + 1))
+    index = np.where(j <= k, k - j, 0)
+    index[L] = 2 * L + 1 - j[L]
+    return _readonly(index)
+
+
+def _transitions(cond: np.ndarray, b: int, L: int) -> np.ndarray:
+    """(rows, L+1, L+1) transposed transition matrices of one more
+    transmitter with budget b >= 1: row k of matrix r holds the chances of
+    reaching k delivered packets (k = L: L or more) from each j, so a step
+    is one dot per (row, k) over j = 0..L, in j order."""
+    source = np.zeros((cond.shape[0], 2 * L + 2))
+    if b >= L:
+        source[:, 1 : L + 1] = cond
+    else:
+        source[:, 1:b] = cond[:, : b - 1]
+        source[:, b] = np.add.reduce(cond[:, b - 1 :], axis=1)
+    source[:, L + 1 :] = np.add.accumulate(source[:, L::-1], axis=1)[:, ::-1]
+    # C order, so each dot runs over contiguous j as np.convolve's dots do
+    return np.take(source, _transition_index(L), axis=1)
+
+
+def _step(power: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """The delivered-packet PMFs after one more transmitter, mass at >= L
+    folded into bin L: row r's bin k is the dot of transitions[r, k] with
+    power[r], which adds the products power[j] * per_tx[k - j] in j order,
+    the order np.convolve adds them in."""
+    return np.vecdot(transitions, power[:, None, :])
 
 
 def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
-    """PMF of the D2D-delivered packet count for one content, and its tail bound.
+    """PMFs of the D2D-delivered packet count, one per cache row, and their
+    tail bounds: ``q_i`` stacks R rows (R, L+1); returns (R, L+1), (R,).
 
     Collapses the (capable-count, cache-vector) expectation: the number of
-    transmitters is the capable-user Poisson thinned by P[d > 0], and each
-    transmitter's packet count is the cache PMF conditioned on d > 0, capped
-    at the budget for that transmitter count.  Mass at >= L is folded into
-    the L bin (it can never leave residual load).
+    transmitters is the capable-user Poisson thinned by P[d > 0], truncated
+    at its row's own point, and each transmitter's packet count is the cache
+    PMF conditioned on d > 0, capped at the budget for that transmitter
+    count.  Mass at >= L is folded into the L bin (it can never leave
+    residual load).
 
     Each transmitter count u falls in one of three ranges:
 
     - silent, budget[u] == 0: nothing is delivered, so pu[u] goes to bin 0;
     - saturated, u >= L and budget[u] >= 1: each transmitter delivers at
       least one packet, so pu[u] goes to bin L;
-    - the rest, u < L with budget[u] >= 1: a capped u-fold convolution,
-      carried over from u-1 while the budget stays the same and rebuilt
-      where it steps, so at most L*(L-1)/2 convolutions whatever the mean.
+    - the rest, u < L with budget[u] >= 1: a capped u-fold convolution, as
+      products of the per-transmitter transition matrices, carried over from
+      u-1 while the budget stays the same and rebuilt where it steps, so at
+      most L*(L-1)/2 products whatever the mean.  The budgets depend on u
+      and the config only, so all rows share one schedule of products.
 
     LinkBudget enforces non-increasing budgets only under orthogonal access,
     so a power is carried only from a u-1 convolved with the same budget.
-    Every bin below L matches a from-scratch power per u bit for bit: a
-    convolved power's bin 0 is exactly 0.0, so bin 0 is pu[0] plus the
-    silent pu[u] summed in u order, and a saturated power is exactly 0.0
-    below L.  Bin L may differ by rounding; no shortfall table reads it, as
-    its weight max(0, L - c - L) is 0.
+    Bin 0 is pu[0] plus the silent pu[u] summed in u order, exactly as a
+    per-u construction sums them: past a row's window its pu is 0.0, and a
+    product's bin 0 is 0.0.  The bins below L add the same products as
+    np.convolve in the same order, with zero terms between; they equal a
+    per-row np.convolve construction up to rounding in the dot products.
+    Bin L may differ in its last bits; no shortfall table reads it, as its
+    weight max(0, L - c - L) is 0.  Rows are taken in blocks of at most
+    BLOCK_ENTRIES // max(U+1, (L+1)**2) rows, U the largest truncation point.
     """
     L = cfg.L
-    mean, pu = _transmitters(q_i, cfg)
-    if mean == 0.0:
-        pmf = np.zeros(L + 1)
-        pmf[0] = 1.0
-        return pmf, 0.0
-    u_max = pu.size - 1
-    budget = link_budget_for(cfg).budget[: u_max + 1]
-    cond = q_i[1:] / (1.0 - q_i[0])  # packet-count PMF of a transmitter, on 1..L
-
-    mixed = np.zeros(L + 1)
-    mixed[0] = np.add.accumulate(pu[budget == 0])[-1]   # in u order; np.sum is pairwise
-    for u in range(1, min(L, u_max + 1)):
-        b = int(budget[u])
-        if b == 0:
-            continue
-        if u > 1 and b == budget[u - 1]:
-            power = _saturating_convolve(power, per_tx, L)
-        else:
-            per_tx = np.zeros(L + 1)
-            if b >= L:
-                per_tx[1:] = cond
+    mean, u_max = _transmitter_windows(q_i, cfg)
+    counts = np.arange(u_max.max() + 1)
+    b = link_budget_for(cfg).budget[: counts.size]
+    silent, saturated = b == 0, b[L:] >= 1
+    convolved = b[1 : min(L, counts.size)].tolist()   # budgets of u = 1..min(L, U+1)-1
+    pmf = np.zeros((q_i.shape[0], L + 1))
+    for rows in _row_blocks(q_i.shape[0], max(counts.size, (L + 1) ** 2)):
+        pu = _transmitter_pmfs(mean[rows], u_max[rows], counts)
+        mixed = pmf[rows]   # a view: the block's rows of the result
+        # in u order; np.sum is pairwise
+        mixed[:, 0] = np.add.accumulate(pu[:, silent], axis=1)[:, -1]
+        # packet-count PMF of a transmitter, on 1..L; 0, not NaN, where q0 = 1
+        cond = q_i[rows, 1:] / np.maximum(1.0 - q_i[rows, :1], _TINY)
+        for u, b_u in enumerate(convolved, start=1):
+            if b_u == 0:
+                continue
+            if u > 1 and b_u == convolved[u - 2]:
+                power = _step(power, transitions)
             else:
-                per_tx[1:b] = cond[: b - 1]
-                per_tx[b] = cond[b - 1 :].sum()
-            power = _saturating_self_convolutions(per_tx, u, L)
-        mixed += pu[u] * power
-    mixed[L] += pu[L:][budget[L:] >= 1].sum()
-    return mixed, poisson_tail(mean, u_max)
+                transitions = _transitions(cond, b_u, L)
+                power = transitions[:, :, 0].copy()   # one transmitter: its capped PMF
+                for _ in range(u - 1):
+                    power = _step(power, transitions)
+            mixed += pu[:, u, None] * power
+        mixed[:, L] += pu[:, L:] @ saturated
+    return pmf, poisson_tail(mean, u_max)
 
 
-def shortfall_table(q_i: np.ndarray, cfg: SystemConfig):
-    """E[(L - c - delivered)^+] for c = 0..L, for one content.
-
-    The delivered-packet distribution does not depend on the typical user's
-    own cache, so one PMF serves every cache level.
-    """
-    pmf, tail = delivered_packets_pmf(q_i, cfg)
-    k = np.arange(cfg.L + 1)
-    return np.vecdot(np.maximum(0, cfg.L - k[:, None] - k), pmf), tail
-
-
-def _per_distinct_row(fn, q: np.ndarray) -> list:
-    """[fn(row) for row in q], calling fn once per distinct row of q.
-
-    Rows are matched by their bytes, so a shared result is exactly what fn
-    would have returned for each of its rows.
-    """
-    memo = {}
-    for row in q:
+def _distinct_rows(q: np.ndarray):
+    """The index of each distinct row's first occurrence in q, and each row's
+    distinct index.  Rows are matched by their bytes, so a result shared by
+    equal rows is exactly what each of them would get."""
+    ids, first, inverse = {}, [], []
+    for r, row in enumerate(q):
         key = row.tobytes()
-        if key not in memo:
-            memo[key] = fn(row)
-    return [memo[row.tobytes()] for row in q]
+        if key not in ids:
+            ids[key] = len(first)
+            first.append(r)
+        inverse.append(ids[key])
+    return np.array(first), np.array(inverse)
 
 
 def shortfall_tables(dist: NeighborCacheDistribution, cfg: SystemConfig):
-    """Per-content shortfall tables, shape (F, L+1), plus per-content tail masses.
+    """Per-content shortfall tables E[(L - c - delivered)^+] for c = 0..L,
+    shape (F, L+1), plus per-content tail masses.
 
-    Contents with the same cache PMF share a table, so one table is computed
-    per distinct row of ``dist.q`` (the CLI's uniform caches make all F rows
-    equal) and scattered back to the F contents.
+    The delivered-packet distribution does not depend on the typical user's
+    own cache, so one PMF serves every cache level.  Contents with the same
+    cache PMF share a table: the distinct rows of ``dist.q`` (the CLI's
+    uniform caches make all F rows equal) take one batched PMF call, and the
+    tables are scattered back to the F contents.
     """
-    pairs = _per_distinct_row(lambda q_i: shortfall_table(q_i, cfg), dist.q[: cfg.F])
-    tables = np.array([table for table, _ in pairs])
-    tails = np.array([tail for _, tail in pairs])
-    return tables, tails
+    q = dist.q[: cfg.F]
+    first, inverse = _distinct_rows(q)
+    pmf, tails = delivered_packets_pmf(q[first], cfg)
+    tables = np.vecdot(_shortfall_weights(cfg.L), pmf[:, None, :])
+    return tables[inverse], tails[inverse]
+
+
+@lru_cache(maxsize=32)
+def _shortfall_weights(L: int) -> np.ndarray:
+    """max(0, L - c - k): the shortfall at own cache c and k delivered packets."""
+    k = np.arange(L + 1)
+    return _readonly(np.maximum(0, L - k[:, None] - k))
 
 
 @lru_cache(maxsize=8)   # small, as _disc_terms: a grid point uses one config per scheme

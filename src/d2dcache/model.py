@@ -94,7 +94,10 @@ class SystemConfig:
         return self.eta * self.lam / self.mu
 
     def with_scheme(self, scheme: Scheme) -> "SystemConfig":
-        return replace(self, scheme=Scheme(scheme))
+        """This config under ``scheme``: itself when the scheme is already
+        its own, as a frozen config may be shared."""
+        scheme = Scheme(scheme)
+        return self if scheme is self.scheme else replace(self, scheme=scheme)
 
 
 def default_config(**overrides) -> SystemConfig:
@@ -224,41 +227,46 @@ def poisson_pmf(k, mean: float):
     """P[X = k] for X ~ Poisson(mean) > 0, elementwise over integers k >= 0.
 
     The log-space formula scipy.stats.poisson evaluates, without its
-    per-call argument checking.
+    per-call argument checking; exp is never negative, so only the cap at 1
+    of scipy's clip to [0, 1] can act.
     """
-    return np.clip(np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean), 0, 1)
+    return np.minimum(np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean), 1.0)
 
 
-def poisson_tail(mean: float, n: int) -> float:
-    """P[X > n] for X ~ Poisson(mean); 1 for n < 0, where pdtrc is NaN."""
-    if mean == 0.0:
-        return 0.0
-    if n < 0:
-        return 1.0
-    return float(special.pdtrc(n, mean))
+def poisson_tail(mean, n):
+    """P[X > n] for X ~ Poisson(mean): 0 at mean 0, as pdtrc gives it for
+    n >= 0, and 1 for n < 0 at mean > 0, where pdtrc is NaN.  Elementwise
+    over arrays of means and n; a float for scalars."""
+    tail = np.where(np.asarray(n) < 0, np.asarray(mean) != 0.0, special.pdtrc(n, mean))
+    return float(tail) if tail.ndim == 0 else tail
 
 
-def poisson_truncation(cfg: SystemConfig, mean: float | None = None) -> int:
+def poisson_truncation(cfg: SystemConfig, mean=None):
     """Smallest N with Poisson tail mass beyond N below cfg.n_trunc_epsilon.
 
     Summations over the capable-user count are cut at this N; the induced
     absolute error on the average load is at most L times the tail mass and
-    is reported by the evaluators, not hidden.
+    is reported by the evaluators, not hidden.  ``mean`` defaults to the mean
+    capable count; an array of means gives an int array, each entry the N of
+    its own mean, found by the same start and steps as a scalar mean.
     """
     if mean is None:
         mean = cfg.mean_capable
-    if mean == 0.0:
-        return 0
-    # scipy.stats' ppf as a start; the loops below fix n whatever the start
-    q = 1.0 - cfg.n_trunc_epsilon
-    n = max(0, math.ceil(special.pdtrik(q, mean)))
-    if n > 0 and special.pdtr(n - 1, mean) >= q:
-        n -= 1
-    while poisson_tail(mean, n) >= cfg.n_trunc_epsilon:
-        n += 1
-    while n > 0 and poisson_tail(mean, n - 1) < cfg.n_trunc_epsilon:
-        n -= 1
-    return n
+    eps = cfg.n_trunc_epsilon
+    # scipy.stats' ppf as a start; the loops below fix n whatever the start.
+    # At mean 0 the start is 0 and every tail is 0, so n stays 0.
+    q = 1.0 - eps
+    n = np.maximum(0.0, np.ceil(special.pdtrik(q, mean))).astype(int)
+    n -= special.pdtr(n - 1, mean) >= q   # NaN, so False, at n - 1 = -1
+    step = special.pdtrc(n, mean) >= eps
+    while np.count_nonzero(step):
+        n += step
+        step &= special.pdtrc(n, mean) >= eps
+    step = special.pdtrc(n - 1, mean) < eps   # NaN at n - 1 = -1 is not below eps
+    while np.count_nonzero(step):
+        n -= step
+        step &= special.pdtrc(n - 1, mean) < eps
+    return int(n) if np.ndim(n) == 0 else n
 
 
 def expected_stay_time(cfg: SystemConfig) -> float:

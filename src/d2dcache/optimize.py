@@ -22,8 +22,10 @@ import numpy as np
 
 from .channel import _disc_terms, success_probability
 from .load import (
-    _per_distinct_row,
-    _transmitters,
+    _distinct_rows,
+    _row_blocks,
+    _transmitter_pmfs,
+    _transmitter_windows,
     average_load_fast,
     link_budget_for,
     scenario,
@@ -260,22 +262,29 @@ class HighMobilityConstants:
             raise ValueError("gap constants must be nonpositive")
 
 
-def _floored_delivery(q_i: np.ndarray, cfg: SystemConfig):
-    """E[u * budget(u)] and an upper bound on its truncation error.
+def _floored_delivery(q: np.ndarray, cfg: SystemConfig):
+    """E[u * budget(u)] and an upper bound on its truncation error, per row.
 
     E[u * budget(u)] is the expected packets D2D hands over per stay, with
-    floors: the saturation level of the high-mobility regime.  The error bound
-    uses E[u; u > U] = mean * P[u >= U] and the fact that budgets are
+    floors: the saturation level of the high-mobility regime.  Each row sums
+    over its own Poisson window, by one np.vecdot per row, so a single row (a
+    1-d ``q``, which gives floats) is summed as np.dot sums it.  The error
+    bound uses E[u; u > U] = mean * P[u >= U] and the fact that budgets are
     non-increasing in u, so every missing term is at most budget(1) per
     transmitter.
     """
-    mean, pu = _transmitters(q_i, cfg)
+    rows = np.atleast_2d(q)
+    mean, u_max = _transmitter_windows(rows, cfg)
     budget = link_budget_for(cfg).budget
-    value = float(np.dot(pu, np.arange(pu.size) * budget[: pu.size]))
-    if mean == 0.0:
-        return value, 0.0
-    tail_mean = mean * poisson_tail(mean, pu.size - 2)   # mean * P[u >= u_max]
-    return value, float(budget[1]) * tail_mean
+    counts = np.arange(u_max.max() + 1)
+    weight = counts * budget[: counts.size]
+    value = np.empty(rows.shape[0])
+    for block in _row_blocks(rows.shape[0], counts.size):
+        value[block] = np.vecdot(_transmitter_pmfs(mean[block], u_max[block], counts), weight)
+    bound = float(budget[1]) * (mean * poisson_tail(mean, u_max - 1))  # P[u >= u_max]
+    if q.ndim == 1:
+        return float(value[0]), float(bound[0])
+    return value, bound
 
 
 def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
@@ -283,15 +292,18 @@ def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
     return _floored_delivery(q_i, cfg.with_scheme(Scheme.ORTHOGONAL))[0]
 
 
-def noma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
+def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
     """Floor-free expected D2D delivery per stay under non-orthogonal access,
     (L/mu) log(1+tau) E[u P[SINR>tau | u]], exactly: P is a quadrature sum of
-    beta_k**(u-1) terms, and E[u beta**(u-1)] = m exp(-m(1-beta)) for Poisson u."""
+    beta_k**(u-1) terms, and E[u beta**(u-1)] = m exp(-m(1-beta)) for Poisson u.
+    ``q`` is one cache row (gives a float) or a stack of rows (gives one value
+    per row, m the vector of their mean transmitter counts)."""
     cfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
-    m = (1.0 - q_i[0]) * cfg.mean_capable
+    m = (1.0 - q[..., :1]) * cfg.mean_capable
     r, w, noise, beta = _disc_terms(cfg)
     integrand = noise * m * np.exp(-m * (1.0 - beta)) * 2.0 * r / cfg.radius**2
-    return float(cfg.L / cfg.mu * math.log1p(cfg.tau) * np.dot(w, integrand))
+    value = cfg.L / cfg.mu * math.log1p(cfg.tau) * np.vecdot(integrand, w)
+    return float(value) if q.ndim == 1 else value
 
 
 @lru_cache(maxsize=8)   # as link_budget_for: the non-orthogonal scan is a quadrature pass
@@ -331,13 +343,14 @@ def high_mobility_constants(
 
 
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
-    """Per-content deliverable counts under the scheme, one per distinct cache row."""
+    """Per-content deliverable counts under the scheme, one call over the
+    distinct cache rows."""
     cfg = cfg.with_scheme(scheme)
+    q = dist.q[: cfg.F]
+    first, inverse = _distinct_rows(q)
     if cfg.scheme is Scheme.NON_ORTHOGONAL:
-        fn = lambda q_i: noma_delivery_mean(q_i, cfg)
-    else:
-        fn = lambda q_i: _floored_delivery(q_i, cfg)[0]
-    return np.array(_per_distinct_row(fn, dist.q[: cfg.F]))
+        return noma_delivery_mean(q[first], cfg)[inverse]
+    return _floored_delivery(q[first], cfg)[0][inverse]
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -441,14 +454,13 @@ def jensen_gap_check(
     """
     cfg = cfg.with_scheme(scheme)
     s = scenario(dist, cfg)
-    pairs = _per_distinct_row(lambda q_i: _floored_delivery(q_i, cfg), dist.q[: cfg.F])
-    delivery = np.array([value for value, _ in pairs])
+    q = dist.q[: cfg.F]
+    first, inverse = _distinct_rows(q)
+    delivery, error = (a[inverse] for a in _floored_delivery(q[first], cfg))
     composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - delivery)))
     evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
     bound = expected_stay_time(cfg) * abs(_gap_constant(cfg))
     # both sides of the gap carry surfaced truncation error; allow for it
-    slack = 1e-9 + evaluation.truncation_bound + float(
-        np.dot(s.f, [err for _, err in pairs])
-    )
+    slack = 1e-9 + evaluation.truncation_bound + float(np.dot(s.f, error))
     return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack))

@@ -53,12 +53,19 @@ def random_small_instance(rng, sharp=False):
     return cfg, dist, Placement(c, cfg)
 
 
+def saturating_convolve(dist, pmf, cap):
+    """dist's sum plus one draw from pmf, mass at >= cap folded into cap."""
+    full = np.convolve(dist, pmf)
+    out = full[: cap + 1].copy()
+    out[cap] += full[cap + 1 :].sum()
+    return out
+
+
 def from_scratch_pmf(q_i, cfg, budget=None):
     """The delivered-packet PMF of one content with every u-fold convolution
-    power built from scratch per u, its truncation point and its tail mass;
-    ``budget`` defaults to the config's link budget."""
+    power built from scratch per u by np.convolve, its truncation point and
+    its tail mass; ``budget`` defaults to the config's link budget."""
     from scipy import stats
-    from d2dcache.load import _saturating_self_convolutions
     from d2dcache.model import poisson_tail
 
     mean = (1.0 - q_i[0]) * cfg.mean_capable
@@ -82,14 +89,25 @@ def from_scratch_pmf(q_i, cfg, budget=None):
         else:
             per_tx[1:b] = cond[: b - 1]
             per_tx[b] = cond[b - 1 :].sum()
-        reference += pu[u] * _saturating_self_convolutions(per_tx, u, cfg.L)
+        power = np.eye(cfg.L + 1)[0]
+        for _ in range(u):
+            power = saturating_convolve(power, per_tx, cfg.L)
+        reference += pu[u] * power
     return reference, u_max, poisson_tail(mean, u_max)
 
 
 def shortfall_from_pmf(pmf, cfg):
-    """E[(L - c - delivered)^+] for c = 0..L, as load.shortfall_table forms it."""
+    """E[(L - c - delivered)^+] for c = 0..L, as load.shortfall_tables forms it."""
     k = np.arange(cfg.L + 1)
     return np.vecdot(np.maximum(0, cfg.L - k[:, None] - k), pmf)
+
+
+def one_table(q_i, cfg):
+    """The shortfall table and tail of one cache row, through shortfall_tables."""
+    from d2dcache.load import shortfall_tables
+
+    tables, tails = shortfall_tables(NeighborCacheDistribution(q_i[None]), cfg)
+    return tables[0], tails[0]
 
 
 class TestRequestLoad:
@@ -274,7 +292,7 @@ class TestSharedWork:
 
     def test_shortfall_tables_once_per_distinct_row(self, monkeypatch):
         from d2dcache import load
-        from d2dcache.load import shortfall_table, shortfall_tables
+        from d2dcache.load import delivered_packets_pmf, shortfall_tables
 
         cfg = default_config(F=6, L=4, M=3, lam=3.0)
         a = np.full(5, 0.2)
@@ -282,18 +300,19 @@ class TestSharedWork:
         c = np.array([0.1, 0.0, 0.3, 0.0, 0.6])
         q = np.array([a, b, a, c, b, a])
         built = []
-        monkeypatch.setattr(load, "shortfall_table",
-                            lambda q_i, *args: built.append(q_i) or shortfall_table(q_i, *args))
+        monkeypatch.setattr(load, "delivered_packets_pmf",
+                            lambda q_i, *args: built.append(q_i) or delivered_packets_pmf(q_i, *args))
         tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
-        assert len(built) == 3
-        pairs = [shortfall_table(q_i, cfg) for q_i in q]
+        # one batched call over the distinct rows, in order of first appearance
+        assert len(built) == 1 and np.array_equal(built[0], np.array([a, b, c]))
+        pairs = [one_table(q_i, cfg) for q_i in q]
         assert np.array_equal(tables, np.array([table for table, _ in pairs]))
         assert np.array_equal(tails, np.array([tail for _, tail in pairs]))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_delivered_pmf_matches_from_scratch_powers(self, scheme, monkeypatch):
         from d2dcache import load
-        from d2dcache.load import _saturating_convolve, delivered_packets_pmf
+        from d2dcache.load import _step, delivered_packets_pmf
 
         cfg = default_config(F=1, L=10, M=0, lam=6.0, snr=1e4, scheme=scheme)
         lb = link_budget_for(cfg)
@@ -303,18 +322,20 @@ class TestSharedWork:
         reference, u_max, ref_tail = from_scratch_pmf(q_i, cfg)
 
         steps_taken = []
-        monkeypatch.setattr(load, "_saturating_convolve",
-                            lambda *args: steps_taken.append(1) or _saturating_convolve(*args))
-        pmf, tail = delivered_packets_pmf(q_i, cfg)
+        monkeypatch.setattr(load, "_step",
+                            lambda *args: steps_taken.append(1) or _step(*args))
+        pmf, tail = delivered_packets_pmf(q_i[None], cfg)
+        pmf, tail = pmf[0], tail[0]
         assert np.array_equal(pmf[:-1], reference[:-1])
         # bin L gathers the saturated mass in another order; no table reads it
         assert pmf[-1] == pytest.approx(reference[-1], rel=4 * np.finfo(float).eps)
         assert np.array_equal(shortfall_from_pmf(pmf, cfg), shortfall_from_pmf(reference, cfg))
-        # convolutions only for u < L with budget >= 1: one per u within a
-        # run of equal budgets, u where it steps
+        # products only for u < L with budget >= 1: one per u within a run of
+        # equal budgets, u - 1 where it steps (the first factor is the
+        # transmitter's own PMF)
         budget = lb.budget
         assert len(steps_taken) == sum(
-            1 if u > 1 and budget[u] == budget[u - 1] else u
+            1 if u > 1 and budget[u] == budget[u - 1] else u - 1
             for u in range(1, min(cfg.L, u_max + 1)) if budget[u] >= 1)
         assert tail == ref_tail
 
@@ -322,15 +343,13 @@ class TestSharedWork:
         """Budgets >= 1 past u = L that reach 0 before the truncation point:
         the counts from the first zero budget on deliver nothing, even though
         they are >= L."""
-        from d2dcache.load import shortfall_table
-
         cfg = default_config(F=1, L=4, M=0, lam=11.4, mu=0.5, snr=1e4)
         q_i = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
         budget = link_budget_for(cfg).budget
         u0 = int(np.argmax(budget[1:] == 0)) + 1
         reference, u_max, ref_tail = from_scratch_pmf(q_i, cfg)
         assert cfg.L < u0 <= u_max and np.all(budget[1:u0] >= 1)
-        table, tail = shortfall_table(q_i, cfg)
+        table, tail = one_table(q_i, cfg)
         assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
         assert tail == ref_tail
         # the silent counts carry most of the mass here
@@ -341,7 +360,6 @@ class TestSharedWork:
         that comes back after a silent count is rebuilt, not carried over,
         and silent and saturated counts may alternate."""
         from d2dcache import load
-        from d2dcache.load import shortfall_table
 
         cfg = default_config(F=1, L=6, M=0, lam=8.0, scheme=Scheme.NON_ORTHOGONAL)
         u_max = poisson_truncation(cfg)
@@ -350,37 +368,40 @@ class TestSharedWork:
         monkeypatch.setattr(load, "link_budget_for", lambda _: lb)
         q_i = np.array([0.2, 0.1, 0.3, 0.1, 0.1, 0.1, 0.1])
         reference, _, ref_tail = from_scratch_pmf(q_i, cfg, budget)
-        table, tail = shortfall_table(q_i, cfg)
+        table, tail = one_table(q_i, cfg)
         assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
         assert tail == ref_tail
 
     def test_table_at_mean_5e5_is_its_limit_within_bounded_work(self, monkeypatch):
         """At mean 5e5 nearly all the mass lies past the first zero budget, so
-        the table is its silent limit [L, L-1, ..., 0]; the convolutions stay
+        the table is its silent limit [L, L-1, ..., 0]; the products stay
         within the u < L range, however large the mean."""
         from d2dcache import load
-        from d2dcache.load import _saturating_convolve, shortfall_tables
+        from d2dcache.load import _step, shortfall_tables
 
         cfg = default_config(F=2, L=20, M=0, lam=1e6)
         assert cfg.mean_capable == 5e5 and cfg.scheme is Scheme.ORTHOGONAL
         q = np.array([np.full(21, 1 / 21), np.eye(21)[20]])
         calls = []
-        monkeypatch.setattr(load, "_saturating_convolve",
-                            lambda *args: calls.append(1) or _saturating_convolve(*args))
+        monkeypatch.setattr(load, "_step",
+                            lambda *args: calls.append(1) or _step(*args))
         tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
         assert 0 < len(calls) <= cfg.L * (cfg.L - 1) // 2
         limit = np.arange(cfg.L, -1, -1)
-        # the log-space Poisson terms of load._transmitters lose mass at this
-        # mean as well: they sum to 1 - tail - 6.1e-10, hence the 1e-9
+        # the log-space Poisson terms of the transmitter counts lose mass at
+        # this mean as well: they sum to 1 - tail - 6.1e-10, hence the 1e-9
         for table, tail in zip(tables, tails):
             assert np.all(np.abs(table - limit) <= cfg.L * (tail + 1e-9))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_tables_equal_from_scratch_reference(self, data):
-        """Random configs and cache rows, with repeated rows and q0 = 1: every
-        table and tail equals the per-u from-scratch construction exactly."""
-        from d2dcache.load import shortfall_tables
+        """Random configs and cache rows, with repeated rows and q0 = 1, in
+        one batched call: each row's truncation point and tail equal the
+        per-row ones exactly, its PMF bins below L equal the per-row np.convolve
+        construction within 1e-14 and so its table within L * 1e-14, and equal
+        rows get bit-equal tables."""
+        from d2dcache.load import _transmitter_windows, delivered_packets_pmf, shortfall_tables
 
         L = data.draw(st.integers(1, 20), label="L")
         F = data.draw(st.integers(1, 4), label="F")
@@ -404,10 +425,92 @@ class TestSharedWork:
                 rows.append(w / w.sum())
         q = np.array(rows)
         tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
-        for q_i, table, tail in zip(q, tables, tails):
-            reference, _, ref_tail = from_scratch_pmf(q_i, cfg)
-            assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
-            assert tail == ref_tail
+        pmf, _ = delivered_packets_pmf(q, cfg)
+        _, u_max = _transmitter_windows(q, cfg)
+        for i, q_i in enumerate(q):
+            reference, ref_u_max, ref_tail = from_scratch_pmf(q_i, cfg)
+            assert u_max[i] == ref_u_max
+            assert tails[i] == ref_tail
+            assert np.all(np.abs(pmf[i, :-1] - reference[:-1]) <= 1e-14)
+            assert np.all(np.abs(tables[i] - shortfall_from_pmf(reference, cfg)) <= L * 1e-14)
+            if q_i[0] == 1.0:
+                assert np.array_equal(tables[i], np.arange(L, -1, -1)) and tails[i] == 0.0
+            for j in range(i):
+                if np.array_equal(q[j], q_i):
+                    assert np.array_equal(tables[j], tables[i]) and tails[j] == tails[i]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_placements_equal_those_of_per_row_references(self, scheme, monkeypatch):
+        """Greedy and DP placements from the batched scenario equal those
+        from per-row np.convolve tables, and high-mobility placements equal
+        those from one-row delivery means, on seeded random instances with
+        ties (gamma 0, repeated rows) and q0 = 1 rows."""
+        from d2dcache import load
+        from d2dcache.load import _build_scenario
+        from d2dcache.optimize import (
+            _integerize,
+            exhaustive_placement,
+            greedy_placement,
+            high_mobility_placement,
+            noma_delivery_mean,
+            oma_delivery_mean,
+        )
+
+        rng = np.random.default_rng(15 + (scheme is Scheme.NON_ORTHOGONAL))
+        for _ in range(40):
+            F, L = int(rng.integers(1, 9)), int(rng.integers(1, 21))
+            cfg = default_config(
+                F=F, L=L, M=int(rng.integers(0, F * L + 1)), scheme=scheme,
+                gamma=float(rng.choice([0.0, 0.6])), lam=float(10 ** rng.uniform(-1, 1)),
+                snr=float(10 ** rng.uniform(0, 4)))
+            rows = []
+            for _ in range(F):
+                kind = rng.integers(4)
+                if kind == 0 and rows:
+                    rows.append(rows[int(rng.integers(len(rows)))])
+                elif kind == 1:
+                    rows.append(np.eye(L + 1)[0])
+                else:
+                    rows.append(rng.dirichlet(np.ones(L + 1)))
+            dist = NeighborCacheDistribution(np.array(rows))
+            _build_scenario.cache_clear()
+            batched = (greedy_placement(dist, cfg)[0], exhaustive_placement(dist, cfg))
+            per_row = [from_scratch_pmf(q_i, cfg) for q_i in dist.q]
+            reference = (np.array([shortfall_from_pmf(pmf, cfg) for pmf, _, _ in per_row]),
+                         np.array([tail for _, _, tail in per_row]))
+            with monkeypatch.context() as patch:
+                patch.setattr(load, "shortfall_tables", lambda *args: reference)
+                _build_scenario.cache_clear()
+                assert greedy_placement(dist, cfg)[0] == batched[0]
+                assert exhaustive_placement(dist, cfg) == batched[1]
+            _build_scenario.cache_clear()
+            one_row = oma_delivery_mean if scheme is Scheme.ORTHOGONAL else noma_delivery_mean
+            deliveries = [one_row(q_i, cfg) for q_i in dist.q]
+            assert high_mobility_placement(scheme, dist, cfg) == Placement(
+                _integerize(np.array(deliveries), cfg), cfg)
+
+    def test_memory_does_not_grow_with_rows_beyond_the_outputs(self):
+        """Rows go through the products in blocks: from 2,000 to 10,000
+        distinct rows at L=50 the traced peak grows by at most four times the
+        (F, L+1) tables, where one (F, L+1, L+1) transition array for all
+        rows would add 51 times them."""
+        import tracemalloc
+
+        from d2dcache.load import shortfall_tables
+
+        L, peaks = 50, []
+        for F in (2_000, 10_000):
+            cfg = default_config(F=F, L=L, M=0, lam=20.0)
+            assert cfg.mean_capable == 10.0
+            dist = NeighborCacheDistribution(
+                np.random.default_rng(F).dirichlet(np.ones(L + 1), size=F))
+            link_budget_for(cfg)
+            tracemalloc.start()
+            tables, _ = shortfall_tables(dist, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert tables.shape == (F, L + 1)
+        assert peaks[1] - peaks[0] <= 4 * 8_000 * (L + 1) * 8
 
     def test_scenario_is_shared_and_read_only(self, cfg, uniform_dist):
         from d2dcache.load import scenario

@@ -146,6 +146,20 @@ class TestPoissonHelpers:
             cfg = default_config(eta=1.0, lam=float(m), mu=1.0, n_trunc_epsilon=eps)
             assert poisson_truncation(cfg) == _stats_truncation(m, eps), (m, eps)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-3])
+    def test_array_of_means_equals_one_call_per_mean(self, eps):
+        # each mean keeps its own window; 0 gives 0, and the tails match too
+        cfg = default_config(n_trunc_epsilon=eps)
+        means = np.concatenate(([0.0, 1e-12], self.MEANS[::10]))
+        n = poisson_truncation(cfg, means)
+        assert n.dtype.kind == "i"
+        assert n.tolist() == [poisson_truncation(cfg, float(m)) for m in means]
+        for shift in (-1, 0, 1):
+            tails = poisson_tail(means, n + shift)
+            assert tails.tolist() == [poisson_tail(float(m), int(k) + shift)
+                                      for m, k in zip(means, n)]
+        assert poisson_tail(0.0, -1) == 0.0 and poisson_tail(0.0, 3) == 0.0
+
 
 def test_floored_delivery_bound_at_zero_truncation_point():
     # the truncation point is 0 here, so the bound reads the tail at n = -1

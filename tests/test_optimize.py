@@ -375,6 +375,26 @@ class TestDeliveryMeans:
         assert math.isfinite(noma_delivery_mean(rows[0], default_config(lam=1e6)))
         assert built == []
 
+    @pytest.mark.parametrize("lam", [0.5, 40.0, 2e3])
+    def test_rows_in_one_call_equal_one_row_calls(self, lam):
+        # windows of different lengths and q0 = 1; a row padded with zeros
+        # past its window may be summed in another order, so the orthogonal
+        # values agree to rounding, and the rest exactly
+        from d2dcache.optimize import _floored_delivery
+
+        cfg = default_config(lam=lam)
+        rng = np.random.default_rng(int(lam))
+        rows = rng.dirichlet(np.ones(cfg.L + 1) * 0.3, size=12)
+        rows[3] = np.eye(cfg.L + 1)[0]
+        value, bound = _floored_delivery(rows, cfg)
+        assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
+        for i, q_i in enumerate(rows):
+            one_value, one_bound = _floored_delivery(q_i, cfg)
+            assert value[i] == pytest.approx(one_value, rel=1e-15, abs=0.0)
+            assert bound[i] == one_bound
+            assert noma_delivery_mean(rows, cfg)[i] == noma_delivery_mean(q_i, cfg)
+        assert value[3] == 0.0 and bound[3] == 0.0
+
     def test_constants_container(self, cfg, uniform_dist):
         hm = high_mobility_constants(uniform_dist, cfg)
         assert hm.oma_packets >= 0 and hm.noma_packets >= 0
@@ -455,7 +475,7 @@ class TestHighMobilityPlacement:
         def no_tables(*args):
             raise AssertionError("shortfall table built")
 
-        monkeypatch.setattr(load, "shortfall_table", no_tables)
+        monkeypatch.setattr(load, "delivered_packets_pmf", no_tables)
         load._build_scenario.cache_clear()
         for scheme in Scheme:
             pl = high_mobility_placement(scheme, uniform_dist, cfg)
