@@ -15,7 +15,10 @@ first zero budget, when budgets fall with u).  Budgets depend on u and the
 config only, so every distinct cache row shares one schedule: the rows are
 batched, each with its own Poisson window, and a convolution step is one
 (rows, L+1) transition-matrix product.  Bins below L equal a per-row
-construction up to rounding.
+construction up to rounding.  The same Poisson windows give each row's
+floored delivery E[u * budget(u)] and its truncation bound, which the
+scenario carries for the high-mobility placement and the Jensen-gap check;
+every Poisson window of a cache row is formed here.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ N_ENUM_MAX = 5
 class Method(Enum):
     ENUM_EXACT = "enum_exact"
     CONVOLUTION = "convolution"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -95,28 +97,6 @@ def request_load(c_i: int, d, cfg: SystemConfig, lb: LinkBudget) -> int:
     return int(max(0, cfg.L - c_i - delivered))
 
 
-def _transmitter_windows(q_i: np.ndarray, cfg: SystemConfig):
-    """Per row of q_i: the mean transmitter count, the capable users thinned
-    by P[d > 0], and the Poisson truncation point of that mean."""
-    mean = (1.0 - q_i[:, 0]) * cfg.mean_capable
-    return mean, poisson_truncation(cfg, mean)
-
-
-def _transmitter_pmfs(mean: np.ndarray, u_max: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(rows, counts.size) Poisson PMFs of the transmitter counts, each row
-    0.0 past its own truncation point, so a row's sums see its window only."""
-    pu = poisson_pmf(counts, mean[:, None])
-    pu[counts > u_max[:, None]] = 0.0
-    return pu
-
-
-def _row_blocks(rows: int, width: int):
-    """Slices of at most BLOCK_ENTRIES // width rows (one at least), so a
-    (block, width) working array stays within BLOCK_ENTRIES entries."""
-    step = max(1, BLOCK_ENTRIES // width)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 @lru_cache(maxsize=32)
 def _transition_index(L: int) -> np.ndarray:
     """Gather index of the transposed capped transition matrix from the row
@@ -155,8 +135,9 @@ def _step(power: np.ndarray, transitions: np.ndarray) -> np.ndarray:
 
 
 def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
-    """PMFs of the D2D-delivered packet count, one per cache row, and their
-    tail bounds: ``q_i`` stacks R rows (R, L+1); returns (R, L+1), (R,).
+    """PMFs of the D2D-delivered packet count, one per cache row, their tail
+    bounds, the floored deliveries and their truncation bounds: ``q_i``
+    stacks R rows (R, L+1); returns (R, L+1), (R,), (R,), (R,).
 
     Collapses the (capable-count, cache-vector) expectation: the number of
     transmitters is the capable-user Poisson thinned by P[d > 0], truncated
@@ -186,16 +167,31 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     Bin L may differ in its last bits; no shortfall table reads it, as its
     weight max(0, L - c - L) is 0.  Rows are taken in blocks of at most
     BLOCK_ENTRIES // max(U+1, (L+1)**2) rows, U the largest truncation point.
+
+    The floored delivery E[u * budget(u)] is the expected packets D2D hands
+    over per stay, floors included: the saturation level of the
+    high-mobility regime.  It reads the same pu and budgets, one np.vecdot
+    per block, so a single row is summed as np.dot sums it.  Its bound uses
+    E[u; u > U] = mean * P[u >= U] and budgets non-increasing in u, so every
+    missing term is at most budget(1) per transmitter.
     """
     L = cfg.L
-    mean, u_max = _transmitter_windows(q_i, cfg)
+    mean = (1.0 - q_i[:, 0]) * cfg.mean_capable
+    u_max = poisson_truncation(cfg, mean)
     counts = np.arange(u_max.max() + 1)
-    b = link_budget_for(cfg).budget[: counts.size]
+    budget = link_budget_for(cfg).budget
+    b = budget[: counts.size]
     silent, saturated = b == 0, b[L:] >= 1
     convolved = b[1 : min(L, counts.size)].tolist()   # budgets of u = 1..min(L, U+1)-1
+    weight = counts * b   # packets u transmitters hand over, floors included
     pmf = np.zeros((q_i.shape[0], L + 1))
-    for rows in _row_blocks(q_i.shape[0], max(counts.size, (L + 1) ** 2)):
-        pu = _transmitter_pmfs(mean[rows], u_max[rows], counts)
+    delivery = np.empty(q_i.shape[0])
+    step = max(1, BLOCK_ENTRIES // max(counts.size, (L + 1) ** 2))
+    for lo in range(0, q_i.shape[0], step):
+        rows = slice(lo, lo + step)
+        pu = poisson_pmf(counts, mean[rows, None])
+        pu[counts > u_max[rows, None]] = 0.0   # each row sums over its own window
+        delivery[rows] = np.vecdot(pu, weight)
         mixed = pmf[rows]   # a view: the block's rows of the result
         # in u order; np.sum is pairwise
         mixed[:, 0] = np.add.accumulate(pu[:, silent], axis=1)[:, -1]
@@ -213,7 +209,8 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
                     power = _step(power, transitions)
             mixed += pu[:, u, None] * power
         mixed[:, L] += pu[:, L:] @ saturated
-    return pmf, poisson_tail(mean, u_max)
+    tails = poisson_tail(mean[:, None], u_max[:, None] - [1, 0])   # P[u >= U], P[u > U]
+    return pmf, tails[:, 1], delivery, float(budget[1]) * (mean * tails[:, 0])
 
 
 def _distinct_rows(q: np.ndarray):
@@ -232,19 +229,20 @@ def _distinct_rows(q: np.ndarray):
 
 def shortfall_tables(dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Per-content shortfall tables E[(L - c - delivered)^+] for c = 0..L,
-    shape (F, L+1), plus per-content tail masses.
+    shape (F, L+1), plus per-content tail masses, floored deliveries and
+    their truncation bounds, shape (F,) each.
 
     The delivered-packet distribution does not depend on the typical user's
     own cache, so one PMF serves every cache level.  Contents with the same
     cache PMF share a table: the distinct rows of ``dist.q`` (the CLI's
     uniform caches make all F rows equal) take one batched PMF call, and the
-    tables are scattered back to the F contents.
+    results are scattered back to the F contents.
     """
     q = dist.q[: cfg.F]
     first, inverse = _distinct_rows(q)
-    pmf, tails = delivered_packets_pmf(q[first], cfg)
+    pmf, *per_row = delivered_packets_pmf(q[first], cfg)
     tables = np.vecdot(_shortfall_weights(cfg.L), pmf[:, None, :])
-    return tables[inverse], tails[inverse]
+    return tables[inverse], *(a[inverse] for a in per_row)
 
 
 @lru_cache(maxsize=32)
@@ -263,15 +261,18 @@ def link_budget_for(cfg: SystemConfig) -> LinkBudget:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Popularity, (F, L+1) shortfall tables, their tail masses and
-    the (F, L) per-packet gains ``gains[i, c]``, the load decrease from the
-    (c+1)-th packet of content i, for one (cache rows, config) pair; read-only,
-    as every caller shares it."""
+    """Popularity, (F, L+1) shortfall tables, their tail masses, the (F, L)
+    per-packet gains ``gains[i, c]``, the load decrease from the (c+1)-th
+    packet of content i, and the per-content floored deliveries
+    E[u * budget(u)] with bounds on their truncation error, for one (cache
+    rows, config) pair; read-only, as every caller shares it."""
 
     f: np.ndarray
     tables: np.ndarray
     tails: np.ndarray
     gains: np.ndarray
+    delivery: np.ndarray
+    delivery_bound: np.ndarray
 
 
 def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
@@ -284,10 +285,10 @@ def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
 @lru_cache(maxsize=8)   # small: callers reuse a scenario within one grid point
 def _build_scenario(cfg: SystemConfig, q_bytes: bytes, shape: tuple) -> Scenario:
     dist = NeighborCacheDistribution(np.frombuffer(q_bytes).reshape(shape))
-    tables, tails = shortfall_tables(dist, cfg)
+    tables, tails, delivery, bound = shortfall_tables(dist, cfg)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
-    return Scenario(f, _readonly(tables), _readonly(tails), _readonly(gains))
+    return Scenario(f, *map(_readonly, (tables, tails, gains, delivery, bound)))
 
 
 def average_load_fast(
@@ -331,7 +332,7 @@ def average_load_enum(
     lb = link_budget_for(cfg)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     mean = cfg.mean_capable
-    p_n = poisson_pmf(np.arange(n_max + 1), mean) if mean > 0 else np.array([1.0])
+    p_n = poisson_pmf(np.arange(n_max + 1), mean)
 
     per_content = np.zeros(cfg.F)
     for i in range(cfg.F):

@@ -217,14 +217,12 @@ def capable_user_pmf(cfg: SystemConfig, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    mean = cfg.mean_capable
-    if mean == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return float(poisson_pmf(n, mean))
+    return float(poisson_pmf(n, cfg.mean_capable))
 
 
 def poisson_pmf(k, mean: float):
-    """P[X = k] for X ~ Poisson(mean) > 0, elementwise over integers k >= 0.
+    """P[X = k] for X ~ Poisson(mean), mean >= 0, elementwise over integers
+    k >= 0; at mean 0 it is 1 at k = 0 and 0 elsewhere.
 
     The log-space formula scipy.stats.poisson evaluates, without its
     per-call argument checking; exp is never negative, so only the cap at 1

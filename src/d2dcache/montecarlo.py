@@ -1,10 +1,10 @@
 """End-to-end sampling of the system model, for statistical cross-validation.
 
-Draws capable-user counts, neighbor cache contents, and positions straight
-from the model's distributions and averages the resulting per-request BS
-load.  This estimates the same mean-field objective the analytic evaluators
-compute (budgets built from the expected stay time), so agreement within
-confidence intervals validates those evaluators end to end.
+Draws capable-user counts and neighbor cache contents straight from the
+model's distributions and averages the resulting per-request BS load.  This
+estimates the same mean-field objective the analytic evaluators compute
+(budgets built from the expected stay time), so agreement within confidence
+intervals validates those evaluators end to end.
 
 Trials are drawn in blocks.  Block ``b`` has its own RNG stream keyed
 ``[seed, b]`` and is always drawn at full size, then truncated to the trials
@@ -36,11 +36,10 @@ class SampledState:
 
     n: int
     d: np.ndarray          # (n, F) cached-packet counts, smallest unsigned dtype holding L
-    positions: np.ndarray  # (n,) radii in [0, radius]
     trial: np.ndarray      # (n,) int32 trial index of each neighbor
 
     def __post_init__(self):
-        for a in (self.d, self.positions, self.trial):
+        for a in (self.d, self.trial):
             a.setflags(write=False)
 
 
@@ -50,7 +49,7 @@ def sample_state(
     rng: np.random.Generator,
     trials: int = 1,
 ) -> SampledState:
-    """Draw ``trials`` neighborhoods: Poisson counts, i.i.d. caches, disc radii.
+    """Draw ``trials`` neighborhoods: Poisson counts and i.i.d. caches.
 
     Neighbors are stacked in trial order; ``trial`` maps each one to its trial.
     """
@@ -65,9 +64,8 @@ def sample_state(
             d[:, i] = np.minimum(
                 np.searchsorted(cum[i], u[:, i], side="right"), cfg.L
             )
-    positions = cfg.radius * np.sqrt(rng.random(n))
     trial = np.repeat(np.arange(trials, dtype=np.int32), counts)
-    return SampledState(n=n, d=d, positions=positions, trial=trial)
+    return SampledState(n=n, d=d, trial=trial)
 
 
 def _block_trials(cfg: SystemConfig) -> int:

@@ -7,9 +7,12 @@ convex in c_i, so greedy is exactly optimal (Federgruen & Groenevelt, 1986).
 Greedy and the high-mobility packing are one sorted selection: the M best of
 the F*L per-packet values.  The oracle is an exact min-plus DP over contents
 with a work cap.  This module also implements the brute-force
-matroid/submodularity harnesses and the entire high-mobility analysis:
-expected deliverable packet counts, the threshold closed-form placements,
-the relaxed real-valued objective, and the Jensen-gap bound check.
+matroid/submodularity harnesses and the high-mobility analysis: the
+threshold closed-form placements, the relaxed real-valued objective, the
+Jensen-gap bound check and the non-orthogonal closed-form delivery.  The
+orthogonal (floored) delivery and its truncation bound are read from the
+scenario, which forms them in ``load`` over the same Poisson windows as the
+shortfall tables.
 """
 
 from __future__ import annotations
@@ -21,15 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import _disc_terms, success_probability
-from .load import (
-    _distinct_rows,
-    _row_blocks,
-    _transmitter_pmfs,
-    _transmitter_windows,
-    average_load_fast,
-    link_budget_for,
-    scenario,
-)
+from .load import average_load_fast, delivered_packets_pmf, link_budget_for, scenario
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -37,7 +32,6 @@ from .model import (
     Scheme,
     SystemConfig,
     expected_stay_time,
-    poisson_tail,
     zipf_popularity,
 )
 
@@ -262,34 +256,10 @@ class HighMobilityConstants:
             raise ValueError("gap constants must be nonpositive")
 
 
-def _floored_delivery(q: np.ndarray, cfg: SystemConfig):
-    """E[u * budget(u)] and an upper bound on its truncation error, per row.
-
-    E[u * budget(u)] is the expected packets D2D hands over per stay, with
-    floors: the saturation level of the high-mobility regime.  Each row sums
-    over its own Poisson window, by one np.vecdot per row, so a single row (a
-    1-d ``q``, which gives floats) is summed as np.dot sums it.  The error
-    bound uses E[u; u > U] = mean * P[u >= U] and the fact that budgets are
-    non-increasing in u, so every missing term is at most budget(1) per
-    transmitter.
-    """
-    rows = np.atleast_2d(q)
-    mean, u_max = _transmitter_windows(rows, cfg)
-    budget = link_budget_for(cfg).budget
-    counts = np.arange(u_max.max() + 1)
-    weight = counts * budget[: counts.size]
-    value = np.empty(rows.shape[0])
-    for block in _row_blocks(rows.shape[0], counts.size):
-        value[block] = np.vecdot(_transmitter_pmfs(mean[block], u_max[block], counts), weight)
-    bound = float(budget[1]) * (mean * poisson_tail(mean, u_max - 1))  # P[u >= u_max]
-    if q.ndim == 1:
-        return float(value[0]), float(bound[0])
-    return value, bound
-
-
 def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
-    """Expected floored D2D delivery per stay under orthogonal access."""
-    return _floored_delivery(q_i, cfg.with_scheme(Scheme.ORTHOGONAL))[0]
+    """Expected floored D2D delivery per stay under orthogonal access,
+    E[u * budget(u)]: entry 0 of a one-row delivered_packets_pmf call."""
+    return float(delivered_packets_pmf(q_i[None], cfg.with_scheme(Scheme.ORTHOGONAL))[2][0])
 
 
 def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
@@ -343,14 +313,13 @@ def high_mobility_constants(
 
 
 def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
-    """Per-content deliverable counts under the scheme, one call over the
-    distinct cache rows."""
+    """Per-content deliverable counts under the scheme: the scenario's
+    floored deliveries under orthogonal access, one closed-form call over the
+    F cache rows under non-orthogonal access."""
     cfg = cfg.with_scheme(scheme)
-    q = dist.q[: cfg.F]
-    first, inverse = _distinct_rows(q)
     if cfg.scheme is Scheme.NON_ORTHOGONAL:
-        return noma_delivery_mean(q[first], cfg)[inverse]
-    return _floored_delivery(q[first], cfg)[0][inverse]
+        return noma_delivery_mean(dist.q[: cfg.F], cfg)
+    return scenario(dist, cfg).delivery
 
 
 def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarray:
@@ -454,13 +423,10 @@ def jensen_gap_check(
     """
     cfg = cfg.with_scheme(scheme)
     s = scenario(dist, cfg)
-    q = dist.q[: cfg.F]
-    first, inverse = _distinct_rows(q)
-    delivery, error = (a[inverse] for a in _floored_delivery(q[first], cfg))
-    composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - delivery)))
+    composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - s.delivery)))
     evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
     bound = expected_stay_time(cfg) * abs(_gap_constant(cfg))
     # both sides of the gap carry surfaced truncation error; allow for it
-    slack = 1e-9 + evaluation.truncation_bound + float(np.dot(s.f, error))
+    slack = 1e-9 + evaluation.truncation_bound + float(np.dot(s.f, s.delivery_bound))
     return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack))

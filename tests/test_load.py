@@ -106,7 +106,7 @@ def one_table(q_i, cfg):
     """The shortfall table and tail of one cache row, through shortfall_tables."""
     from d2dcache.load import shortfall_tables
 
-    tables, tails = shortfall_tables(NeighborCacheDistribution(q_i[None]), cfg)
+    tables, tails, _, _ = shortfall_tables(NeighborCacheDistribution(q_i[None]), cfg)
     return tables[0], tails[0]
 
 
@@ -302,7 +302,7 @@ class TestSharedWork:
         built = []
         monkeypatch.setattr(load, "delivered_packets_pmf",
                             lambda q_i, *args: built.append(q_i) or delivered_packets_pmf(q_i, *args))
-        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
+        tables, tails, _, _ = shortfall_tables(NeighborCacheDistribution(q), cfg)
         # one batched call over the distinct rows, in order of first appearance
         assert len(built) == 1 and np.array_equal(built[0], np.array([a, b, c]))
         pairs = [one_table(q_i, cfg) for q_i in q]
@@ -324,7 +324,7 @@ class TestSharedWork:
         steps_taken = []
         monkeypatch.setattr(load, "_step",
                             lambda *args: steps_taken.append(1) or _step(*args))
-        pmf, tail = delivered_packets_pmf(q_i[None], cfg)
+        pmf, tail, _, _ = delivered_packets_pmf(q_i[None], cfg)
         pmf, tail = pmf[0], tail[0]
         assert np.array_equal(pmf[:-1], reference[:-1])
         # bin L gathers the saturated mass in another order; no table reads it
@@ -385,7 +385,7 @@ class TestSharedWork:
         calls = []
         monkeypatch.setattr(load, "_step",
                             lambda *args: calls.append(1) or _step(*args))
-        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
+        tables, tails, _, _ = shortfall_tables(NeighborCacheDistribution(q), cfg)
         assert 0 < len(calls) <= cfg.L * (cfg.L - 1) // 2
         limit = np.arange(cfg.L, -1, -1)
         # the log-space Poisson terms of the transmitter counts lose mass at
@@ -399,9 +399,12 @@ class TestSharedWork:
         """Random configs and cache rows, with repeated rows and q0 = 1, in
         one batched call: each row's truncation point and tail equal the
         per-row ones exactly, its PMF bins below L equal the per-row np.convolve
-        construction within 1e-14 and so its table within L * 1e-14, and equal
-        rows get bit-equal tables."""
-        from d2dcache.load import _transmitter_windows, delivered_packets_pmf, shortfall_tables
+        construction within 1e-14 and so its table within L * 1e-14, its
+        floored delivery equals the sum over its own window within 1e-13
+        relative and its delivery bound is exact, and equal rows get
+        bit-equal tables."""
+        from d2dcache.load import delivered_packets_pmf, shortfall_tables
+        from d2dcache.model import poisson_pmf, poisson_tail
 
         L = data.draw(st.integers(1, 20), label="L")
         F = data.draw(st.integers(1, 4), label="F")
@@ -424,12 +427,16 @@ class TestSharedWork:
                 w = np.array(data.draw(weights, label="weights")) + 1e-3
                 rows.append(w / w.sum())
         q = np.array(rows)
-        tables, tails = shortfall_tables(NeighborCacheDistribution(q), cfg)
-        pmf, _ = delivered_packets_pmf(q, cfg)
-        _, u_max = _transmitter_windows(q, cfg)
+        tables, tails, delivery, bound = shortfall_tables(NeighborCacheDistribution(q), cfg)
+        pmf = delivered_packets_pmf(q, cfg)[0]
+        budget = link_budget_for(cfg).budget
         for i, q_i in enumerate(q):
             reference, ref_u_max, ref_tail = from_scratch_pmf(q_i, cfg)
-            assert u_max[i] == ref_u_max
+            mean = (1.0 - q_i[0]) * cfg.mean_capable
+            u = np.arange(ref_u_max + 1)
+            assert delivery[i] == pytest.approx(
+                np.dot(poisson_pmf(u, mean), u * budget[u]), rel=1e-13, abs=0.0)
+            assert bound[i] == float(budget[1]) * (mean * poisson_tail(mean, ref_u_max - 1))
             assert tails[i] == ref_tail
             assert np.all(np.abs(pmf[i, :-1] - reference[:-1]) <= 1e-14)
             assert np.all(np.abs(tables[i] - shortfall_from_pmf(reference, cfg)) <= L * 1e-14)
@@ -476,8 +483,10 @@ class TestSharedWork:
             _build_scenario.cache_clear()
             batched = (greedy_placement(dist, cfg)[0], exhaustive_placement(dist, cfg))
             per_row = [from_scratch_pmf(q_i, cfg) for q_i in dist.q]
+            # greedy and the DP read no delivery: the batched ones stand in
             reference = (np.array([shortfall_from_pmf(pmf, cfg) for pmf, _, _ in per_row]),
-                         np.array([tail for _, _, tail in per_row]))
+                         np.array([tail for _, _, tail in per_row]),
+                         *load.shortfall_tables(dist, cfg)[2:])
             with monkeypatch.context() as patch:
                 patch.setattr(load, "shortfall_tables", lambda *args: reference)
                 _build_scenario.cache_clear()
@@ -506,9 +515,11 @@ class TestSharedWork:
                 np.random.default_rng(F).dirichlet(np.ones(L + 1), size=F))
             link_budget_for(cfg)
             tracemalloc.start()
-            tables, _ = shortfall_tables(dist, cfg)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            try:
+                tables = shortfall_tables(dist, cfg)[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
             assert tables.shape == (F, L + 1)
         assert peaks[1] - peaks[0] <= 4 * 8_000 * (L + 1) * 8
 
@@ -519,7 +530,8 @@ class TestSharedWork:
         # an equal config and equal cache rows hit the same entry
         assert scenario(NeighborCacheDistribution(uniform_dist.q.copy()),
                         default_config()) is s
-        for array in (s.f, s.tables, s.tails, s.gains, link_budget_for(cfg).budget):
+        for array in (s.f, s.tables, s.tails, s.gains, s.delivery, s.delivery_bound,
+                      link_budget_for(cfg).budget):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             s.tables[0, 0] = 1.0

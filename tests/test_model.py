@@ -25,8 +25,8 @@ from d2dcache import (
     poisson_truncation,
     zipf_popularity,
 )
+from d2dcache.load import scenario
 from d2dcache.model import poisson_pmf, poisson_tail
-from d2dcache.optimize import _floored_delivery
 
 # Frozen by an independent 40-digit mpmath script: i**-0.6 summed over i=1..5.
 ZIPF_5_06 = [
@@ -128,7 +128,8 @@ class TestPoissonHelpers:
     MEANS = np.exp(np.random.default_rng(5).uniform(np.log(1e-3), np.log(1e6), 2000))
 
     def test_pmf_bit_equal_to_scipy_stats(self):
-        for m in self.MEANS:
+        # mean 0 too: 1 at k = 0 and 0 elsewhere, as scipy.stats gives it
+        for m in np.concatenate(([0.0], self.MEANS)):
             around = np.floor(m + math.sqrt(m) * np.linspace(-8, 8, 33))
             k = np.unique(np.concatenate([np.arange(10), np.maximum(around, 0)])).astype(int)
             assert np.array_equal(poisson_pmf(k, m), stats.poisson.pmf(k, m)), m
@@ -171,9 +172,10 @@ def test_floored_delivery_bound_at_zero_truncation_point():
     placement = Placement([1] * cfg.F, cfg)
     for scheme in Scheme:
         scfg = cfg.with_scheme(scheme)
-        value, bound = _floored_delivery(q_i, scfg)
-        assert value == 0.0
-        assert math.isfinite(bound) and bound == packet_budget(1, scfg) * mean
+        s = scenario(dist, scfg)
+        assert np.all(s.delivery == 0.0)
+        assert math.isfinite(s.delivery_bound[0])
+        assert np.all(s.delivery_bound == packet_budget(1, scfg) * mean)
         assert jensen_gap_check(placement, scheme, dist, cfg).ok
 
 

@@ -71,12 +71,6 @@ class TestSampleState:
         assert state.d.shape == (state.n, cfg.F)
         assert np.array_equal(np.bincount(state.trial, minlength=50), counts)
 
-    def test_positions_within_disc(self, cfg, uniform_dist):
-        rng = np.random.default_rng(12)
-        state = sample_state(uniform_dist, default_config(lam=20.0), rng)
-        assert np.all(state.positions >= 0)
-        assert np.all(state.positions <= cfg.radius)
-
 
 class TestEstimateAverageLoad:
     def test_exact_without_arrivals(self):

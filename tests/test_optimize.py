@@ -380,16 +380,18 @@ class TestDeliveryMeans:
         # windows of different lengths and q0 = 1; a row padded with zeros
         # past its window may be summed in another order, so the orthogonal
         # values agree to rounding, and the rest exactly
-        from d2dcache.optimize import _floored_delivery
+        from d2dcache.load import delivered_packets_pmf
 
-        cfg = default_config(lam=lam)
+        cfg = default_config(F=12, lam=lam)
         rng = np.random.default_rng(int(lam))
         rows = rng.dirichlet(np.ones(cfg.L + 1) * 0.3, size=12)
         rows[3] = np.eye(cfg.L + 1)[0]
-        value, bound = _floored_delivery(rows, cfg)
+        s = scenario(NeighborCacheDistribution(rows), cfg)
+        value, bound = s.delivery, s.delivery_bound
         assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
         for i, q_i in enumerate(rows):
-            one_value, one_bound = _floored_delivery(q_i, cfg)
+            one_value = oma_delivery_mean(q_i, cfg)
+            one_bound = delivered_packets_pmf(q_i[None], cfg)[3][0]
             assert value[i] == pytest.approx(one_value, rel=1e-15, abs=0.0)
             assert bound[i] == one_bound
             assert noma_delivery_mean(rows, cfg)[i] == noma_delivery_mean(q_i, cfg)
@@ -468,8 +470,8 @@ class TestHighMobilityPlacement:
                 assert pl.c.max() <= _math.ceil(cfg.L - delivery)
 
     def test_builds_no_shortfall_table(self, cfg, uniform_dist, monkeypatch):
-        # the deliverable counts read the link budget only, also when the
-        # config's own scheme differs from the placement's
+        # the non-orthogonal deliverable counts are a closed form over the
+        # quadrature nodes, also when the config's own scheme differs
         from d2dcache import load
 
         def no_tables(*args):
@@ -477,9 +479,30 @@ class TestHighMobilityPlacement:
 
         monkeypatch.setattr(load, "delivered_packets_pmf", no_tables)
         load._build_scenario.cache_clear()
-        for scheme in Scheme:
-            pl = high_mobility_placement(scheme, uniform_dist, cfg)
+        for c in (cfg, cfg.with_scheme(Scheme.NON_ORTHOGONAL)):
+            pl = high_mobility_placement(Scheme.NON_ORTHOGONAL, uniform_dist, c)
             assert pl.c.sum() <= cfg.M
+
+    def test_orthogonal_delivery_is_read_from_the_greedy_scenario(self, cfg, uniform_dist,
+                                                                 monkeypatch):
+        # the orthogonal deliverable counts come with the shortfall tables,
+        # so a placement after greedy on the same (rows, config) forms no
+        # further Poisson window
+        from d2dcache import load, optimize
+        from d2dcache.optimize import _integerize
+
+        assert cfg.scheme is Scheme.ORTHOGONAL
+        expected = Placement(_integerize(oma_delivery_mean(uniform_dist.q[0], cfg), cfg), cfg)
+        load._build_scenario.cache_clear()
+        greedy_placement(uniform_dist, cfg)
+        calls = []
+        for module, name in ((load, "delivered_packets_pmf"), (optimize, "delivered_packets_pmf"),
+                             (load, "poisson_truncation")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, f=original, n=name: calls.append(n) or f(*args))
+        assert high_mobility_placement(Scheme.ORTHOGONAL, uniform_dist, cfg) == expected
+        assert calls == []
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_repeated_rows_match_per_row(self, cfg, scheme):
