@@ -64,10 +64,13 @@ def interference_factor(r: float, cfg: SystemConfig) -> float:
 @lru_cache(maxsize=8)   # small: a grid point uses one config per scheme
 def _disc_terms(cfg: SystemConfig):
     """Read-only outer nodes r, weights w, noise factor and interference factor
-    beta at each node: every part of the success probability but the power u-1."""
+    beta at each node: every part of the success probability but the power u-1.
+    beta is a mean of terms <= 1; clamped at 1 against rounding, every
+    beta**(u-1) and so every success probability is non-increasing in u."""
     r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
     noise = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr)
-    return r, w, _readonly(noise), _readonly(_interference_factor_at(r, cfg))
+    beta = np.minimum(_interference_factor_at(r, cfg), 1.0)
+    return r, w, _readonly(noise), _readonly(beta)
 
 
 def success_probability(u, cfg: SystemConfig):
@@ -173,10 +176,11 @@ def packet_budget(u, cfg: SystemConfig):
 @dataclass(frozen=True)
 class LinkBudget:
     """Per-u packet budgets, indexed directly by u; index 0 is a sentinel
-    (no transmitter: budget 0) so that ``budget[u]`` reads naturally."""
+    (no transmitter: budget 0) so that ``budget[u]`` reads naturally.  The
+    budgets never rise with u, under either scheme, so the zero budgets
+    form a suffix."""
 
     budget: np.ndarray
-    scheme: Scheme
 
     @property
     def u_max(self) -> int:
@@ -186,8 +190,8 @@ class LinkBudget:
         b = _readonly(self.budget)[1:]
         if np.any(b < 0):
             raise ValueError("packet budgets must be nonnegative")
-        if self.scheme is Scheme.ORTHOGONAL and np.any(np.diff(b) > 0):
-            raise ValueError("orthogonal packet budget must be non-increasing in u")
+        if np.any(np.diff(b) > 0):
+            raise ValueError("packet budget must be non-increasing in u")
 
 
 def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
@@ -196,4 +200,4 @@ def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
     budget = np.concatenate(([0], packet_budget(np.arange(1, u_max + 1), cfg)))
-    return LinkBudget(budget=budget, scheme=cfg.scheme)
+    return LinkBudget(budget=budget)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, fields, replace
 from functools import lru_cache
 from typing import get_type_hints
 
@@ -135,30 +135,6 @@ def write_csv(out_path: str, rows: list[str]):
             fh.write(row + "\n")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One experiment grid: an axis, its values, and what to run per point."""
-
-    axis: str
-    values: tuple
-    methods: tuple
-    schemes: tuple
-
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not self.values:
-            raise ConfigError("sweep needs at least one axis value")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("axis values must be finite")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ConfigError("axis values must be strictly increasing")
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
-        if not self.schemes or any(s not in SCHEMES for s in self.schemes):
-            raise ConfigError(f"schemes must be a non-empty subset of {tuple(SCHEMES)}")
-
-
 def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
     try:
         if axis == "snr_db":
@@ -178,25 +154,29 @@ def _placement_for(method: str, scheme: Scheme, dist, cfg):
     return greedy_placement(dist, cfg)[0]   # greedy and monte_carlo
 
 
-def sweep_rows(spec: SweepSpec, base: SystemConfig, seed: int, trials: int):
-    """Rows for every (value, scheme, method) grid point, in grid order."""
-    dist = NeighborCacheDistribution.uniform(base.F, base.L)
-    rows = []
-    for vi, value in enumerate(spec.values):
-        for si, sname in enumerate(spec.schemes):
+def sweep_rows(axis: str, points, methods, schemes, seed: int, trials: int):
+    """(CSV row, placement) of every (value, scheme, method) grid point, in
+    grid order; ``points`` are (axis value, config) pairs.  No axis changes
+    F or L, so one uniform cache PMF serves every point."""
+    first = points[0][1]
+    dist = NeighborCacheDistribution.uniform(first.F, first.L)
+    grid = []
+    for vi, (value, point) in enumerate(points):
+        for si, sname in enumerate(schemes):
             scheme = SCHEMES[sname]
-            cfg = apply_axis(base, spec.axis, value).with_scheme(scheme)
-            for method in spec.methods:
+            cfg = point.with_scheme(scheme)
+            for method in methods:
                 placement = _placement_for(method, scheme, dist, cfg)
                 if method == "monte_carlo":
-                    point_seed = seed + 1_000_003 * (vi * len(spec.schemes) + si)
+                    point_seed = seed + 1_000_003 * (vi * len(schemes) + si)
                     load, _ = estimate_average_load(placement, dist, cfg, trials, point_seed)
                     bound = 0.0
                 else:
                     ev = average_load_fast(placement, dist, cfg)
                     load, bound = ev.total, ev.truncation_bound
-                rows.append(_row(spec.axis, value, sname, method, load, cfg.L, bound, seed))
-    return rows
+                row = _row(axis, value, sname, method, load, cfg.L, bound, seed)
+                grid.append((row, placement))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +277,6 @@ def _parse_placement(text: str, cfg: SystemConfig) -> Placement:
         raise ConfigError(f"bad --placement {text!r}: {exc}") from exc
 
 
-def _parse_schemes(text: str) -> tuple:
-    schemes = tuple(SCHEMES) if text == "both" else tuple(p.strip() for p in text.split(","))
-    if any(s not in SCHEMES for s in schemes):
-        raise ConfigError(f"schemes must be 'both' or a subset of {tuple(SCHEMES)}: {text!r}")
-    return schemes
-
-
 @lru_cache(maxsize=1)   # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -368,54 +341,51 @@ def main(argv=None) -> int:
             print(f"load={_fmt(ev.total)} normalized={_fmt(ev.total / cfg.L)}")
             return 0
 
+        # optimize and sweep share one grid loop; Monte Carlo places nothing
+        allowed = METHODS if args.command == "sweep" else METHODS[:-1]
+        methods = tuple(args.methods.split(","))
+        if any(m not in allowed for m in methods):
+            raise ConfigError(f"methods must be a subset of {allowed}, got {args.methods!r}")
+        schemes = tuple(SCHEMES) if args.schemes == "both" else tuple(
+            s.strip() for s in args.schemes.split(","))
+        if any(s not in SCHEMES for s in schemes):
+            raise ConfigError(f"schemes must be 'both' or a subset of {tuple(SCHEMES)}: "
+                              f"{args.schemes!r}")
         if args.command == "optimize":
-            methods = tuple(args.methods.split(","))
-            bad = [m for m in methods if m not in METHODS or m == "monte_carlo"]
-            if bad:
-                raise ConfigError(f"cannot optimize with methods {bad}")
-            schemes = _parse_schemes(args.schemes)
-            dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
-            rows, extra = [], []
-            for sname in schemes:
-                scheme = SCHEMES[sname]
-                scfg = cfg.with_scheme(scheme)
-                for method in methods:
-                    placement = _placement_for(method, scheme, dist, scfg)
-                    ev = average_load_fast(placement, dist, scfg)
-                    rows.append(_row("snr_db", 10 * np.log10(cfg.snr), sname,
-                                     method, ev.total, cfg.L,
-                                     ev.truncation_bound, args.seed))
-                    counts = ",".join(str(x) for x in placement.c)
-                    extra.append(f"placement_{method}_{sname}={counts}")
-                    print(f"{sname:15s} {method:13s} load={_fmt(ev.total)} "
-                          f"placement=[{counts}]")
-            write_csv(out, rows)
-            write_manifest(out, cfg, args.seed, "optimize", extra)
-            return 0
+            # one point of the snr_db grid: the parsed config itself, since
+            # rebuilding it from the dB value could move snr in its last bit
+            axis, points, trials = "snr_db", [(10 * np.log10(cfg.snr), cfg)], None
+        else:
+            if args.trials < 1:
+                raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+            try:
+                values = [float(v) for v in args.values.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
+            if not np.all(np.isfinite(values)) or any(np.diff(values) <= 0):
+                raise ConfigError(f"--values must be finite and increasing: {args.values!r}")
+            axis, trials = args.axis, args.trials
+            points = [(v, apply_axis(cfg, axis, v)) for v in values]
+        grid = sweep_rows(axis, points, methods, schemes, args.seed, trials)
+        write_csv(out, [row for row, _ in grid])
 
-        # sweep
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-        try:
-            values = tuple(float(v) for v in args.values.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
-        spec = SweepSpec(
-            axis=args.axis,
-            values=values,
-            methods=tuple(args.methods.split(",")),
-            schemes=_parse_schemes(args.schemes),
-        )
-        rows = sweep_rows(spec, cfg, args.seed, args.trials)
-        write_csv(out, rows)
-        write_manifest(out, cfg, args.seed, "sweep", [
-            f"axis={spec.axis}",
-            "values=" + ",".join(_fmt(v) for v in spec.values),
-            "methods=" + ",".join(spec.methods),
-            "schemes=" + ",".join(spec.schemes),
-            f"trials={args.trials}",
-        ])
-        print(f"wrote {len(rows)} rows to {out}")
+        if args.command == "sweep":
+            write_manifest(out, cfg, args.seed, "sweep", [
+                f"axis={axis}",
+                "values=" + ",".join(_fmt(v) for v, _ in points),
+                "methods=" + ",".join(methods),
+                "schemes=" + ",".join(schemes),
+                f"trials={trials}",
+            ])
+            print(f"wrote {len(grid)} rows to {out}")
+            return 0
+        extra = []
+        for row, placement in grid:
+            _, _, sname, method, load = row.split(",")[:5]
+            counts = ",".join(str(x) for x in placement.c)
+            extra.append(f"placement_{method}_{sname}={counts}")
+            print(f"{sname:15s} {method:13s} load={load} placement=[{counts}]")
+        write_manifest(out, cfg, args.seed, "optimize", extra)
         return 0
 
     except (ConfigError, CapacityError) as exc:

@@ -9,16 +9,17 @@ oracle, feasible only for small truncation points) and a collapsed
 thinned-Poisson + capped-convolution evaluator (the fast path, exact up to
 the same truncation).  The fast path convolves only where delivery is
 uncertain: u transmitters with budget 0 deliver nothing, and u >= L with
-budget >= 1 deliver at least L packets, whose bin no shortfall table reads;
-so only u < L with budget >= 1 takes convolutions (u < min(L, u0), u0 the
-first zero budget, when budgets fall with u).  Budgets depend on u and the
-config only, so every distinct cache row shares one schedule: the rows are
-batched, each with its own Poisson window, and a convolution step is one
-(rows, L+1) transition-matrix product.  Bins below L equal a per-row
-construction up to rounding.  The same Poisson windows give each row's
-floored delivery E[u * budget(u)] and its truncation bound, which the
-scenario carries for the high-mobility placement and the Jensen-gap check;
-every Poisson window of a cache row is formed here.
+budget >= 1 deliver at least L packets, whose bin no shortfall table reads.
+Budgets never rise with u under either scheme, so the silent counts are
+exactly u >= u0, u0 the first zero budget, and only u < min(L, u0) takes
+convolutions.  Budgets depend on u and the config only, so every distinct
+cache row shares one schedule: the rows are batched, each with its own
+Poisson window, and a convolution step is one (rows, L+1) transition-matrix
+product.  Bins below L equal a per-row construction up to rounding.  The
+same Poisson windows give each row's floored delivery E[u * budget(u)] and
+its truncation bound, which the scenario carries for the high-mobility
+placement and the Jensen-gap check; every Poisson window of a cache row is
+formed here.
 """
 
 from __future__ import annotations
@@ -148,17 +149,16 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
 
     Each transmitter count u falls in one of three ranges:
 
-    - silent, budget[u] == 0: nothing is delivered, so pu[u] goes to bin 0;
+    - silent, u >= u0, the first zero budget: nothing is delivered, so
+      pu[u] goes to bin 0;
     - saturated, u >= L and budget[u] >= 1: each transmitter delivers at
       least one packet, so pu[u] goes to bin L;
-    - the rest, u < L with budget[u] >= 1: a capped u-fold convolution, as
+    - the rest, u < min(L, u0): a capped u-fold convolution, as
       products of the per-transmitter transition matrices, carried over from
       u-1 while the budget stays the same and rebuilt where it steps, so at
       most L*(L-1)/2 products whatever the mean.  The budgets depend on u
       and the config only, so all rows share one schedule of products.
 
-    LinkBudget enforces non-increasing budgets only under orthogonal access,
-    so a power is carried only from a u-1 convolved with the same budget.
     Bin 0 is pu[0] plus the silent pu[u] summed in u order, exactly as a
     per-u construction sums them: past a row's window its pu is 0.0, and a
     product's bin 0 is 0.0.  The bins below L add the same products as
@@ -182,7 +182,8 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     budget = link_budget_for(cfg).budget
     b = budget[: counts.size]
     silent, saturated = b == 0, b[L:] >= 1
-    convolved = b[1 : min(L, counts.size)].tolist()   # budgets of u = 1..min(L, U+1)-1
+    convolved = b[1 : min(L, counts.size)]   # budgets of u = 1..min(L, U+1)-1
+    convolved = convolved[convolved > 0].tolist()   # and u < u0: zeros are a suffix
     weight = counts * b   # packets u transmitters hand over, floors included
     pmf = np.zeros((q_i.shape[0], L + 1))
     delivery = np.empty(q_i.shape[0])
@@ -198,8 +199,6 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
         # packet-count PMF of a transmitter, on 1..L; 0, not NaN, where q0 = 1
         cond = q_i[rows, 1:] / np.maximum(1.0 - q_i[rows, :1], _TINY)
         for u, b_u in enumerate(convolved, start=1):
-            if b_u == 0:
-                continue
             if u > 1 and b_u == convolved[u - 2]:
                 power = _step(power, transitions)
             else:

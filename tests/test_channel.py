@@ -300,9 +300,24 @@ class TestLinkBudget:
 
     def test_p_succ_non_increasing_noma(self):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, snr=1e4)
-        p = success_probability(np.arange(1, 11), cfg)
+        p = success_probability(np.arange(1, 3001), cfg)
         assert np.all(p >= 0) and np.all(p <= 1)
-        assert np.all(np.diff(p) <= 1e-12)
+        assert np.all(np.diff(p) <= 0)
+
+    def test_beta_above_one_is_clamped(self, monkeypatch):
+        # a mean of terms <= 1 may round above 1; clamped, no power
+        # beta**(u-1), and so no non-orthogonal budget, rises with u
+        from d2dcache import channel
+
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, quad_nodes=8)
+        monkeypatch.setattr(channel, "_interference_factor_at",
+                            lambda r, c: np.full(r.shape, 1.0 + 2.0**-52))
+        _disc_terms.cache_clear()
+        try:
+            beta = _disc_terms(cfg)[3]
+        finally:
+            _disc_terms.cache_clear()
+        assert np.all(beta == 1.0)
 
     def test_budget_non_increasing_orthogonal(self):
         lb = build_link_budget(default_config(snr=1e4), 10)
@@ -337,6 +352,6 @@ class TestLinkBudget:
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
-            LinkBudget(budget=np.array([0, 1, 2]), scheme=Scheme.ORTHOGONAL)
+            LinkBudget(budget=np.array([0, 1, 2]))
         with pytest.raises(ValueError):
-            LinkBudget(budget=np.array([0, -1]), scheme=Scheme.NON_ORTHOGONAL)
+            LinkBudget(budget=np.array([0, -1]))

@@ -6,7 +6,6 @@ from d2dcache import Scheme, default_config, zipf_popularity
 from d2dcache.cli import (
     CSV_HEADER,
     ConfigError,
-    SweepSpec,
     _suite_quadrature_vs_mc,
     build_parser,
     main,
@@ -17,8 +16,9 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 DEFAULT_CFG = str(REPO / "demos" / "default.cfg")
 
-# The README's four commands, plus optimize with every method.  Their golden
-# outputs were written by running each command alone in a fresh process.
+# The README's four commands, optimize with every method, and a Monte Carlo
+# sweep over mu, which pins each grid point's seed.  Their golden outputs were
+# written by running each command alone in a fresh process.
 README_RUNS = {
     "eval": ["eval", "--config", DEFAULT_CFG, "--placement", "5,0,0,0,0",
              "--out", "eval.csv"],
@@ -30,6 +30,9 @@ README_RUNS = {
     "validate": ["validate", "--config", DEFAULT_CFG],
     "optimize_all": ["optimize", "--config", DEFAULT_CFG,
                      "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both"],
+    "sweep_mc": ["sweep", "--config", DEFAULT_CFG, "--axis", "mu", "--values", "1,4",
+                 "--methods", "greedy,monte_carlo,high_mobility", "--schemes", "both",
+                 "--trials", "500", "--seed", "9", "--out", "sweep_mc.csv"],
 }
 
 GOOD_CONFIG = """\
@@ -104,25 +107,23 @@ class TestParseConfig:
             parse_config(str(path))
 
 
-class TestSweepSpec:
-    def test_valid(self):
-        SweepSpec(axis="snr_db", values=(0.0, 10.0), methods=("greedy",),
-                  schemes=("orthogonal",))
+class TestGridInputs:
+    def test_unknown_axis_is_an_argparse_error(self, tmp_path, config_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", config_path, "--axis", "power", "--values", "1",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("kw", [
-        dict(axis="power"),
-        dict(values=()),
-        dict(values=(10.0, 0.0)),
-        dict(methods=("annealing",)),
-        dict(methods=()),
-        dict(schemes=("fdma",)),
-    ])
-    def test_invalid(self, kw):
-        base = dict(axis="snr_db", values=(0.0, 10.0), methods=("greedy",),
-                    schemes=("orthogonal",))
-        base.update(kw)
-        with pytest.raises(ConfigError):
-            SweepSpec(**base)
+    def test_optimize_is_one_point_of_the_snr_sweep(self, tmp_path, monkeypatch):
+        # demos/default.cfg sets snr_db=20, so both commands evaluate one point
+        monkeypatch.chdir(tmp_path)
+        common = ["--config", DEFAULT_CFG, "--methods", "greedy,exhaustive,high_mobility",
+                  "--schemes", "both"]
+        assert main(["optimize", *common, "--out", "opt.csv"]) == 0
+        assert main(["sweep", "--axis", "snr_db", "--values", "20", *common,
+                     "--out", "sweep.csv"]) == 0
+        assert (tmp_path / "opt.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
 
 
 class TestEvalCommand:
@@ -197,6 +198,17 @@ class TestSweepCommand:
         ["sweep", "--axis", "snr_db", "--values", "10", "--methods", "monte_carlo",
          "--seed", "-1"],
         ["validate", "--seed", "-5"],
+        pytest.param(["sweep", "--axis", "snr_db", "--values", "0,10", "--methods", ""],
+                     id="empty_methods"),
+        pytest.param(["sweep", "--axis", "snr_db", "--values", "0,10",
+                      "--methods", "annealing"], id="unknown_method"),
+        pytest.param(["optimize", "--methods", "greedy,annealing"],
+                     id="optimize_unknown_method"),
+        pytest.param(["sweep", "--axis", "snr_db", "--values", "0,10", "--schemes", "fdma"],
+                     id="unknown_scheme"),
+        pytest.param(["sweep", "--axis", "snr_db", "--values", ""], id="empty_values"),
+        pytest.param(["sweep", "--axis", "snr_db", "--values", "10,0"],
+                     id="decreasing_values"),
     ])
     def test_bad_input_is_one_line_on_stderr(self, args, tmp_path, config_path, capsys):
         # validate writes no CSV and takes no --out

@@ -61,10 +61,10 @@ def saturating_convolve(dist, pmf, cap):
     return out
 
 
-def from_scratch_pmf(q_i, cfg, budget=None):
+def from_scratch_pmf(q_i, cfg):
     """The delivered-packet PMF of one content with every u-fold convolution
     power built from scratch per u by np.convolve, its truncation point and
-    its tail mass; ``budget`` defaults to the config's link budget."""
+    its tail mass."""
     from scipy import stats
     from d2dcache.model import poisson_tail
 
@@ -74,8 +74,7 @@ def from_scratch_pmf(q_i, cfg, budget=None):
         reference[0] = 1.0
         return reference, 0, 0.0
     u_max = poisson_truncation(cfg, mean)
-    if budget is None:
-        budget = link_budget_for(cfg).budget
+    budget = link_budget_for(cfg).budget
     pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
     cond = q_i[1:] / (1.0 - q_i[0])
     reference[0] = pu[0]
@@ -355,22 +354,11 @@ class TestSharedWork:
         # the silent counts carry most of the mass here
         assert table[0] > 0.5 * cfg.L
 
-    def test_budget_that_rises_again_is_rebuilt(self, monkeypatch):
-        """Non-orthogonal budgets are not checked for monotonicity: a budget
-        that comes back after a silent count is rebuilt, not carried over,
-        and silent and saturated counts may alternate."""
-        from d2dcache import load
-
-        cfg = default_config(F=1, L=6, M=0, lam=8.0, scheme=Scheme.NON_ORTHOGONAL)
-        u_max = poisson_truncation(cfg)
-        budget = np.array([0, 2, 0, 2, 2, 3] + [1, 0] * u_max)[: u_max + 1]
-        lb = LinkBudget(budget=budget, scheme=cfg.scheme)
-        monkeypatch.setattr(load, "link_budget_for", lambda _: lb)
-        q_i = np.array([0.2, 0.1, 0.3, 0.1, 0.1, 0.1, 0.1])
-        reference, _, ref_tail = from_scratch_pmf(q_i, cfg, budget)
-        table, tail = one_table(q_i, cfg)
-        assert np.array_equal(table, shortfall_from_pmf(reference, cfg))
-        assert tail == ref_tail
+    def test_budget_that_rises_again_is_refused(self):
+        """Budgets never rise with u under either scheme, so a budget that
+        comes back after a silent count cannot reach the evaluators."""
+        with pytest.raises(ValueError, match="non-increasing"):
+            LinkBudget(budget=np.array([0, 2, 0, 2, 2, 3, 1, 0]))
 
     def test_table_at_mean_5e5_is_its_limit_within_bounded_work(self, monkeypatch):
         """At mean 5e5 nearly all the mass lies past the first zero budget, so
