@@ -11,10 +11,12 @@ from d2dcache import (
     Scheme,
     average_load_fast,
     default_config,
+    expected_stay_time,
+    gap_constant,
     greedy_placement,
-    high_mobility_constants,
     high_mobility_placement,
     jensen_gap_check,
+    per_content_delivery,
 )
 
 dist = NeighborCacheDistribution.uniform(5, 5)
@@ -22,10 +24,11 @@ dist = NeighborCacheDistribution.uniform(5, 5)
 print("-- per-stay deliverable packets and gap constants (snr = 40 dB) --")
 for mu in (1.0, 5.0, 20.0):
     cfg = default_config(mu=mu, snr=1e4)
-    hm = high_mobility_constants(dist, cfg)
-    print(f"mu={mu:4.1f}: deliverable oma={hm.oma_packets:.4f} "
-          f"noma={hm.noma_packets:.4f}  stay={hm.stay_time:.3f}  "
-          f"gap consts ({hm.oma_gap_constant:.2f}, {hm.noma_gap_constant:.2f})")
+    oma, noma = (per_content_delivery(scheme, dist, cfg)[0] for scheme in Scheme)
+    c_oma, c_noma = (gap_constant(cfg.with_scheme(scheme)) for scheme in Scheme)
+    print(f"mu={mu:4.1f}: deliverable oma={oma:.4f} "
+          f"noma={noma:.4f}  stay={expected_stay_time(cfg):.3f}  "
+          f"gap consts ({c_oma:.2f}, {c_noma:.2f})")
 
 print("\n-- closed-form vs greedy placement as mobility grows (snr = 40 dB) --")
 print("mu     scheme           closed-form       greedy            excess load")

@@ -5,8 +5,10 @@ Library layout:
 - ``model``: system parameters, Zipf popularity, Poisson mobility counts
 - ``channel``: success probabilities, rates, per-stay packet budgets
 - ``load``: exact and fast evaluators of the average BS load
-- ``optimize``: greedy/exhaustive placement, high-mobility closed forms,
-  matroid and submodularity property harnesses
+- ``optimize``: greedy/exhaustive placement, matroid and submodularity
+  property harnesses, and the high-mobility analysis, whose closed-form
+  placement, relaxed objective and Jensen-gap check all read the
+  per-content deliverables of ``per_content_delivery``
 - ``montecarlo``: end-to-end statistical cross-validation
 - ``cli``: experiment driver (eval / optimize / sweep / validate)
 """
@@ -46,20 +48,19 @@ from .model import (
 )
 from .montecarlo import SampledState, estimate_average_load, sample_state
 from .optimize import (
-    HighMobilityConstants,
     JensenGapReport,
     MatroidReport,
     SubmodularityReport,
     check_matroid_axioms,
     check_submodularity,
     exhaustive_placement,
+    gap_constant,
     greedy_placement,
-    high_mobility_constants,
     high_mobility_continuous,
     high_mobility_placement,
     jensen_gap_check,
     noma_delivery_mean,
-    oma_delivery_mean,
+    per_content_delivery,
     relaxed_objective,
 )
 
@@ -68,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ContentPopularity",
-    "HighMobilityConstants",
     "JensenGapReport",
     "LinkBudget",
     "LoadEvaluation",
@@ -91,8 +91,8 @@ __all__ = [
     "estimate_average_load",
     "exhaustive_placement",
     "expected_stay_time",
+    "gap_constant",
     "greedy_placement",
-    "high_mobility_constants",
     "high_mobility_continuous",
     "high_mobility_placement",
     "interference_factor",
@@ -101,8 +101,8 @@ __all__ = [
     "link_budget_for",
     "marginal_gain",
     "noma_delivery_mean",
-    "oma_delivery_mean",
     "packet_budget",
+    "per_content_delivery",
     "poisson_truncation",
     "rate",
     "relaxed_objective",

@@ -364,6 +364,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
             if not np.all(np.isfinite(values)) or any(np.diff(values) <= 0):
                 raise ConfigError(f"--values must be finite and increasing: {args.values!r}")
+            if len({_fmt(v) for v in values}) < len(values):
+                # the CSV and manifest write values to 12 significant digits
+                raise ConfigError(f"--values collide at 12 significant digits: {args.values!r}")
             axis, trials = args.axis, args.trials
             points = [(v, apply_axis(cfg, axis, v)) for v in values]
         grid = sweep_rows(axis, points, methods, schemes, args.seed, trials)

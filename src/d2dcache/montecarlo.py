@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import packet_budget
+from .channel import build_link_budget
+from .load import link_budget_for
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -92,7 +93,8 @@ def estimate_average_load(
     has its own RNG stream keyed ``[seed, block]`` and is drawn at full size,
     then truncated, so growing the trial count never changes earlier trials.
     The request is averaged exactly over the popularity weights inside each
-    trial.
+    trial.  Packet budgets come from the memoized ``link_budget_for`` table;
+    a longer one is built only when a sampled count passes its end.
     Raises CapacityError when one trial's expected draws exceed the cap.
     """
     if trials < 1:
@@ -102,7 +104,7 @@ def estimate_average_load(
     B = _block_trials(cfg)
     F = cfg.F
     f = zipf_popularity(F, cfg.gamma).probs
-    budget = np.zeros(1, dtype=int)   # packet budget at u = 0..; grown per block
+    budget = link_budget_for(cfg).budget   # packet budget at u = 0..
     missing = cfg.L - placement.c
 
     blocks = -(-trials // B)
@@ -115,7 +117,7 @@ def estimate_average_load(
         held = state.d.ravel()
         u = np.bincount(cell[held > 0], minlength=B * F)
         if u.max() >= budget.size:
-            budget = np.concatenate(([0], packet_budget(np.arange(1, u.max() + 1), cfg)))
+            budget = build_link_budget(cfg, u.max()).budget
         # min(d, b) = min(d, min(b, L)) as d <= L, so the gathered budget fits d's dtype
         cap = np.minimum(budget[u], cfg.L).astype(held.dtype)
         delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=B * F)

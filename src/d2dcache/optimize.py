@@ -9,10 +9,10 @@ the F*L per-packet values.  The oracle is an exact min-plus DP over contents
 with a work cap.  This module also implements the brute-force
 matroid/submodularity harnesses and the high-mobility analysis: the
 threshold closed-form placements, the relaxed real-valued objective, the
-Jensen-gap bound check and the non-orthogonal closed-form delivery.  The
-orthogonal (floored) delivery and its truncation bound are read from the
-scenario, which forms them in ``load`` over the same Poisson windows as the
-shortfall tables.
+Jensen-gap constant and bound check.  All of them read the per-content
+deliverables of ``per_content_delivery``: the non-orthogonal closed form,
+or the orthogonal (floored) delivery that the scenario forms in ``load``
+over the same Poisson windows as the shortfall tables.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import _disc_terms, success_probability
-from .load import average_load_fast, delivered_packets_pmf, link_budget_for, scenario
+from .load import average_load_fast, scenario
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -32,6 +32,7 @@ from .model import (
     Scheme,
     SystemConfig,
     expected_stay_time,
+    poisson_truncation,
     zipf_popularity,
 )
 
@@ -232,36 +233,6 @@ def check_submodularity(
 # High-mobility analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HighMobilityConstants:
-    """Per-stay deliverable packet counts and Jensen-gap bound constants.
-
-    A gap constant is c = -L sup_u u*rate(u): u transmitters deliver at most
-    u*budget(u) <= T*L*u*rate(u) packets in a stay of length T.  It is finite
-    under both schemes: u*rate(u) is p(1) log(1+tau) at every u under
-    orthogonal access, and u*p(u) log(1+tau) under non-orthogonal access,
-    which tends to a finite limit as u grows.
-    """
-
-    oma_packets: float        # expected floored D2D delivery, orthogonal
-    noma_packets: float       # floor-free expected delivery, non-orthogonal
-    oma_gap_constant: float   # negative lower-bound constant, orthogonal
-    noma_gap_constant: float  # negative lower-bound constant, non-orthogonal
-    stay_time: float
-
-    def __post_init__(self):
-        if self.oma_packets < 0 or self.noma_packets < 0:
-            raise ValueError("deliverable packet counts must be nonnegative")
-        if self.oma_gap_constant > 0 or self.noma_gap_constant > 0:
-            raise ValueError("gap constants must be nonpositive")
-
-
-def oma_delivery_mean(q_i: np.ndarray, cfg: SystemConfig) -> float:
-    """Expected floored D2D delivery per stay under orthogonal access,
-    E[u * budget(u)]: entry 0 of a one-row delivered_packets_pmf call."""
-    return float(delivered_packets_pmf(q_i[None], cfg.with_scheme(Scheme.ORTHOGONAL))[2][0])
-
-
 def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
     """Floor-free expected D2D delivery per stay under non-orthogonal access,
     (L/mu) log(1+tau) E[u P[SINR>tau | u]], exactly: P is a quadrature sum of
@@ -276,20 +247,23 @@ def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
     return float(value) if q.ndim == 1 else value
 
 
-@lru_cache(maxsize=8)   # as link_budget_for: the non-orthogonal scan is a quadrature pass
-def _gap_constant(cfg: SystemConfig) -> float:
-    """-L sup_u u*rate(u), the negative Jensen-gap constant of cfg's scheme.
+@lru_cache(maxsize=8)   # the non-orthogonal scan is a quadrature pass
+def gap_constant(cfg: SystemConfig) -> float:
+    """c = -L sup_u u*rate(u) <= 0, the Jensen-gap constant of cfg's scheme.
 
-    Orthogonal: u*rate(u) = p(1) log(1+tau) at every u.  Non-orthogonal: the
-    larger of u*p(u) scanned over u = 1..max(U_SCAN, the link budget's u_max),
-    every count the evaluators read, and its u -> inf limit.  For alpha > 2,
-    1-beta(r) ~ K r^2/R^2 near r = 0 with K = tau^(2/alpha) (2pi/alpha) /
-    sin(2pi/alpha), so u*p(u) -> 1/K; for alpha <= 2 it tends to 0.
+    u transmitters deliver at most u*budget(u) <= T*L*u*rate(u) packets in a
+    stay of length T, so T*|c| bounds the gap.  The supremum is finite under
+    both schemes.  Orthogonal: u*rate(u) = p(1) log(1+tau) at every u.
+    Non-orthogonal: the larger of u*p(u) scanned over u = 1..max(U_SCAN,
+    poisson_truncation(cfg)), every count the evaluators read, and its
+    u -> inf limit.  For alpha > 2, 1-beta(r) ~ K r^2/R^2 near r = 0 with
+    K = tau^(2/alpha) (2pi/alpha) / sin(2pi/alpha), so u*p(u) -> 1/K; for
+    alpha <= 2 it tends to 0.
     """
     if cfg.scheme is Scheme.ORTHOGONAL:
         sup = success_probability(1, cfg)
     else:
-        u = np.arange(1, max(U_SCAN, link_budget_for(cfg).u_max) + 1)
+        u = np.arange(1, max(U_SCAN, poisson_truncation(cfg)) + 1)
         a = cfg.alpha
         limit = 0.0
         if a > 2:
@@ -298,24 +272,11 @@ def _gap_constant(cfg: SystemConfig) -> float:
     return -cfg.L * sup * math.log1p(cfg.tau)
 
 
-def high_mobility_constants(
-    dist: NeighborCacheDistribution, cfg: SystemConfig, content: int = 0
-) -> HighMobilityConstants:
-    """All high-mobility constants for one content's cache distribution."""
-    q_i = dist.q[content]
-    return HighMobilityConstants(
-        oma_packets=oma_delivery_mean(q_i, cfg),
-        noma_packets=noma_delivery_mean(q_i, cfg),
-        oma_gap_constant=_gap_constant(cfg.with_scheme(Scheme.ORTHOGONAL)),
-        noma_gap_constant=_gap_constant(cfg.with_scheme(Scheme.NON_ORTHOGONAL)),
-        stay_time=expected_stay_time(cfg),
-    )
-
-
-def _per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
-    """Per-content deliverable counts under the scheme: the scenario's
-    floored deliveries under orthogonal access, one closed-form call over the
-    F cache rows under non-orthogonal access."""
+def per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
+    """Expected D2D deliverable packets per stay of each of the F contents
+    under the scheme, all nonnegative: the floored E[u * budget(u)] that the
+    scenario carries under orthogonal access, noma_delivery_mean over the F
+    cache rows under non-orthogonal access."""
     cfg = cfg.with_scheme(scheme)
     if cfg.scheme is Scheme.NON_ORTHOGONAL:
         return noma_delivery_mean(dist.q[: cfg.F], cfg)
@@ -370,21 +331,15 @@ def high_mobility_placement(
     Each content's cache threshold is L minus its own expected deliverable
     packet count under the scheme.
     """
-    return Placement(_integerize(_per_content_delivery(scheme, dist, cfg), cfg), cfg)
+    return Placement(_integerize(per_content_delivery(scheme, dist, cfg), cfg), cfg)
 
 
-def relaxed_objective(
-    c,
-    scheme: Scheme,
-    dist: NeighborCacheDistribution,
-    cfg: SystemConfig,
-    delivery: np.ndarray | None = None,
-) -> float:
-    """Relaxed real-valued load: sum_i f_i (L - c_i - deliverable_i)^+.
+def relaxed_objective(c, delivery, cfg: SystemConfig) -> float:
+    """Relaxed real-valued load: sum_i f_i (L - c_i - delivery_i)^+.
 
-    Accepts real placements subject to 0 <= c_i <= L and sum(c) <= M.  Pass
-    ``delivery`` (per-content deliverable counts) to amortize its computation
-    over many evaluations.
+    Accepts real placements subject to 0 <= c_i <= L and sum(c) <= M;
+    ``delivery`` holds the per-content deliverable counts (see
+    ``per_content_delivery``), or one count for every content.
     """
     c = np.asarray(c, dtype=float)
     tol = 1e-9
@@ -393,8 +348,6 @@ def relaxed_objective(
     if np.any(c < -tol) or np.any(c > cfg.L + tol) or c.sum() > cfg.M + tol:
         raise ValueError(f"infeasible relaxed placement: {c}")
     f = zipf_popularity(cfg.F, cfg.gamma).probs
-    if delivery is None:
-        delivery = _per_content_delivery(scheme, dist, cfg)
     return float(np.dot(f, np.maximum(0.0, cfg.L - c - delivery)))
 
 
@@ -413,20 +366,16 @@ def jensen_gap_check(
 ) -> JensenGapReport:
     """Gap between the exact average load and its Jensen-style composite.
 
-    The composite moves the positive part outside the expectation, replacing
-    the random D2D delivery with its floored mean; the shift is bounded by
-    stay_time times |c|, with c = -L sup_u u*rate(u) the scheme's gap
-    constant.  Each stay's delivery is at most u*budget(u) <= T*L*u*rate(u),
-    so c bounds it at every transmitter count.  The supremum is finite: under
-    orthogonal access u*rate(u) does not depend on u, and under
-    non-orthogonal access u*p(u) tends to a finite limit as u grows.
+    The composite, the relaxed objective at the scenario's floored
+    deliveries, moves the positive part outside the expectation; the shift
+    is bounded by stay_time times |gap_constant(cfg)|.
     """
     cfg = cfg.with_scheme(scheme)
     s = scenario(dist, cfg)
-    composite = float(np.dot(s.f, np.maximum(0.0, cfg.L - placement.c - s.delivery)))
+    composite = relaxed_objective(placement.c, s.delivery, cfg)
     evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
-    bound = expected_stay_time(cfg) * abs(_gap_constant(cfg))
+    bound = expected_stay_time(cfg) * abs(gap_constant(cfg))
     # both sides of the gap carry surfaced truncation error; allow for it
     slack = 1e-9 + evaluation.truncation_bound + float(np.dot(s.f, s.delivery_bound))
     return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack))

@@ -26,8 +26,7 @@ from d2dcache import (
     high_mobility_continuous,
     high_mobility_placement,
     jensen_gap_check,
-    noma_delivery_mean,
-    oma_delivery_mean,
+    per_content_delivery,
     poisson_truncation,
     relaxed_objective,
     success_probability,
@@ -207,32 +206,26 @@ def test_criterion_8_closed_form_optimality():
     cfg = default_config()
     rng = np.random.default_rng(8008)
     for scheme in Scheme:
-        mean_fn = (oma_delivery_mean if scheme is Scheme.ORTHOGONAL
-                   else noma_delivery_mean)
-        delivery_scalar = mean_fn(UNIFORM5.q[0], cfg)
-        delivery = np.full(cfg.F, delivery_scalar)
-        star = high_mobility_continuous(delivery_scalar, cfg)
-        best = relaxed_objective(star, scheme, UNIFORM5, cfg, delivery=delivery)
+        delivery = per_content_delivery(scheme, UNIFORM5, cfg)
+        star = high_mobility_continuous(delivery[0], cfg)
+        best = relaxed_objective(star, delivery, cfg)
         for _ in range(10_000):
             c = rng.uniform(0.0, cfg.L, cfg.F)
             if c.sum() > cfg.M:
                 c *= cfg.M / c.sum()
-            value = relaxed_objective(c, scheme, UNIFORM5, cfg, delivery=delivery)
+            value = relaxed_objective(c, delivery, cfg)
             assert best <= value + 1e-12
 
     cfg3 = default_config(F=3)
     dist3 = NeighborCacheDistribution.uniform(3, 5)
-    nu3 = oma_delivery_mean(dist3.q[0], cfg3)
-    delivery3 = np.full(3, nu3)
-    star3 = high_mobility_continuous(nu3, cfg3)
-    best3 = relaxed_objective(star3, Scheme.ORTHOGONAL, dist3, cfg3,
-                              delivery=delivery3)
+    delivery3 = per_content_delivery(Scheme.ORTHOGONAL, dist3, cfg3)
+    star3 = high_mobility_continuous(delivery3[0], cfg3)
+    best3 = relaxed_objective(star3, delivery3, cfg3)
     grid = np.arange(0.0, cfg3.L + 0.125, 0.25)
     for c in itertools.product(grid, repeat=3):
         if sum(c) > cfg3.M:
             continue
-        value = relaxed_objective(np.array(c), Scheme.ORTHOGONAL, dist3, cfg3,
-                                  delivery=delivery3)
+        value = relaxed_objective(np.array(c), delivery3, cfg3)
         assert best3 <= value + 1e-12
 
     # exact substitution: L=5, M=5, threshold at L-3=2 fills [2, 2, 1, 0, 0]

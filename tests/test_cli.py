@@ -209,6 +209,8 @@ class TestSweepCommand:
         pytest.param(["sweep", "--axis", "snr_db", "--values", ""], id="empty_values"),
         pytest.param(["sweep", "--axis", "snr_db", "--values", "10,0"],
                      id="decreasing_values"),
+        pytest.param(["sweep", "--axis", "mu", "--values", "1,1.0000000000001"],
+                     id="values_colliding_at_12_digits"),
     ])
     def test_bad_input_is_one_line_on_stderr(self, args, tmp_path, config_path, capsys):
         # validate writes no CSV and takes no --out

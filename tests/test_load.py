@@ -441,14 +441,13 @@ class TestSharedWork:
         those from one-row delivery means, on seeded random instances with
         ties (gamma 0, repeated rows) and q0 = 1 rows."""
         from d2dcache import load
-        from d2dcache.load import _build_scenario
+        from d2dcache.load import _build_scenario, delivered_packets_pmf
         from d2dcache.optimize import (
             _integerize,
             exhaustive_placement,
             greedy_placement,
             high_mobility_placement,
             noma_delivery_mean,
-            oma_delivery_mean,
         )
 
         rng = np.random.default_rng(15 + (scheme is Scheme.NON_ORTHOGONAL))
@@ -481,8 +480,10 @@ class TestSharedWork:
                 assert greedy_placement(dist, cfg)[0] == batched[0]
                 assert exhaustive_placement(dist, cfg) == batched[1]
             _build_scenario.cache_clear()
-            one_row = oma_delivery_mean if scheme is Scheme.ORTHOGONAL else noma_delivery_mean
-            deliveries = [one_row(q_i, cfg) for q_i in dist.q]
+            if scheme is Scheme.ORTHOGONAL:
+                deliveries = [delivered_packets_pmf(q_i[None], cfg)[2][0] for q_i in dist.q]
+            else:
+                deliveries = [noma_delivery_mean(q_i, cfg) for q_i in dist.q]
             assert high_mobility_placement(scheme, dist, cfg) == Placement(
                 _integerize(np.array(deliveries), cfg), cfg)
 

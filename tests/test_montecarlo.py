@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from d2dcache import (
     default_config,
     estimate_average_load,
     greedy_placement,
+    link_budget_for,
     request_load,
     sample_state,
     zipf_popularity,
@@ -179,6 +181,38 @@ class TestEstimateAverageLoad:
         finally:
             tracemalloc.stop()
         assert peak < 24 * cfg.mean_capable * cfg.F
+
+    @pytest.mark.parametrize("scheme", ["orthogonal", "non_orthogonal"])
+    def test_counts_past_the_link_budget_extend_it(self, scheme, monkeypatch):
+        # at n_trunc_epsilon=0.3 the memoized budget ends below counts the
+        # trials draw, so the estimate extends it, and reads the same
+        # budgets as under a table long enough from the start
+        from d2dcache import montecarlo
+
+        cfg = default_config(lam=4.0, snr=1e4, scheme=scheme, n_trunc_epsilon=0.3)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        pl = Placement([1] * cfg.F, cfg)
+        built = []
+        build = montecarlo.build_link_budget
+        monkeypatch.setattr(montecarlo, "build_link_budget",
+                            lambda *args: built.append(args) or build(*args))
+        short = estimate_average_load(pl, dist, cfg, trials=2000, seed=5)
+        assert built
+        long = replace(cfg, n_trunc_epsilon=1e-9)
+        assert short == estimate_average_load(pl, dist, long, trials=2000, seed=5)
+
+    def test_cached_config_computes_no_packet_budget(self, cfg, uniform_dist, monkeypatch):
+        from d2dcache import channel, montecarlo
+
+        def refuse(*args):
+            raise AssertionError("packet budget computed")
+
+        link_budget_for(cfg)
+        monkeypatch.setattr(channel, "packet_budget", refuse)
+        monkeypatch.setattr(montecarlo, "packet_budget", refuse, raising=False)
+        pl = Placement([2, 1, 1, 1, 0], cfg)
+        est, _ = estimate_average_load(pl, uniform_dist, cfg, trials=2000, seed=8)
+        assert 0.0 <= est <= cfg.L
 
     def test_input_validation(self, cfg, uniform_dist):
         pl = Placement([0] * cfg.F, cfg)

@@ -16,13 +16,13 @@ from d2dcache import (
     check_submodularity,
     default_config,
     exhaustive_placement,
+    gap_constant,
     greedy_placement,
-    high_mobility_constants,
     high_mobility_continuous,
     high_mobility_placement,
     jensen_gap_check,
     noma_delivery_mean,
-    oma_delivery_mean,
+    per_content_delivery,
     poisson_truncation,
     rate,
     relaxed_objective,
@@ -30,9 +30,9 @@ from d2dcache import (
     zipf_popularity,
 )
 from d2dcache.channel import _disc_terms
-from d2dcache.load import link_budget_for, scenario
+from d2dcache.load import delivered_packets_pmf, link_budget_for, scenario
 from d2dcache.model import poisson_pmf
-from d2dcache.optimize import U_SCAN, _gap_constant
+from d2dcache.optimize import U_SCAN
 
 
 def oracle_instances(seed, count):
@@ -302,13 +302,13 @@ class TestDeliveryMeans:
     def test_zero_without_arrivals(self):
         cfg = default_config(lam=0.0)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
-        assert oma_delivery_mean(q, cfg) == 0.0
+        assert delivered_packets_pmf(q[None], cfg)[2][0] == 0.0
         assert noma_delivery_mean(q, cfg) == 0.0
 
     def test_zero_at_low_threshold(self):
         cfg = default_config(tau=1e-12)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
-        assert oma_delivery_mean(q, cfg) == 0.0
+        assert delivered_packets_pmf(q[None], cfg)[2][0] == 0.0
         assert noma_delivery_mean(q, cfg) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("snr_db,mu", [(40.0, 1.0), (20.0, 10.0), (30.0, 2.0)])
@@ -318,7 +318,7 @@ class TestDeliveryMeans:
         rng = np.random.default_rng(int(snr_db * 10 + mu))
         q = rng.random(cfg.L + 1)
         q /= q.sum()
-        assert oma_delivery_mean(q, cfg) == pytest.approx(
+        assert delivered_packets_pmf(q[None], cfg)[2][0] == pytest.approx(
             enum_delivery_oracle(q, cfg.with_scheme(Scheme.ORTHOGONAL),
                                  Scheme.ORTHOGONAL), abs=1e-7)
         assert noma_delivery_mean(q, cfg) == pytest.approx(
@@ -380,8 +380,6 @@ class TestDeliveryMeans:
         # windows of different lengths and q0 = 1; a row padded with zeros
         # past its window may be summed in another order, so the orthogonal
         # values agree to rounding, and the rest exactly
-        from d2dcache.load import delivered_packets_pmf
-
         cfg = default_config(F=12, lam=lam)
         rng = np.random.default_rng(int(lam))
         rows = rng.dirichlet(np.ones(cfg.L + 1) * 0.3, size=12)
@@ -390,18 +388,11 @@ class TestDeliveryMeans:
         value, bound = s.delivery, s.delivery_bound
         assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
         for i, q_i in enumerate(rows):
-            one_value = oma_delivery_mean(q_i, cfg)
-            one_bound = delivered_packets_pmf(q_i[None], cfg)[3][0]
-            assert value[i] == pytest.approx(one_value, rel=1e-15, abs=0.0)
-            assert bound[i] == one_bound
+            *_, one_value, one_bound = delivered_packets_pmf(q_i[None], cfg)
+            assert value[i] == pytest.approx(one_value[0], rel=1e-15, abs=0.0)
+            assert bound[i] == one_bound[0]
             assert noma_delivery_mean(rows, cfg)[i] == noma_delivery_mean(q_i, cfg)
         assert value[3] == 0.0 and bound[3] == 0.0
-
-    def test_constants_container(self, cfg, uniform_dist):
-        hm = high_mobility_constants(uniform_dist, cfg)
-        assert hm.oma_packets >= 0 and hm.noma_packets >= 0
-        assert hm.oma_gap_constant <= 0 and hm.noma_gap_constant <= 0
-        assert hm.stay_time == 1.0 / cfg.mu
 
 
 class TestHighMobilityPlacement:
@@ -465,9 +456,9 @@ class TestHighMobilityPlacement:
                 pl = high_mobility_placement(scheme, uniform_dist, cfg)
                 assert np.all(np.diff(pl.c) <= 0)
                 assert pl.c.sum() <= cfg.M
-                delivery = (oma_delivery_mean if scheme is Scheme.ORTHOGONAL
-                            else noma_delivery_mean)(uniform_dist.q[0], cfg)
-                assert pl.c.max() <= _math.ceil(cfg.L - delivery)
+                delivery = per_content_delivery(scheme, uniform_dist, cfg)
+                assert np.all(delivery >= 0)
+                assert pl.c.max() <= _math.ceil(cfg.L - delivery[0])
 
     def test_builds_no_shortfall_table(self, cfg, uniform_dist, monkeypatch):
         # the non-orthogonal deliverable counts are a closed form over the
@@ -488,16 +479,16 @@ class TestHighMobilityPlacement:
         # the orthogonal deliverable counts come with the shortfall tables,
         # so a placement after greedy on the same (rows, config) forms no
         # further Poisson window
-        from d2dcache import load, optimize
+        from d2dcache import load
         from d2dcache.optimize import _integerize
 
         assert cfg.scheme is Scheme.ORTHOGONAL
-        expected = Placement(_integerize(oma_delivery_mean(uniform_dist.q[0], cfg), cfg), cfg)
+        one_row = delivered_packets_pmf(uniform_dist.q[:1], cfg)[2][0]
+        expected = Placement(_integerize(one_row, cfg), cfg)
         load._build_scenario.cache_clear()
         greedy_placement(uniform_dist, cfg)
         calls = []
-        for module, name in ((load, "delivered_packets_pmf"), (optimize, "delivered_packets_pmf"),
-                             (load, "poisson_truncation")):
+        for module, name in ((load, "delivered_packets_pmf"), (load, "poisson_truncation")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, f=original, n=name: calls.append(n) or f(*args))
@@ -506,14 +497,19 @@ class TestHighMobilityPlacement:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_repeated_rows_match_per_row(self, cfg, scheme):
-        from d2dcache.optimize import _integerize, _per_content_delivery
-        fn = oma_delivery_mean if scheme is Scheme.ORTHOGONAL else noma_delivery_mean
+        from d2dcache.optimize import _integerize
+
+        def fn(q_i, cfg):   # one row alone
+            if scheme is Scheme.ORTHOGONAL:
+                return delivered_packets_pmf(q_i[None], cfg)[2][0]
+            return noma_delivery_mean(q_i, cfg)
+
         a = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
         b = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
         interleaved = np.array([a, b, a, b, a])
         per_row = np.array([fn(q_i, cfg) for q_i in interleaved])
         assert np.array_equal(
-            _per_content_delivery(scheme, NeighborCacheDistribution(interleaved), cfg), per_row)
+            per_content_delivery(scheme, NeighborCacheDistribution(interleaved), cfg), per_row)
         repeated = NeighborCacheDistribution(np.array([b] * cfg.F))
         expected = Placement(_integerize(fn(b, cfg), cfg), cfg)
         assert high_mobility_placement(scheme, repeated, cfg) == expected
@@ -522,7 +518,6 @@ class TestHighMobilityPlacement:
     def test_heterogeneous_rows_reach_relaxed_optimum(self, scheme):
         # each content has its own threshold; brute force over every
         # feasible integer placement
-        from d2dcache.optimize import _per_content_delivery
         rng = np.random.default_rng(21)
         for _ in range(20):
             F, L = int(rng.integers(2, 5)), int(rng.integers(1, 5))
@@ -531,59 +526,58 @@ class TestHighMobilityPlacement:
             cfg = default_config(F=F, L=L, M=int(rng.integers(1, F * L + 1)),
                                  lam=float(rng.uniform(0.5, 4.0)), snr=1e4)
             dist = NeighborCacheDistribution(q)
-            delivery = _per_content_delivery(scheme, dist, cfg)
-            best = min(relaxed_objective(c, scheme, dist, cfg, delivery)
+            delivery = per_content_delivery(scheme, dist, cfg)
+            best = min(relaxed_objective(c, delivery, cfg)
                        for c in itertools.product(range(L + 1), repeat=F)
                        if sum(c) <= cfg.M)
             placement = high_mobility_placement(scheme, dist, cfg)
-            got = relaxed_objective(placement.c, scheme, dist, cfg, delivery)
+            got = relaxed_objective(placement.c, delivery, cfg)
             assert got == pytest.approx(best, abs=1e-12), (cfg, placement)
 
 
 class TestRelaxedObjective:
     def test_zero_placement_value(self, cfg, uniform_dist):
-        nu = oma_delivery_mean(uniform_dist.q[0], cfg)
+        nu = delivered_packets_pmf(uniform_dist.q[:1], cfg)[2][0]
         expected = max(0.0, cfg.L - nu)   # popularity weights sum to 1
-        got = relaxed_objective(np.zeros(cfg.F), Scheme.ORTHOGONAL, uniform_dist, cfg)
+        delivery = per_content_delivery(Scheme.ORTHOGONAL, uniform_dist, cfg)
+        got = relaxed_objective(np.zeros(cfg.F), delivery, cfg)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_beats_random_vectors(self, uniform_dist):
         cfg = default_config(snr=1e4)   # nonzero delivery
         rng = np.random.default_rng(8)
         for scheme in Scheme:
-            delivery = (oma_delivery_mean if scheme is Scheme.ORTHOGONAL
-                        else noma_delivery_mean)(uniform_dist.q[0], cfg)
-            star = high_mobility_continuous(delivery, cfg)
-            best = relaxed_objective(star, scheme, uniform_dist, cfg)
+            delivery = per_content_delivery(scheme, uniform_dist, cfg)
+            star = high_mobility_continuous(delivery[0], cfg)
+            best = relaxed_objective(star, delivery, cfg)
             for _ in range(1000):
                 c = rng.uniform(0.0, cfg.L, cfg.F)
                 if c.sum() > cfg.M:
                     c *= cfg.M / c.sum()
-                assert best <= relaxed_objective(c, scheme, uniform_dist, cfg) + 1e-12
+                assert best <= relaxed_objective(c, delivery, cfg) + 1e-12
 
     def test_exchange_perturbation_increases(self, uniform_dist):
         cfg = default_config(snr=1e4)
-        nu = oma_delivery_mean(uniform_dist.q[0], cfg)
-        star = high_mobility_continuous(nu, cfg)
+        delivery = per_content_delivery(Scheme.ORTHOGONAL, uniform_dist, cfg)
+        star = high_mobility_continuous(delivery[0], cfg)
         f = zipf_popularity(cfg.F, cfg.gamma).probs
-        base = relaxed_objective(star, Scheme.ORTHOGONAL, uniform_dist, cfg)
+        base = relaxed_objective(star, delivery, cfg)
         k = int(np.flatnonzero(star > 0)[-1])   # least popular cached content
         for j in range(k + 1, cfg.F):
             eps = 0.25
             c = star.copy()
             c[0] -= eps
             c[j] += eps
-            moved = relaxed_objective(c, Scheme.ORTHOGONAL, uniform_dist, cfg)
+            moved = relaxed_objective(c, delivery, cfg)
             assert moved - base >= -1e-12
             assert moved - base == pytest.approx(eps * (f[0] - f[j]), abs=1e-9)
 
     def test_infeasible_rejected(self, cfg, uniform_dist):
+        delivery = per_content_delivery(Scheme.ORTHOGONAL, uniform_dist, cfg)
         with pytest.raises(ValueError):
-            relaxed_objective(np.full(cfg.F, 2.0), Scheme.ORTHOGONAL,
-                              uniform_dist, cfg)
+            relaxed_objective(np.full(cfg.F, 2.0), delivery, cfg)
         with pytest.raises(ValueError):
-            relaxed_objective(np.array([-0.5, 0, 0, 0, 0]), Scheme.ORTHOGONAL,
-                              uniform_dist, cfg)
+            relaxed_objective(np.array([-0.5, 0, 0, 0, 0]), delivery, cfg)
 
 
 class TestJensenGap:
@@ -651,7 +645,8 @@ class TestGapConstant:
                 cfg = base.with_scheme(scheme)
                 u = np.arange(1, max(U_SCAN, link_budget_for(cfg).u_max) + 1)
                 delivered = cfg.L * u * rate(u, cfg)
-                c = _gap_constant(cfg)
+                c = gap_constant(cfg)
+                assert c <= 0
                 assert np.all(delivered <= -c * (1 + 1e-12)), (cfg, c)
                 if alpha <= 2:   # the limit is 0, so the scan alone decides
                     assert delivered.max() == pytest.approx(-c, rel=1e-12)
@@ -664,7 +659,7 @@ class TestGapConstant:
         for _ in range(12):
             cfg = random_link(rng, scheme=Scheme.NON_ORTHOGONAL, L=int(rng.integers(1, 8)),
                               quad_nodes=256)
-            c = _gap_constant(cfg)
+            c = gap_constant(cfg)
             for u in u_values.tolist():
                 delivered = cfg.L * math.log1p(cfg.tau) * u * exact_alpha4_success(u, cfg)
                 assert delivered <= -c * (1 + 1e-8), (cfg, u, delivered, c)
@@ -676,7 +671,7 @@ class TestGapConstant:
         scan = u * success_probability(u, cfg)
         limit = 2 / (math.pi * math.sqrt(cfg.tau))   # alpha = 4
         assert np.argmax(scan) == U_SCAN - 1 and scan.max() < limit
-        assert _gap_constant(cfg) == pytest.approx(-cfg.L * limit * math.log1p(cfg.tau),
+        assert gap_constant(cfg) == pytest.approx(-cfg.L * limit * math.log1p(cfg.tau),
                                                    rel=1e-12)
 
     def test_does_not_depend_on_the_node_count(self):
@@ -685,7 +680,7 @@ class TestGapConstant:
             for _ in range(3):
                 cfg = random_link(rng, scheme=Scheme.NON_ORTHOGONAL, alpha=alpha)
                 fine = replace(cfg, quad_nodes=1024)
-                assert _gap_constant(cfg) == pytest.approx(_gap_constant(fine), rel=1e-4)
+                assert gap_constant(cfg) == pytest.approx(gap_constant(fine), rel=1e-4)
 
     def test_memoized_per_config(self, monkeypatch):
         from d2dcache import optimize
@@ -693,13 +688,30 @@ class TestGapConstant:
         calls = []
         monkeypatch.setattr(optimize, "success_probability",
                             lambda *args: calls.append(args) or success_probability(*args))
-        _gap_constant.cache_clear()
-        first = _gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
+        gap_constant.cache_clear()
+        first = gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
         assert len(calls) == 1
         # an equal config, built anew, repeats no quadrature
-        again = _gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
+        again = gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
         assert len(calls) == 1
         assert isinstance(again, float) and again == first
 
+    def test_scan_reads_no_link_budget(self, monkeypatch):
+        # the scan runs to max(U_SCAN, the Poisson truncation point) on its
+        # own, so a link budget that covers fewer counts cannot shrink it
+        from d2dcache import load, optimize
+
+        def refuse(*args):
+            raise AssertionError("link budget read")
+
+        for lam in (1.0, 1e5):   # truncation points below and above U_SCAN
+            cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, lam=lam)
+            expected = gap_constant(cfg)
+            gap_constant.cache_clear()
+            with monkeypatch.context() as patch:
+                for module in (load, optimize):
+                    patch.setattr(module, "link_budget_for", refuse, raising=False)
+                assert gap_constant(cfg) == expected
+
     def test_orthogonal_constant_is_the_u1_rate(self, cfg):
-        assert _gap_constant(cfg) == -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
+        assert gap_constant(cfg) == -cfg.L * success_probability(1, cfg) * math.log1p(cfg.tau)
