@@ -24,8 +24,8 @@ dist = NeighborCacheDistribution.uniform(5, 5)
 print("-- per-stay deliverable packets and gap constants (snr = 40 dB) --")
 for mu in (1.0, 5.0, 20.0):
     cfg = default_config(mu=mu, snr=1e4)
-    oma, noma = (per_content_delivery(scheme, dist, cfg)[0] for scheme in Scheme)
-    c_oma, c_noma = (gap_constant(cfg.with_scheme(scheme)) for scheme in Scheme)
+    oma, noma = (per_content_delivery(dist, cfg.with_scheme(s))[0] for s in Scheme)
+    c_oma, c_noma = (gap_constant(cfg.with_scheme(s)) for s in Scheme)
     print(f"mu={mu:4.1f}: deliverable oma={oma:.4f} "
           f"noma={noma:.4f}  stay={expected_stay_time(cfg):.3f}  "
           f"gap consts ({c_oma:.2f}, {c_noma:.2f})")
@@ -35,7 +35,7 @@ print("mu     scheme           closed-form       greedy            excess load")
 for mu in (1.0, 2.0, 5.0, 10.0, 20.0):
     for scheme in Scheme:
         cfg = default_config(mu=mu, snr=1e4, scheme=scheme)
-        hm = high_mobility_placement(scheme, dist, cfg)
+        hm = high_mobility_placement(dist, cfg)
         g, _ = greedy_placement(dist, cfg)
         excess = (average_load_fast(hm, dist, cfg).total
                   - average_load_fast(g, dist, cfg).total)
@@ -49,7 +49,7 @@ for mu in (1.0, 2.0, 5.0, 10.0, 20.0):
     for scheme in Scheme:
         cfg = default_config(mu=mu, snr=1e4, scheme=scheme)
         placement = greedy_placement(dist, cfg)[0]
-        rep = jensen_gap_check(placement, scheme, dist, cfg)
+        rep = jensen_gap_check(placement, dist, cfg)
         print(f"{mu:4.1f}   {scheme.value:15s}  {rep.gap:.3e}    "
               f"{rep.bound:.3e}    {rep.ok}")
 print("the bound scales with the stay time 1/mu, so the approximation")

@@ -11,6 +11,10 @@ Library layout:
   per-content deliverables of ``per_content_delivery``
 - ``montecarlo``: end-to-end statistical cross-validation
 - ``cli``: experiment driver (eval / optimize / sweep / validate)
+
+Every entry point reads the access scheme from its ``SystemConfig``
+(``cfg.with_scheme`` switches it), and ``model.MAX_TABLE_ENTRIES`` and
+``model.MAX_TRUNCATION`` cap what a config may ask for.
 """
 
 from .channel import (
@@ -24,7 +28,6 @@ from .channel import (
 )
 from .load import (
     LoadEvaluation,
-    Method,
     average_load_enum,
     average_load_fast,
     link_budget_for,
@@ -42,7 +45,6 @@ from .model import (
     db_to_linear,
     default_config,
     expected_stay_time,
-    linear_to_db,
     poisson_truncation,
     zipf_popularity,
 )
@@ -73,7 +75,6 @@ __all__ = [
     "LinkBudget",
     "LoadEvaluation",
     "MatroidReport",
-    "Method",
     "NeighborCacheDistribution",
     "Placement",
     "SampledState",
@@ -97,7 +98,6 @@ __all__ = [
     "high_mobility_placement",
     "interference_factor",
     "jensen_gap_check",
-    "linear_to_db",
     "link_budget_for",
     "marginal_gain",
     "noma_delivery_mean",

@@ -146,11 +146,11 @@ def apply_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
         raise ConfigError(f"{axis}={_fmt(value)}: {exc}") from exc
 
 
-def _placement_for(method: str, scheme: Scheme, dist, cfg):
+def _placement_for(method: str, dist, cfg):
     if method == "exhaustive":
         return exhaustive_placement(dist, cfg)
     if method == "high_mobility":
-        return high_mobility_placement(scheme, dist, cfg)
+        return high_mobility_placement(dist, cfg)
     return greedy_placement(dist, cfg)[0]   # greedy and monte_carlo
 
 
@@ -163,10 +163,9 @@ def sweep_rows(axis: str, points, methods, schemes, seed: int, trials: int):
     grid = []
     for vi, (value, point) in enumerate(points):
         for si, sname in enumerate(schemes):
-            scheme = SCHEMES[sname]
-            cfg = point.with_scheme(scheme)
+            cfg = point.with_scheme(SCHEMES[sname])
             for method in methods:
-                placement = _placement_for(method, scheme, dist, cfg)
+                placement = _placement_for(method, dist, cfg)
                 if method == "monte_carlo":
                     point_seed = seed + 1_000_003 * (vi * len(schemes) + si)
                     load, _ = estimate_average_load(placement, dist, cfg, trials, point_seed)
@@ -238,10 +237,9 @@ def _suite_matroid(cfg: SystemConfig, seed: int):
 def _suite_jensen(cfg: SystemConfig, seed: int):
     dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
     for mu in (1.0, 5.0, 20.0):
-        c = replace(cfg, mu=mu)
         for scheme in Scheme:
-            placement = greedy_placement(dist, c.with_scheme(scheme))[0]
-            rep = jensen_gap_check(placement, scheme, dist, c)
+            c = replace(cfg, mu=mu, scheme=scheme)
+            rep = jensen_gap_check(greedy_placement(dist, c)[0], dist, c)
             if not rep.ok:
                 return False, f"mu={mu}, {scheme.value}: gap {rep.gap:.3g} > {rep.bound:.3g}"
     return True, "mu in {1,5,20}, both schemes"

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import product
 
@@ -54,19 +53,13 @@ _TINY = np.finfo(float).tiny
 N_ENUM_MAX = 5
 
 
-class Method(Enum):
-    ENUM_EXACT = "enum_exact"
-    CONVOLUTION = "convolution"
-
-
 @dataclass(frozen=True)
 class LoadEvaluation:
-    """Average BS load in packets, with per-content breakdown and provenance."""
+    """Average BS load in packets, with per-content breakdown and truncation bound."""
 
     total: float
     per_content: np.ndarray
     truncation_bound: float
-    method: Method
 
     def __post_init__(self):
         self.per_content.setflags(write=False)
@@ -226,18 +219,18 @@ def _distinct_rows(q: np.ndarray):
     return np.array(first), np.array(inverse)
 
 
-def shortfall_tables(dist: NeighborCacheDistribution, cfg: SystemConfig):
+def shortfall_tables(q: np.ndarray, cfg: SystemConfig):
     """Per-content shortfall tables E[(L - c - delivered)^+] for c = 0..L,
     shape (F, L+1), plus per-content tail masses, floored deliveries and
-    their truncation bounds, shape (F,) each.
+    their truncation bounds, shape (F,) each, of the F validated cache rows
+    ``q``, shape (F, L+1).
 
     The delivered-packet distribution does not depend on the typical user's
     own cache, so one PMF serves every cache level.  Contents with the same
-    cache PMF share a table: the distinct rows of ``dist.q`` (the CLI's
-    uniform caches make all F rows equal) take one batched PMF call, and the
-    results are scattered back to the F contents.
+    cache PMF share a table: the distinct rows of ``q`` (the CLI's uniform
+    caches make all F rows equal) take one batched PMF call, and the results
+    are scattered back to the F contents.
     """
-    q = dist.q[: cfg.F]
     first, inverse = _distinct_rows(q)
     pmf, *per_row = delivered_packets_pmf(q[first], cfg)
     tables = np.vecdot(_shortfall_weights(cfg.L), pmf[:, None, :])
@@ -283,8 +276,8 @@ def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
 
 @lru_cache(maxsize=8)   # small: callers reuse a scenario within one grid point
 def _build_scenario(cfg: SystemConfig, q_bytes: bytes, shape: tuple) -> Scenario:
-    dist = NeighborCacheDistribution(np.frombuffer(q_bytes).reshape(shape))
-    tables, tails, delivery, bound = shortfall_tables(dist, cfg)
+    q = np.frombuffer(q_bytes).reshape(shape)   # rows the caller's dist validated
+    tables, tails, delivery, bound = shortfall_tables(q, cfg)
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
     return Scenario(f, *map(_readonly, (tables, tails, gains, delivery, bound)))
@@ -303,12 +296,7 @@ def average_load_fast(
     s = scenario(dist, cfg)
     per_content = s.f * s.tables[np.arange(cfg.F), placement.c]
     bound = float((s.f * cfg.L * s.tails).sum())
-    return LoadEvaluation(
-        total=float(per_content.sum()),
-        per_content=per_content,
-        truncation_bound=bound,
-        method=Method.CONVOLUTION,
-    )
+    return LoadEvaluation(float(per_content.sum()), per_content, bound)
 
 
 def average_load_enum(
@@ -348,12 +336,7 @@ def average_load_enum(
             expect += p_n[n] * term
         per_content[i] = f[i] * expect
     bound = float(cfg.L * poisson_tail(mean, n_max))
-    return LoadEvaluation(
-        total=float(per_content.sum()),
-        per_content=per_content,
-        truncation_bound=bound,
-        method=Method.ENUM_EXACT,
-    )
+    return LoadEvaluation(float(per_content.sum()), per_content, bound)
 
 
 def marginal_gain(

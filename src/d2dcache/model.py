@@ -29,14 +29,16 @@ class CapacityError(ValueError):
     """An exact/brute-force routine was asked for more work than its cap allows."""
 
 
+# Caps on an accepted config: F*(L+1), the entries of an (F, L+1) table, which
+# SystemConfig checks before the CLI builds F cache rows; and the Poisson
+# truncation point, which poisson_truncation checks before any caller sizes a
+# window over the capable-user count by it (5,013,416 at mean 5e6).
+MAX_TABLE_ENTRIES = MAX_TRUNCATION = 2**23
+
+
 def db_to_linear(x_db):
     """Convert a dB quantity to linear scale."""
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x):
-    """Convert a linear-scale quantity to dB."""
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,9 @@ class SystemConfig:
             raise ValueError(f"L must be an integer >= 1, got {self.L!r}")
         if not (isinstance(self.M, int) and 0 <= self.M <= self.F * self.L):
             raise ValueError(f"M must be an integer in [0, F*L], got {self.M!r}")
+        if self.F * (self.L + 1) > MAX_TABLE_ENTRIES:
+            raise CapacityError(f"F*(L+1) = {self.F * (self.L + 1)} is above the cap "
+                                f"{MAX_TABLE_ENTRIES} on table entries")
         if not (isinstance(self.quad_nodes, int) and self.quad_nodes >= 8):
             raise ValueError(f"quad_nodes must be an integer >= 8, got {self.quad_nodes!r}")
         checks = [
@@ -247,6 +252,7 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     is reported by the evaluators, not hidden.  ``mean`` defaults to the mean
     capable count; an array of means gives an int array, each entry the N of
     its own mean, found by the same start and steps as a scalar mean.
+    A point above MAX_TRUNCATION raises CapacityError.
     """
     if mean is None:
         mean = cfg.mean_capable
@@ -254,7 +260,12 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     # scipy.stats' ppf as a start; the loops below fix n whatever the start.
     # At mean 0 the start is 0 and every tail is 0, so n stays 0.
     q = 1.0 - eps
-    n = np.maximum(0.0, np.ceil(special.pdtrik(q, mean))).astype(int)
+    n = np.maximum(0.0, np.ceil(special.pdtrik(q, mean)))
+    # the steps move n by far less than the cap, so a start past twice the
+    # cap, or NaN as pdtrik gives at means near 1e19, is refused before them
+    if not np.all(n <= 2 * MAX_TRUNCATION):
+        _refuse_truncation(mean)
+    n = n.astype(int)
     n -= special.pdtr(n - 1, mean) >= q   # NaN, so False, at n - 1 = -1
     step = special.pdtrc(n, mean) >= eps
     while np.count_nonzero(step):
@@ -264,7 +275,14 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     while np.count_nonzero(step):
         n -= step
         step &= special.pdtrc(n - 1, mean) < eps
+    if np.any(n > MAX_TRUNCATION):
+        _refuse_truncation(mean)
     return int(n) if np.ndim(n) == 0 else n
+
+
+def _refuse_truncation(mean):
+    raise CapacityError(f"Poisson truncation point above the cap {MAX_TRUNCATION} "
+                        f"at Poisson mean {np.max(mean):.6g}")
 
 
 def expected_stay_time(cfg: SystemConfig) -> float:

@@ -12,7 +12,8 @@ threshold closed-form placements, the relaxed real-valued objective, the
 Jensen-gap constant and bound check.  All of them read the per-content
 deliverables of ``per_content_delivery``: the non-orthogonal closed form,
 or the orthogonal (floored) delivery that the scenario forms in ``load``
-over the same Poisson windows as the shortfall tables.
+over the same Poisson windows as the shortfall tables.  Every entry point
+takes (dist, cfg), and cfg's scheme alone selects the access scheme.
 """
 
 from __future__ import annotations
@@ -272,12 +273,11 @@ def gap_constant(cfg: SystemConfig) -> float:
     return -cfg.L * sup * math.log1p(cfg.tau)
 
 
-def per_content_delivery(scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig):
+def per_content_delivery(dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Expected D2D deliverable packets per stay of each of the F contents
-    under the scheme, all nonnegative: the floored E[u * budget(u)] that the
-    scenario carries under orthogonal access, noma_delivery_mean over the F
-    cache rows under non-orthogonal access."""
-    cfg = cfg.with_scheme(scheme)
+    under cfg's scheme, all nonnegative: the floored E[u * budget(u)] that
+    the scenario carries under orthogonal access, noma_delivery_mean over
+    the F cache rows under non-orthogonal access."""
     if cfg.scheme is Scheme.NON_ORTHOGONAL:
         return noma_delivery_mean(dist.q[: cfg.F], cfg)
     return scenario(dist, cfg).delivery
@@ -323,15 +323,13 @@ def _integerize(deliverable, cfg: SystemConfig) -> np.ndarray:
     return np.bincount(picks // cfg.L, minlength=cfg.F)
 
 
-def high_mobility_placement(
-    scheme: Scheme, dist: NeighborCacheDistribution, cfg: SystemConfig
-) -> Placement:
+def high_mobility_placement(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Placement:
     """Closed-form near-optimal placement for fast-moving neighbors.
 
     Each content's cache threshold is L minus its own expected deliverable
-    packet count under the scheme.
+    packet count under cfg's scheme.
     """
-    return Placement(_integerize(per_content_delivery(scheme, dist, cfg), cfg), cfg)
+    return Placement(_integerize(per_content_delivery(dist, cfg), cfg), cfg)
 
 
 def relaxed_objective(c, delivery, cfg: SystemConfig) -> float:
@@ -359,18 +357,15 @@ class JensenGapReport:
 
 
 def jensen_gap_check(
-    placement: Placement,
-    scheme: Scheme,
-    dist: NeighborCacheDistribution,
-    cfg: SystemConfig,
+    placement: Placement, dist: NeighborCacheDistribution, cfg: SystemConfig
 ) -> JensenGapReport:
-    """Gap between the exact average load and its Jensen-style composite.
+    """Gap between the exact average load under cfg's scheme and its
+    Jensen-style composite.
 
     The composite, the relaxed objective at the scenario's floored
     deliveries, moves the positive part outside the expectation; the shift
     is bounded by stay_time times |gap_constant(cfg)|.
     """
-    cfg = cfg.with_scheme(scheme)
     s = scenario(dist, cfg)
     composite = relaxed_objective(placement.c, s.delivery, cfg)
     evaluation = average_load_fast(placement, dist, cfg)

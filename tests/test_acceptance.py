@@ -151,7 +151,7 @@ def test_criterion_5_jensen_gap_bound():
         for mu in mus:
             cfg = default_config(mu=mu, snr=10.0 ** (snr_db / 10), scheme=scheme)
             placement = greedy_placement(UNIFORM5, cfg)[0]
-            rep = jensen_gap_check(placement, scheme, UNIFORM5, cfg)
+            rep = jensen_gap_check(placement, UNIFORM5, cfg)
             assert rep.ok, (snr_db, scheme, mu, rep)
             gaps.append(rep.gap)
             checked += 1
@@ -169,7 +169,7 @@ def test_criterion_6_high_mobility_convergence():
         for mu in mus:
             cfg = default_config(lam=1.0, mu=mu, snr=10.0 ** (snr_db / 10),
                                  scheme=scheme)
-            hm = high_mobility_placement(scheme, UNIFORM5, cfg)
+            hm = high_mobility_placement(UNIFORM5, cfg)
             greedy = greedy_placement(UNIFORM5, cfg)[0]
             gap = (average_load_fast(hm, UNIFORM5, cfg).total
                    - average_load_fast(greedy, UNIFORM5, cfg).total)
@@ -206,7 +206,7 @@ def test_criterion_8_closed_form_optimality():
     cfg = default_config()
     rng = np.random.default_rng(8008)
     for scheme in Scheme:
-        delivery = per_content_delivery(scheme, UNIFORM5, cfg)
+        delivery = per_content_delivery(UNIFORM5, cfg.with_scheme(scheme))
         star = high_mobility_continuous(delivery[0], cfg)
         best = relaxed_objective(star, delivery, cfg)
         for _ in range(10_000):
@@ -218,7 +218,7 @@ def test_criterion_8_closed_form_optimality():
 
     cfg3 = default_config(F=3)
     dist3 = NeighborCacheDistribution.uniform(3, 5)
-    delivery3 = per_content_delivery(Scheme.ORTHOGONAL, dist3, cfg3)
+    delivery3 = per_content_delivery(dist3, cfg3)
     star3 = high_mobility_continuous(delivery3[0], cfg3)
     best3 = relaxed_objective(star3, delivery3, cfg3)
     grid = np.arange(0.0, cfg3.L + 0.125, 0.25)

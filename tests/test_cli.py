@@ -253,6 +253,22 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "exact placement search needs 420021000 steps, above the cap 100000000\n")
 
+    @pytest.mark.parametrize("edits", [
+        pytest.param({"lambda=1": "lambda=1e9"}, id="poisson_window"),
+        pytest.param({"F=5": "F=1000000", "L=5": "L=50"}, id="table_entries"),
+    ])
+    def test_config_above_a_cap_is_one_line_on_stderr(self, edits, tmp_path, capsys):
+        text = GOOD_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "capped.cfg"
+        path.write_text(text)
+        rc = main(["optimize", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "cap" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestOptimizeCommand:
     def test_each_scheme_builds_tables_and_budget_once(self, tmp_path, config_path,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import stats
 import d2dcache
 
 from d2dcache import (
+    CapacityError,
     ContentPopularity,
     NeighborCacheDistribution,
     Placement,
@@ -20,13 +22,14 @@ from d2dcache import (
     db_to_linear,
     default_config,
     expected_stay_time,
+    greedy_placement,
     jensen_gap_check,
     packet_budget,
     poisson_truncation,
     zipf_popularity,
 )
 from d2dcache.load import scenario
-from d2dcache.model import poisson_pmf, poisson_tail
+from d2dcache.model import MAX_TABLE_ENTRIES, MAX_TRUNCATION, poisson_pmf, poisson_tail
 
 # Frozen by an independent 40-digit mpmath script: i**-0.6 summed over i=1..5.
 ZIPF_5_06 = [
@@ -112,6 +115,33 @@ class TestPoissonTruncation:
             if n > 0:
                 assert poisson_tail(mean, n - 1) >= eps
 
+    def test_points_up_to_the_cap_are_kept(self):
+        # the top rung of the scale ladder, and a mean just under the cap
+        assert poisson_truncation(default_config(lam=1e7)) == 5_013_416
+        n = poisson_truncation(default_config(lam=1e7), np.array([0.5, 8.37e6]))
+        assert n.tolist() == [9, 8_387_353] and n[1] <= MAX_TRUNCATION
+
+    @pytest.mark.parametrize("mean", [8.39e6, 5e7, 5e8, 5e20])
+    def test_points_above_the_cap_raise(self, mean):
+        # 5e20 is past where scipy's ppf start is NaN
+        cfg = default_config(eta=1.0, lam=mean)
+        with pytest.raises(CapacityError, match="truncation point"):
+            poisson_truncation(cfg)
+        with pytest.raises(CapacityError, match="truncation point"):
+            poisson_truncation(cfg, np.array([0.5, mean]))
+
+    def test_placement_above_the_cap_allocates_nothing(self):
+        cfg = default_config(lam=1e9)   # mean 5e8: point 500,130,921
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="truncation point"):
+                greedy_placement(dist, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
 
 def _stats_truncation(mean, eps):
     """poisson_truncation as it was written on scipy.stats: ppf start, then the loops."""
@@ -176,7 +206,7 @@ def test_floored_delivery_bound_at_zero_truncation_point():
         assert np.all(s.delivery == 0.0)
         assert math.isfinite(s.delivery_bound[0])
         assert np.all(s.delivery_bound == packet_budget(1, scfg) * mean)
-        assert jensen_gap_check(placement, scheme, dist, cfg).ok
+        assert jensen_gap_check(placement, dist, scfg).ok
 
 
 def test_import_leaves_out_scipy_stats_and_integrate():
@@ -212,11 +242,16 @@ class TestSystemConfig:
         dict(eta=-0.1), dict(lam=-1.0), dict(mu=0.0), dict(tau=0.0),
         dict(radius=0.0), dict(alpha=0.0), dict(snr=0.0),
         dict(n_trunc_epsilon=0.0), dict(n_trunc_epsilon=1.0), dict(quad_nodes=4),
-        dict(gamma=-0.5), dict(lam=math.inf),
+        dict(gamma=-0.5), dict(lam=math.inf), dict(F=1_000_000, L=50),
     ])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             default_config(**bad)
+
+    def test_table_cap(self):
+        assert default_config(F=MAX_TABLE_ENTRIES // 2, L=1).F == 2**22
+        with pytest.raises(CapacityError, match="table entries"):
+            default_config(F=MAX_TABLE_ENTRIES // 2 + 1, L=1)
 
     def test_mean_capable(self):
         assert default_config(eta=0.5, lam=2.0, mu=4.0).mean_capable == 0.25

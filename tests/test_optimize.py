@@ -416,7 +416,7 @@ class TestHighMobilityPlacement:
     def test_integer_placement_no_arrivals(self):
         cfg = default_config(lam=0.0)
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
-        pl = high_mobility_placement(Scheme.ORTHOGONAL, dist, cfg)
+        pl = high_mobility_placement(dist, cfg)
         assert pl.c.tolist() == [5, 0, 0, 0, 0]
 
     def test_integer_rounding_fractional_threshold(self):
@@ -453,16 +453,17 @@ class TestHighMobilityPlacement:
         for snr in (100.0, 1e4):
             cfg = default_config(snr=snr)
             for scheme in Scheme:
-                pl = high_mobility_placement(scheme, uniform_dist, cfg)
+                scfg = cfg.with_scheme(scheme)
+                pl = high_mobility_placement(uniform_dist, scfg)
                 assert np.all(np.diff(pl.c) <= 0)
                 assert pl.c.sum() <= cfg.M
-                delivery = per_content_delivery(scheme, uniform_dist, cfg)
+                delivery = per_content_delivery(uniform_dist, scfg)
                 assert np.all(delivery >= 0)
                 assert pl.c.max() <= _math.ceil(cfg.L - delivery[0])
 
     def test_builds_no_shortfall_table(self, cfg, uniform_dist, monkeypatch):
         # the non-orthogonal deliverable counts are a closed form over the
-        # quadrature nodes, also when the config's own scheme differs
+        # quadrature nodes
         from d2dcache import load
 
         def no_tables(*args):
@@ -470,9 +471,8 @@ class TestHighMobilityPlacement:
 
         monkeypatch.setattr(load, "delivered_packets_pmf", no_tables)
         load._build_scenario.cache_clear()
-        for c in (cfg, cfg.with_scheme(Scheme.NON_ORTHOGONAL)):
-            pl = high_mobility_placement(Scheme.NON_ORTHOGONAL, uniform_dist, c)
-            assert pl.c.sum() <= cfg.M
+        pl = high_mobility_placement(uniform_dist, cfg.with_scheme(Scheme.NON_ORTHOGONAL))
+        assert pl.c.sum() <= cfg.M
 
     def test_orthogonal_delivery_is_read_from_the_greedy_scenario(self, cfg, uniform_dist,
                                                                  monkeypatch):
@@ -492,7 +492,7 @@ class TestHighMobilityPlacement:
             original = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, f=original, n=name: calls.append(n) or f(*args))
-        assert high_mobility_placement(Scheme.ORTHOGONAL, uniform_dist, cfg) == expected
+        assert high_mobility_placement(uniform_dist, cfg) == expected
         assert calls == []
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -508,11 +508,12 @@ class TestHighMobilityPlacement:
         b = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
         interleaved = np.array([a, b, a, b, a])
         per_row = np.array([fn(q_i, cfg) for q_i in interleaved])
+        scfg = cfg.with_scheme(scheme)
         assert np.array_equal(
-            per_content_delivery(scheme, NeighborCacheDistribution(interleaved), cfg), per_row)
+            per_content_delivery(NeighborCacheDistribution(interleaved), scfg), per_row)
         repeated = NeighborCacheDistribution(np.array([b] * cfg.F))
         expected = Placement(_integerize(fn(b, cfg), cfg), cfg)
-        assert high_mobility_placement(scheme, repeated, cfg) == expected
+        assert high_mobility_placement(repeated, scfg) == expected
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_heterogeneous_rows_reach_relaxed_optimum(self, scheme):
@@ -524,13 +525,13 @@ class TestHighMobilityPlacement:
             q = rng.random((F, L + 1))
             q /= q.sum(axis=1, keepdims=True)
             cfg = default_config(F=F, L=L, M=int(rng.integers(1, F * L + 1)),
-                                 lam=float(rng.uniform(0.5, 4.0)), snr=1e4)
+                                 lam=float(rng.uniform(0.5, 4.0)), snr=1e4, scheme=scheme)
             dist = NeighborCacheDistribution(q)
-            delivery = per_content_delivery(scheme, dist, cfg)
+            delivery = per_content_delivery(dist, cfg)
             best = min(relaxed_objective(c, delivery, cfg)
                        for c in itertools.product(range(L + 1), repeat=F)
                        if sum(c) <= cfg.M)
-            placement = high_mobility_placement(scheme, dist, cfg)
+            placement = high_mobility_placement(dist, cfg)
             got = relaxed_objective(placement.c, delivery, cfg)
             assert got == pytest.approx(best, abs=1e-12), (cfg, placement)
 
@@ -539,7 +540,7 @@ class TestRelaxedObjective:
     def test_zero_placement_value(self, cfg, uniform_dist):
         nu = delivered_packets_pmf(uniform_dist.q[:1], cfg)[2][0]
         expected = max(0.0, cfg.L - nu)   # popularity weights sum to 1
-        delivery = per_content_delivery(Scheme.ORTHOGONAL, uniform_dist, cfg)
+        delivery = per_content_delivery(uniform_dist, cfg)
         got = relaxed_objective(np.zeros(cfg.F), delivery, cfg)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -547,7 +548,7 @@ class TestRelaxedObjective:
         cfg = default_config(snr=1e4)   # nonzero delivery
         rng = np.random.default_rng(8)
         for scheme in Scheme:
-            delivery = per_content_delivery(scheme, uniform_dist, cfg)
+            delivery = per_content_delivery(uniform_dist, cfg.with_scheme(scheme))
             star = high_mobility_continuous(delivery[0], cfg)
             best = relaxed_objective(star, delivery, cfg)
             for _ in range(1000):
@@ -558,7 +559,7 @@ class TestRelaxedObjective:
 
     def test_exchange_perturbation_increases(self, uniform_dist):
         cfg = default_config(snr=1e4)
-        delivery = per_content_delivery(Scheme.ORTHOGONAL, uniform_dist, cfg)
+        delivery = per_content_delivery(uniform_dist, cfg)
         star = high_mobility_continuous(delivery[0], cfg)
         f = zipf_popularity(cfg.F, cfg.gamma).probs
         base = relaxed_objective(star, delivery, cfg)
@@ -573,7 +574,7 @@ class TestRelaxedObjective:
             assert moved - base == pytest.approx(eps * (f[0] - f[j]), abs=1e-9)
 
     def test_infeasible_rejected(self, cfg, uniform_dist):
-        delivery = per_content_delivery(Scheme.ORTHOGONAL, uniform_dist, cfg)
+        delivery = per_content_delivery(uniform_dist, cfg)
         with pytest.raises(ValueError):
             relaxed_objective(np.full(cfg.F, 2.0), delivery, cfg)
         with pytest.raises(ValueError):
@@ -586,7 +587,7 @@ class TestJensenGap:
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
         pl = Placement([2, 1, 1, 1, 0], cfg)
         for scheme in Scheme:
-            rep = jensen_gap_check(pl, scheme, dist, cfg)
+            rep = jensen_gap_check(pl, dist, cfg.with_scheme(scheme))
             assert rep.ok
             assert rep.gap == pytest.approx(0.0, abs=1e-12)
 
@@ -595,7 +596,7 @@ class TestJensenGap:
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
         pl = Placement([5, 0, 0, 0, 0], cfg)
         for scheme in Scheme:
-            rep = jensen_gap_check(pl, scheme, dist, cfg)
+            rep = jensen_gap_check(pl, dist, cfg.with_scheme(scheme))
             assert rep.ok
             assert rep.bound <= 1e-4
             assert rep.gap <= 1e-8
@@ -603,7 +604,7 @@ class TestJensenGap:
     def test_bound_holds_at_defaults(self, cfg, uniform_dist):
         pl = greedy_placement(uniform_dist, cfg)[0]
         for scheme in Scheme:
-            rep = jensen_gap_check(pl, scheme, uniform_dist, cfg)
+            rep = jensen_gap_check(pl, uniform_dist, cfg.with_scheme(scheme))
             assert rep.ok
 
 
