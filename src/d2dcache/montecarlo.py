@@ -9,6 +9,14 @@ intervals validates those evaluators end to end.
 Trials are drawn in blocks.  Block ``b`` has its own RNG stream keyed
 ``[seed, b]`` and is always drawn at full size, then truncated to the trials
 requested, so growing the trial count never changes earlier trials.
+
+A neighbor hands over ``min(d, budget[u])`` packets of a content it holds
+``d`` of, and budgets never rise with u, so no count above ``budget[1]``
+changes a load.  Counts are therefore resolved only up to ``levels = max(1,
+min(L, budget[1]))``, which keeps ``d > 0`` and every ``min(d, budget[u])``:
+estimates equal those of counts resolved up to L, bit for bit.  The draws are
+content-major, so each content's uniforms, counts and (content, trial) cells
+are contiguous.
 """
 
 from __future__ import annotations
@@ -33,10 +41,17 @@ MAX_BLOCK_DRAWS = 2**22     # expected cache-count draws per block (32 MB of uni
 
 @dataclass(frozen=True)
 class SampledState:
-    """Sampled neighborhoods of one or more trials, neighbors stacked in trial order."""
+    """Sampled neighborhoods of one or more trials, neighbors stacked in trial order.
+
+    ``d[j, i]`` is neighbor j's packet count of content i, capped at
+    ``levels = max(1, min(L, budget[1]))``: the largest number of packets
+    any neighbor hands over, so the cap changes no load.  ``d`` is the
+    transposed view of a content-major (F, n) array, in the smallest
+    unsigned dtype holding L.
+    """
 
     n: int
-    d: np.ndarray          # (n, F) cached-packet counts, smallest unsigned dtype holding L
+    d: np.ndarray          # (n, F) cached-packet counts, capped at levels
     trial: np.ndarray      # (n,) int32 trial index of each neighbor
 
     def __post_init__(self):
@@ -53,20 +68,26 @@ def sample_state(
     """Draw ``trials`` neighborhoods: Poisson counts and i.i.d. caches.
 
     Neighbors are stacked in trial order; ``trial`` maps each one to its trial.
+    The uniforms are drawn row-major, (n, F), then counted content-major
+    against the first ``levels`` cut points of ``cumsum(q)``.
     """
     counts = rng.poisson(cfg.mean_capable, size=trials)
     n = int(counts.sum())
-    cum = np.cumsum(dist.q, axis=1)
-    d = np.empty((n, cfg.F), dtype=np.min_scalar_type(cfg.L))   # uint8 when L <= 255
-    if n:
-        u = rng.random((n, cfg.F))
+    levels = max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
+    cuts = np.cumsum(dist.q[: cfg.F, :levels], axis=1)   # the first levels cut points
+    u = rng.random((n, cfg.F)).T.copy()     # the row-major stream, content-major
+    d = np.zeros((cfg.F, n), dtype=np.min_scalar_type(cfg.L))
+    # inverse-CDF draw: count the cut points <= u, looping over the shorter
+    # axis; at most levels <= L, so the last bin's float fuzz needs no clip
+    if levels <= cfg.F:
+        hit = np.empty(u.shape, dtype=bool)
+        for k in range(levels):
+            d += np.greater_equal(u, cuts[:, k, None], out=hit)
+    else:
         for i in range(cfg.F):
-            # inverse-CDF draw; clip guards the cumsum's last-bin float fuzz
-            d[:, i] = np.minimum(
-                np.searchsorted(cum[i], u[:, i], side="right"), cfg.L
-            )
+            d[i] = np.searchsorted(cuts[i], u[i], side="right")
     trial = np.repeat(np.arange(trials, dtype=np.int32), counts)
-    return SampledState(n=n, d=d, trial=trial)
+    return SampledState(n=n, d=d.T, trial=trial)
 
 
 def _block_trials(cfg: SystemConfig) -> int:
@@ -112,16 +133,19 @@ def estimate_average_load(
     for b in range(blocks):
         rng = np.random.default_rng([seed, b])
         state = sample_state(dist, cfg, rng, B)
-        # (trial, content) cell of every draw; intp, as bincount copies other ints to intp
-        cell = (state.trial.astype(np.intp)[:, None] * F + np.arange(F)).ravel()
-        held = state.d.ravel()
-        u = np.bincount(cell[held > 0], minlength=B * F)
+        # (content, trial) cell of every draw, content-major as the counts;
+        # intp, as bincount copies other ints to intp
+        cell = (np.arange(F)[:, None] * B + state.trial).ravel()
+        held = state.d.T.ravel()
+        u = np.bincount(cell[held > 0], minlength=F * B)
         if u.max() >= budget.size:
             budget = build_link_budget(cfg, u.max()).budget
         # min(d, b) = min(d, min(b, L)) as d <= L, so the gathered budget fits d's dtype
         cap = np.minimum(budget[u], cfg.L).astype(held.dtype)
-        delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=B * F)
-        shortfall = np.maximum(0.0, missing - delivered.reshape(B, F))
+        delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=F * B)
+        # a C-contiguous (B, F) operand, so @ sums each trial as before
+        delivered = np.ascontiguousarray(delivered.reshape(F, B).T)
+        shortfall = np.maximum(0.0, missing - delivered)
         values[b * B:(b + 1) * B] = shortfall @ f
 
     values = values[:trials]

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,16 @@ from d2dcache.cli import (
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 DEFAULT_CFG = str(REPO / "demos" / "default.cfg")
+# long contents with few of them (F=2, L=40, M=10): the largest packet budget
+# exceeds F at both mu values, so Monte Carlo draws counts content by content.
+# The test writes it next to the runs' directories; CI makes it with sed.
+LONG_CFG = "../long.cfg"
+LONG_EDITS = {"F": "2", "L": "40", "M": "10"}
 
-# The README's four commands, optimize with every method, and a Monte Carlo
-# sweep over mu, which pins each grid point's seed.  Their golden outputs were
-# written by running each command alone in a fresh process.
+# The README's four commands, optimize with every method, and two Monte Carlo
+# sweeps over mu, which pin each grid point's seed: one on the default config
+# and one on long contents.  Their golden outputs were written by running each
+# command alone in a fresh process.
 README_RUNS = {
     "eval": ["eval", "--config", DEFAULT_CFG, "--placement", "5,0,0,0,0",
              "--out", "eval.csv"],
@@ -33,6 +40,9 @@ README_RUNS = {
     "sweep_mc": ["sweep", "--config", DEFAULT_CFG, "--axis", "mu", "--values", "1,4",
                  "--methods", "greedy,monte_carlo,high_mobility", "--schemes", "both",
                  "--trials", "500", "--seed", "9", "--out", "sweep_mc.csv"],
+    "sweep_mc_long": ["sweep", "--config", LONG_CFG, "--axis", "mu", "--values", "0.25,1",
+                      "--methods", "greedy,monte_carlo", "--trials", "2000",
+                      "--out", "sweep_mc_long.csv"],
 }
 
 GOOD_CONFIG = """\
@@ -357,6 +367,10 @@ def test_parser_is_built_once():
 def test_readme_commands_match_golden_bytes(tmp_path, monkeypatch, capsys):
     # all commands run back to back in this one process, so the shared parser
     # and the memoized scenarios must not carry state from one to the next
+    text = Path(DEFAULT_CFG).read_text()
+    for key, value in LONG_EDITS.items():
+        text = re.sub(rf"^{key}=.*$", f"{key}={value}", text, flags=re.MULTILINE)
+    (tmp_path / "long.cfg").write_text(text)
     for name, argv in README_RUNS.items():
         workdir = tmp_path / name
         workdir.mkdir()

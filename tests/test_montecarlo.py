@@ -35,6 +35,70 @@ def _request_load_trials(pl, dist, cfg, trials, seed):
     return np.array(values[:trials])
 
 
+def _pin_rows(F, L):
+    """q0 = 1, uniform, zero-mass-bin and top-heavy cache rows in turn."""
+    rows = []
+    for i in range(F):
+        kind = (i + F) % 4
+        if kind == 0:
+            row = np.zeros(L + 1)
+            row[0] = 1.0
+        elif kind == 1:
+            row = np.ones(L + 1)
+        elif kind == 2:
+            row = np.where(np.arange(L + 1) % 3 == 1, np.arange(L + 1) + 1.0, 0.0)
+        else:
+            row = np.zeros(L + 1)
+            row[-2:] = (1.0, 3.0)
+        rows.append(row / row.sum())
+    return NeighborCacheDistribution(np.array(rows))
+
+
+def _levels(cfg):
+    """The count cap of the draws: the largest packet budget, within 1..L."""
+    return max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
+
+
+# Config of each pinned case, with its cap (levels) against F: level loop when
+# levels <= F, content loop otherwise.
+PIN_CONFIGS = {
+    "default": dict(),                                   # levels 1, F 5
+    "F2_L40": dict(F=2, L=40, M=10, mu=0.25),            # levels 40, F 2
+    "F3_L300": dict(F=3, L=300, M=5, mu=0.5),            # levels 170, uint16 counts
+    "F8_L300_mu10": dict(F=8, L=300, M=20, mu=10.0),     # levels 8, uint16 counts
+    "snr1": dict(snr=1.0),                               # every budget 0
+    "extend": dict(lam=4.0, snr=1e4, n_trunc_epsilon=0.3),   # budget table extended
+    "F10_L10": dict(F=10, L=10, M=10),                   # levels 2
+    "F10_L50_lam40": dict(F=10, L=50, M=20, lam=40.0),   # levels 14, F 10
+}
+
+# (estimate, stderr) at seed 7, recorded from the row-major sampler that
+# resolved every count up to L; the capped content-major draw must give the
+# same bits.
+PINNED = {
+    ("default", "orthogonal", 255): (3.745873052190521, 0.023018193085786395),
+    ("default", "orthogonal", 256): (3.7468657355804016, 0.022949581260254807),
+    ("default", "orthogonal", 257): (3.7445255150711807, 0.022979582448002817),
+    ("default", "non_orthogonal", 255): (3.6399117697781636, 0.03084318296609501),
+    ("default", "non_orthogonal", 256): (3.6413183644274683, 0.030754648390390136),
+    ("default", "non_orthogonal", 257): (3.639388834078375, 0.030695452384113857),
+    ("F2_L40", "orthogonal", 2000): (6.460498198785326, 0.2661346473832211),
+    ("F2_L40", "non_orthogonal", 2000): (6.3384921632866185, 0.2671229648638728),
+    ("F3_L300", "orthogonal", 1000): (228.66420146736067, 1.6788789657889054),
+    ("F3_L300", "non_orthogonal", 1000): (214.97325772301116, 2.1490911187989417),
+    ("F8_L300_mu10", "orthogonal", 1000): (297.09174572408824, 0.03476023758536747),
+    ("F8_L300_mu10", "non_orthogonal", 1000): (297.08655449611945, 0.035681241190059755),
+    ("snr1", "orthogonal", 300): (4.0, 0.0),
+    ("snr1", "non_orthogonal", 300): (4.0, 0.0),
+    ("extend", "orthogonal", 2000): (1.4084224263243967, 0.025907408936073646),
+    ("extend", "non_orthogonal", 2000): (1.9628018931820455, 0.02654772175257457),
+    ("F10_L10", "orthogonal", 500): (8.418909437193513, 0.03399345542658266),
+    ("F10_L10", "non_orthogonal", 500): (8.279140482696745, 0.04397951142840603),
+    ("F10_L50_lam40", "orthogonal", 200): (46.96611080672412, 0.220154379555432),
+    ("F10_L50_lam40", "non_orthogonal", 200): (32.66186488473129, 0.3443757244362863),
+}
+
+
 class TestSampleState:
     def test_no_arrivals(self):
         cfg = default_config(lam=0.0)
@@ -65,6 +129,26 @@ class TestSampleState:
         p_hat = zero / total
         se = np.sqrt(p_hat * (1 - p_hat) / total)
         assert abs(p_hat - 0.4) <= 3 * se
+
+    @pytest.mark.parametrize("case", ["default", "F2_L40", "F3_L300", "F8_L300_mu10",
+                                      "snr1", "F10_L50_lam40"])
+    @pytest.mark.parametrize("trials", [0, 1, 40])
+    def test_counts_are_the_inverse_cdf_draw_capped_at_the_largest_budget(self, case,
+                                                                           trials):
+        cfg = default_config(**PIN_CONFIGS[case])
+        dist = _pin_rows(cfg.F, cfg.L)
+        state = sample_state(dist, cfg, np.random.default_rng([3, trials]), trials)
+        rng = np.random.default_rng([3, trials])
+        n = int(rng.poisson(cfg.mean_capable, size=trials).sum())
+        u = rng.random((n, cfg.F))
+        cum = np.cumsum(dist.q, axis=1)
+        cap = _levels(cfg)
+        expected = np.stack([np.minimum(np.searchsorted(cum[i], u[:, i], side="right"), cap)
+                             for i in range(cfg.F)], axis=1).reshape(n, cfg.F)
+        assert state.n == n
+        assert state.d.shape == (n, cfg.F)
+        assert state.d.dtype == np.min_scalar_type(cfg.L)
+        assert np.array_equal(state.d, expected)
 
     def test_block_maps_neighbors_to_trials(self, cfg, uniform_dist):
         state = sample_state(uniform_dist, cfg, np.random.default_rng(13), trials=50)
@@ -136,6 +220,15 @@ class TestEstimateAverageLoad:
             assert est == pytest.approx(np.mean(values[:trials]), abs=1e-12)
             assert se == pytest.approx(np.std(values[:trials], ddof=1) / np.sqrt(trials),
                                        abs=1e-12)
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_estimates_are_pinned(self, key):
+        case, scheme, trials = key
+        cfg = default_config(scheme=scheme, **PIN_CONFIGS[case])
+        c = [min(cfg.L, cfg.M // cfg.F + (i < cfg.M % cfg.F)) for i in range(cfg.F)]
+        got = estimate_average_load(Placement(c, cfg), _pin_rows(cfg.F, cfg.L), cfg,
+                                    trials, seed=7)
+        assert got == PINNED[key]
 
     def test_stderr_exactly_zero_when_trials_agree(self):
         # at 0 dB every packet budget is 0, so every trial has the same load
