@@ -65,27 +65,25 @@ def sample_state(
     rng: np.random.Generator,
     trials: int = 1,
 ) -> SampledState:
-    """Draw ``trials`` neighborhoods: Poisson counts and i.i.d. caches.
+    """Draw ``trials`` neighborhoods with counts capped at the largest packet budget.
 
-    Neighbors are stacked in trial order; ``trial`` maps each one to its trial.
-    The uniforms are drawn row-major, (n, F), then counted content-major
-    against the first ``levels`` cut points of ``cumsum(q)``.
+    Poisson neighbor counts and i.i.d. caches, but each cache count is
+    ``min(count, levels)`` with ``levels = max(1, min(L, budget[1]))`` of
+    ``cfg``'s link budget: valid for computing loads, not for the cache
+    contents themselves.  Neighbors are stacked in trial order; ``trial``
+    maps each one to its trial.  The uniforms are drawn row-major, (n, F),
+    then counted content-major against the first ``levels`` cut points of
+    ``cumsum(q)``.
     """
     counts = rng.poisson(cfg.mean_capable, size=trials)
     n = int(counts.sum())
     levels = max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
     cuts = np.cumsum(dist.q[: cfg.F, :levels], axis=1)   # the first levels cut points
     u = rng.random((n, cfg.F)).T.copy()     # the row-major stream, content-major
-    d = np.zeros((cfg.F, n), dtype=np.min_scalar_type(cfg.L))
-    # inverse-CDF draw: count the cut points <= u, looping over the shorter
-    # axis; at most levels <= L, so the last bin's float fuzz needs no clip
-    if levels <= cfg.F:
-        hit = np.empty(u.shape, dtype=bool)
-        for k in range(levels):
-            d += np.greater_equal(u, cuts[:, k, None], out=hit)
-    else:
-        for i in range(cfg.F):
-            d[i] = np.searchsorted(cuts[i], u[i], side="right")
+    d = np.empty((cfg.F, n), dtype=np.min_scalar_type(cfg.L))
+    for i in range(cfg.F):
+        # inverse-CDF draw; at most levels <= L, so the last bin's float fuzz needs no clip
+        d[i] = np.searchsorted(cuts[i], u[i], side="right")
     trial = np.repeat(np.arange(trials, dtype=np.int32), counts)
     return SampledState(n=n, d=d.T, trial=trial)
 

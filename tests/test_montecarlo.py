@@ -59,8 +59,9 @@ def _levels(cfg):
     return max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
 
 
-# Config of each pinned case, with its cap (levels) against F: level loop when
-# levels <= F, content loop otherwise.
+# Config of each pinned case, with its count cap (levels) against F: caps of
+# 1, of 2 to F and above F, L=300 (uint16 counts), zero budgets and an
+# extended budget table.
 PIN_CONFIGS = {
     "default": dict(),                                   # levels 1, F 5
     "F2_L40": dict(F=2, L=40, M=10, mu=0.25),            # levels 40, F 2
