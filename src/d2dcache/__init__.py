@@ -31,7 +31,6 @@ from .load import (
     average_load_enum,
     average_load_fast,
     link_budget_for,
-    marginal_gain,
     request_load,
 )
 from .model import (
@@ -99,7 +98,6 @@ __all__ = [
     "interference_factor",
     "jensen_gap_check",
     "link_budget_for",
-    "marginal_gain",
     "noma_delivery_mean",
     "packet_budget",
     "per_content_delivery",

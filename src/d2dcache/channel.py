@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import CapacityError, Scheme, SystemConfig, _readonly
+from .model import CapacityError, Scheme, SystemConfig, _readonly, memo_on
 
 # (u, node) terms per block of an array call, max(1, BLOCK_ENTRIES // quad_nodes)
 # rows, so a block's memory does not grow with the node count.
@@ -61,16 +61,22 @@ def interference_factor(r: float, cfg: SystemConfig) -> float:
     return float(_interference_factor_at(np.array([r]), cfg)[0])
 
 
-@lru_cache(maxsize=8)   # small: a grid point uses one config per scheme
-def _disc_terms(cfg: SystemConfig):
-    """Read-only outer nodes r, weights w, noise factor and interference factor
-    beta at each node: every part of the success probability but the power u-1.
-    beta is a mean of terms <= 1; clamped at 1 against rounding, every
-    beta**(u-1) and so every success probability is non-increasing in u."""
-    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    noise = np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr)
-    beta = np.minimum(_interference_factor_at(r, cfg), 1.0)
-    return r, w, _readonly(noise), _readonly(beta)
+# Memoized on the fields each reads, so both schemes of a grid point, and
+# grid points that differ in no such field, share one build.  beta is a mean
+# of terms <= 1; clamped at 1 against rounding, every beta**(u-1) and so
+# every success probability is non-increasing in u.
+@memo_on("quad_nodes", "radius", "alpha", "tau")
+def _beta(cfg: SystemConfig) -> np.ndarray:
+    """Read-only interference factor beta at each outer quadrature node."""
+    r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    return _readonly(np.minimum(_interference_factor_at(r, cfg), 1.0))
+
+
+@memo_on("quad_nodes", "radius", "alpha", "tau", "snr")
+def _noise(cfg: SystemConfig) -> np.ndarray:
+    """Read-only noise factor exp(-r**alpha * tau / snr) at each outer node."""
+    r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    return _readonly(np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr))
 
 
 def success_probability(u, cfg: SystemConfig):
@@ -79,13 +85,17 @@ def success_probability(u, cfg: SystemConfig):
     Outer integral over the transmitter distance r (density 2r/R^2), inner
     over each of the u-1 interferer distances; the inner factor is the empty
     product (1) at u=1.  Only the power of the inner factor depends on u, so
-    the rest is built once per config.  ``u`` is an int (gives a float) or an
-    integer array (gives an array), evaluated BLOCK_ENTRIES (u, node) terms at a time.
+    the nodes, noise factors and interference factors are memoized; a call
+    at u = 1 only, all that orthogonal access asks for, builds no interference
+    factor, as beta**0 = 1.  ``u`` is an int (gives a float) or an integer
+    array (gives an array), evaluated BLOCK_ENTRIES (u, node) terms at a time.
     """
     k = np.asarray(u) - 1
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValueError(f"u must be >= 1 (no transmitter otherwise), got {u}")
-    r, w, noise, beta = _disc_terms(cfg)
+    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    noise = _noise(cfg)
+    beta = _beta(cfg) if k.any() else np.ones(1)
     with np.errstate(divide="ignore"):
         log_beta = np.log(beta)
     flat = k.reshape(-1, 1)
@@ -156,7 +166,7 @@ def rate(u, cfg: SystemConfig):
     through the success probability.  Rates are in nats (natural log).  Like
     ``success_probability``, ``u`` is an int or an integer array.
     """
-    if np.any(np.asarray(u) < 1):
+    if (np.asarray(u) < 1).any():
         raise ValueError(f"u must be >= 1, got {u}")
     log_term = math.log1p(cfg.tau)
     if cfg.scheme is Scheme.ORTHOGONAL:
@@ -188,9 +198,9 @@ class LinkBudget:
 
     def __post_init__(self):
         b = _readonly(self.budget)[1:]
-        if np.any(b < 0):
+        if (b < 0).any():
             raise ValueError("packet budgets must be nonnegative")
-        if np.any(np.diff(b) > 0):
+        if (np.diff(b) > 0).any():
             raise ValueError("packet budget must be non-increasing in u")
 
 

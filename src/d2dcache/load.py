@@ -38,6 +38,7 @@ from .model import (
     Placement,
     SystemConfig,
     _readonly,
+    memo_on,
     poisson_pmf,
     poisson_tail,
     poisson_truncation,
@@ -65,7 +66,7 @@ class LoadEvaluation:
         self.per_content.setflags(write=False)
         if self.truncation_bound < 0:
             raise ValueError("truncation bound must be nonnegative")
-        if np.any(self.per_content < -1e-12):
+        if (self.per_content < -1e-12).any():
             raise ValueError("per-content loads must be nonnegative")
 
 
@@ -169,8 +170,7 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     missing term is at most budget(1) per transmitter.
     """
     L = cfg.L
-    mean = (1.0 - q_i[:, 0]) * cfg.mean_capable
-    u_max = poisson_truncation(cfg, mean)
+    mean, u_max, tails = _windows(cfg, np.asarray(q_i[:, 0], dtype=float).tobytes())
     counts = np.arange(u_max.max() + 1)
     budget = link_budget_for(cfg).budget
     b = budget[: counts.size]
@@ -201,8 +201,21 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
                     power = _step(power, transitions)
             mixed += pu[:, u, None] * power
         mixed[:, L] += pu[:, L:] @ saturated
-    tails = poisson_tail(mean[:, None], u_max[:, None] - [1, 0])   # P[u >= U], P[u > U]
     return pmf, tails[:, 1], delivery, float(budget[1]) * (mean * tails[:, 0])
+
+
+# Two entries: one holds five values per distinct cache row, key included,
+# up to 2**22 rows at the table cap.  A grid point's two schemes, and grid
+# points that leave the mean and epsilon alone, share one entry.
+@memo_on("mean_capable", "n_trunc_epsilon", maxsize=2)
+def _windows(cfg: SystemConfig, q0_bytes: bytes):
+    """Read-only Poisson windows of the cache rows whose P[d = 0] are
+    ``q0_bytes``: each row's mean transmitter count, its truncation point U
+    and its tails P[u >= U], P[u > U], shape (R,), (R,), (R, 2)."""
+    mean = (1.0 - np.frombuffer(q0_bytes)) * cfg.mean_capable
+    u_max = poisson_truncation(cfg, mean)
+    tails = poisson_tail(mean[:, None], u_max[:, None] - [1, 0])
+    return _readonly(mean), _readonly(u_max), _readonly(tails)
 
 
 def _distinct_rows(q: np.ndarray):
@@ -244,11 +257,17 @@ def _shortfall_weights(L: int) -> np.ndarray:
     return _readonly(np.maximum(0, L - k[:, None] - k))
 
 
-@lru_cache(maxsize=8)   # small, as _disc_terms: a grid point uses one config per scheme
+@lru_cache(maxsize=8)   # small: a grid point reads one budget per scheme
 def link_budget_for(cfg: SystemConfig) -> LinkBudget:
     """The link budget of ``cfg``, covering every transmitter count the
     truncated sums can see; memoized, as every evaluator reads it."""
-    return build_link_budget(cfg, max(1, poisson_truncation(cfg)))
+    return build_link_budget(cfg, max(1, _truncation_point(cfg)))
+
+
+@memo_on("mean_capable", "n_trunc_epsilon")
+def _truncation_point(cfg: SystemConfig) -> int:
+    """The Poisson truncation point of the mean capable count."""
+    return poisson_truncation(cfg)
 
 
 @dataclass(frozen=True)
@@ -338,15 +357,3 @@ def average_load_enum(
     bound = float(cfg.L * poisson_tail(mean, n_max))
     return LoadEvaluation(float(per_content.sum()), per_content, bound)
 
-
-def marginal_gain(
-    placement: Placement,
-    i: int,
-    dist: NeighborCacheDistribution,
-    cfg: SystemConfig,
-) -> float:
-    """Decrease in average load from caching one more packet of content i."""
-    c_i = int(placement.c[i])
-    if c_i >= cfg.L:
-        raise ValueError(f"content {i} already holds all L={cfg.L} packets")
-    return float(scenario(dist, cfg).gains[i, c_i])

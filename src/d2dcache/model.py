@@ -11,8 +11,10 @@ Requests follow a Zipf popularity law.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy import special
@@ -125,27 +127,57 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ContentPopularity:
-    """Normalized, non-increasing request probabilities over the F contents."""
+def memo_on(*fields: str, maxsize: int = 8):
+    """Memoize ``f(cfg, *args)`` on the named fields of ``cfg`` and on
+    ``args``, so configs that differ only in other fields share one entry.
 
-    def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+    ``f`` is handed a named tuple of those fields in place of the config:
+    reading any other field raises instead of serving a stale result.
+    ``__wrapped__(cfg, *args)`` is a fresh build; ``cache_info`` and
+    ``cache_clear`` are those of the underlying ``lru_cache``.
+    """
+    view = namedtuple("Fields", fields)
+
+    def decorate(f):
+        cached = lru_cache(maxsize=maxsize)(f)
+
+        @wraps(f)
+        def memo(cfg, *args):
+            return cached(view._make(getattr(cfg, name) for name in fields), *args)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return decorate
+
+
+@dataclass(frozen=True, eq=False)
+class ContentPopularity:
+    """Normalized, non-increasing request probabilities over the F contents;
+    frozen, with a read-only vector, as memoized popularities are shared."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("popularity must be a non-empty 1-d vector")
-        if np.any(p <= 0):
+        if (p <= 0).any():
             raise ValueError("popularity entries must be positive")
-        if np.any(np.diff(p) > 0):
+        if (np.diff(p) > 0).any():
             raise ValueError("popularity must be non-increasing")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"popularity must sum to 1, got {p.sum()!r}")
-        self.probs = _readonly(p)
+        object.__setattr__(self, "probs", _readonly(p))
 
     def __len__(self):
         return self.probs.size
 
 
+@lru_cache(maxsize=8)
 def zipf_popularity(F: int, gamma: float) -> ContentPopularity:
-    """Zipf request probabilities: rank-i weight i**(-gamma), normalized."""
+    """Zipf request probabilities: rank-i weight i**(-gamma), normalized;
+    memoized on (F, gamma), and shared, so frozen and read-only."""
     if not (isinstance(F, int) and F >= 1):
         raise ValueError(f"F must be an integer >= 1, got {F!r}")
     if gamma < 0:
@@ -198,10 +230,10 @@ class Placement:
         arr = np.asarray(c)
         if arr.ndim != 1 or arr.size != cfg.F:
             raise ValueError(f"placement must have F={cfg.F} entries, got shape {arr.shape}")
-        if not np.all(arr == np.floor(arr)):
+        if not (arr == np.floor(arr)).all():
             raise ValueError("placement entries must be integers")
         arr = arr.astype(int)
-        if np.any(arr < 0) or np.any(arr > cfg.L):
+        if (arr < 0).any() or (arr > cfg.L).any():
             raise ValueError(f"placement entries must lie in 0..L={cfg.L}: {arr}")
         if arr.sum() > cfg.M:
             raise ValueError(f"placement uses {arr.sum()} packets, memory is M={cfg.M}")

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import _disc_terms, success_probability
+from .channel import BLOCK_ENTRIES, _beta, _gauss_legendre, _noise, success_probability
 from .load import average_load_fast, scenario
 from .model import (
     CapacityError,
@@ -86,7 +87,11 @@ def exhaustive_placement(dist: NeighborCacheDistribution, cfg: SystemConfig) -> 
     A min-plus dynamic program over contents: ``value[b]`` is the least load
     of contents i..F-1 within b packets, and ``choice[i, b]`` the first c
     (fewest packets) attaining it, so ties go to the lexicographically
-    smallest placement.  Verification oracle: refuses above DP_MAX_WORK.
+    smallest placement.  A content's step is one (K+1, M+1) candidate array,
+    entry (c, b) = weighted[i, c] + value[b - c] (inf where c > b), and an
+    argmin over c, taken BLOCK_ENTRIES entries at a time so that memory
+    stays bounded.
+    Verification oracle: refuses above DP_MAX_WORK.
     """
     K = min(cfg.L, cfg.M)
     work = cfg.F * (K + 1) * (cfg.M + 1)
@@ -95,17 +100,24 @@ def exhaustive_placement(dist: NeighborCacheDistribution, cfg: SystemConfig) -> 
             f"exact placement search needs {work} steps, above the cap {DP_MAX_WORK}"
         )
     s = scenario(dist, cfg)
-    weighted = s.f[:, None] * s.tables
-    value = np.zeros(cfg.M + 1)
+    weighted = s.f[:, None] * s.tables[:, : K + 1]
+    budgets = np.arange(cfg.M + 1)
+    rows = max(1, BLOCK_ENTRIES // (cfg.M + 1))
+    padded = np.full(K + cfg.M + 1, np.inf)   # value[b] at K + b, inf below
+    padded[K:] = 0.0   # past the last content nothing is left to load
+    shifted = sliding_window_view(padded, cfg.M + 1)[::-1]   # row c: value[b - c]
     choice = np.zeros((cfg.F, cfg.M + 1), dtype=np.min_scalar_type(K))
     for i in reversed(range(cfg.F)):
-        best = weighted[i, 0] + value
-        for c in range(1, K + 1):
-            cand = weighted[i, c] + value[: cfg.M + 1 - c]    # budgets b >= c
-            better = cand < best[c:]
-            best[c:][better] = cand[better]
-            choice[i, c:][better] = c
-        value = best
+        for lo in range(0, K + 1, rows):
+            cand = weighted[i, lo:lo + rows, None] + shifted[lo:lo + rows]
+            pick = cand.argmin(axis=0)
+            low = cand[pick, budgets]
+            if lo == 0:
+                best, choice[i] = low, pick
+            else:   # a later block wins only where strictly lower
+                better = low < best
+                best[better], choice[i, better] = low[better], lo + pick[better]
+        padded[K:] = best
     c = np.zeros(cfg.F, dtype=int)
     budget = cfg.M
     for i in range(cfg.F):
@@ -242,8 +254,8 @@ def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
     per row, m the vector of their mean transmitter counts)."""
     cfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
     m = (1.0 - q[..., :1]) * cfg.mean_capable
-    r, w, noise, beta = _disc_terms(cfg)
-    integrand = noise * m * np.exp(-m * (1.0 - beta)) * 2.0 * r / cfg.radius**2
+    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    integrand = _noise(cfg) * m * np.exp(-m * (1.0 - _beta(cfg))) * 2.0 * r / cfg.radius**2
     value = cfg.L / cfg.mu * math.log1p(cfg.tau) * np.vecdot(integrand, w)
     return float(value) if q.ndim == 1 else value
 

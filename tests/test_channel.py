@@ -20,9 +20,10 @@ from d2dcache import (
 from d2dcache.channel import (
     BLOCK_ENTRIES,
     MAX_NODE_PAIRS,
-    _disc_terms,
+    _beta,
     _gauss_legendre,
     _interference_factor_at,
+    _noise,
     wilson_interval,
 )
 
@@ -186,24 +187,41 @@ class TestSuccessProbability:
         from d2dcache import channel
 
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
-        r, w, noise, beta = _disc_terms(cfg)
-        zeroed = beta.copy()
+        r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+        noise = _noise(cfg)
+        zeroed = _beta(cfg).copy()
         zeroed[::2] = 0.0
-        monkeypatch.setattr(channel, "_disc_terms", lambda c: (r, w, noise, zeroed))
+        monkeypatch.setattr(channel, "_beta", lambda c: zeroed)
         scale = noise * 2.0 * r / cfg.radius**2
         p = success_probability(np.array([1, 3]), cfg)
         assert p[0] == float(np.dot(w, scale))      # beta**0 = 1, 0**0 included
         assert p[1] == pytest.approx(np.dot(w, scale * np.where(zeroed > 0, zeroed**2, 0.0)),
                                      rel=1e-12, abs=0.0)
 
-    def test_disc_terms_read_only_and_a_hit_equals_a_fresh_build(self, cfg):
-        cached = _disc_terms(cfg)
-        assert _disc_terms(cfg) is cached
-        fresh = _disc_terms.__wrapped__(cfg)
-        for a, b in zip(cached, fresh):
-            assert np.array_equal(a, b)
+    def test_disc_factors_read_only_and_a_hit_equals_a_fresh_build(self, cfg):
+        for memo in (_beta, _noise):
+            cached = memo(cfg)
+            assert memo(cfg) is cached
+            assert np.array_equal(cached, memo.__wrapped__(cfg))
             with pytest.raises(ValueError):
-                a[0] = 0.0
+                cached[0] = 0.0
+
+    def test_u1_builds_no_interference_factor(self, cfg, monkeypatch):
+        from d2dcache import channel
+
+        def refuse(c):
+            raise RuntimeError("beta built")
+
+        p1 = success_probability(1, cfg)
+        budgets = build_link_budget(cfg, 10).budget
+        monkeypatch.setattr(channel, "_beta", refuse)
+        assert success_probability(1, cfg) == p1
+        assert np.array_equal(success_probability(np.ones((2, 3), dtype=int), cfg),
+                              np.full((2, 3), p1))
+        # orthogonal access reads p(1) only, at every u
+        assert np.array_equal(build_link_budget(cfg, 10).budget, budgets)
+        with pytest.raises(RuntimeError):
+            success_probability(2, cfg)
 
     def test_u1_independent_of_interference_integral(self, cfg):
         # u=1 must equal the bare noise-limited integral over the disc
@@ -312,11 +330,11 @@ class TestLinkBudget:
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, quad_nodes=8)
         monkeypatch.setattr(channel, "_interference_factor_at",
                             lambda r, c: np.full(r.shape, 1.0 + 2.0**-52))
-        _disc_terms.cache_clear()
+        _beta.cache_clear()
         try:
-            beta = _disc_terms(cfg)[3]
+            beta = _beta(cfg)
         finally:
-            _disc_terms.cache_clear()
+            _beta.cache_clear()
         assert np.all(beta == 1.0)
 
     def test_budget_non_increasing_orthogonal(self):
@@ -325,7 +343,7 @@ class TestLinkBudget:
 
     def test_memory_is_bounded_by_the_block(self):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
-        _disc_terms(cfg)
+        _beta(cfg), _noise(cfg)
         tracemalloc.start()
         try:
             lb = build_link_budget(cfg, 200_000)
@@ -339,7 +357,7 @@ class TestLinkBudget:
 
     def test_memory_per_block_does_not_grow_with_the_nodes(self):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, quad_nodes=512)
-        _disc_terms(cfg)
+        _beta(cfg), _noise(cfg)
         tracemalloc.start()
         try:
             build_link_budget(cfg, 8192)

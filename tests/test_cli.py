@@ -22,10 +22,11 @@ DEFAULT_CFG = str(REPO / "demos" / "default.cfg")
 LONG_CFG = "../long.cfg"
 LONG_EDITS = {"F": "2", "L": "40", "M": "10"}
 
-# The README's four commands, optimize with every method, and two Monte Carlo
-# sweeps over mu, which pin each grid point's seed: one on the default config
-# and one on long contents.  Their golden outputs were written by running each
-# command alone in a fresh process.
+# The README's four commands, optimize with every method, a sweep over lambda,
+# which pins that memoized Poisson windows follow the mean, and two Monte
+# Carlo sweeps over mu, which pin each grid point's seed: one on the default
+# config and one on long contents.  Their golden outputs were written by
+# running each command alone in a fresh process.
 README_RUNS = {
     "eval": ["eval", "--config", DEFAULT_CFG, "--placement", "5,0,0,0,0",
              "--out", "eval.csv"],
@@ -37,6 +38,9 @@ README_RUNS = {
     "validate": ["validate", "--config", DEFAULT_CFG],
     "optimize_all": ["optimize", "--config", DEFAULT_CFG,
                      "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both"],
+    "sweep_lambda": ["sweep", "--config", DEFAULT_CFG, "--axis", "lambda",
+                     "--values", "0.5,1,2,4", "--methods", "greedy,exhaustive,high_mobility",
+                     "--schemes", "both", "--out", "sweep_lambda.csv"],
     "sweep_mc": ["sweep", "--config", DEFAULT_CFG, "--axis", "mu", "--values", "1,4",
                  "--methods", "greedy,monte_carlo,high_mobility", "--schemes", "both",
                  "--trials", "500", "--seed", "9", "--out", "sweep_mc.csv"],

@@ -14,11 +14,11 @@ from d2dcache import (
     build_link_budget,
     default_config,
     link_budget_for,
-    marginal_gain,
     poisson_truncation,
     request_load,
     zipf_popularity,
 )
+from d2dcache.load import scenario
 
 
 def random_small_instance(rng, sharp=False):
@@ -245,41 +245,32 @@ class TestFastEvaluator:
 
 
 class TestMarginalGain:
+    """The scenario's per-packet gains: gains[i, c] is the load decrease from
+    the (c+1)-th packet of content i."""
+
     def test_equals_popularity_when_no_help(self, cfg):
         q = np.zeros((cfg.F, cfg.L + 1))
         q[:, 0] = 1.0
         dist = NeighborCacheDistribution(q)
         f = zipf_popularity(cfg.F, cfg.gamma).probs
+        gains = scenario(dist, cfg).gains
         for i in range(cfg.F):
-            g = marginal_gain(Placement([1, 1, 1, 1, 1], cfg), i, dist, cfg)
-            assert g == pytest.approx(f[i], abs=1e-12)
+            assert gains[i, 1] == pytest.approx(f[i], abs=1e-12)
 
     def test_nonnegative_and_diminishing(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             cfg, dist, _ = random_small_instance(rng)
-            for i in range(cfg.F):
-                gains = []
-                for k in range(cfg.L):
-                    c = np.zeros(cfg.F, dtype=int)
-                    c[i] = min(k, cfg.M) if cfg.M else 0
-                    if c.sum() > cfg.M or c[i] != k:
-                        break
-                    gains.append(marginal_gain(Placement(c, cfg), i, dist, cfg))
+            for gains in scenario(dist, cfg).gains:
                 assert all(g >= -1e-12 for g in gains)
                 assert all(b <= a + 1e-9 for a, b in zip(gains, gains[1:]))
-
-    def test_error_when_content_full(self, cfg, uniform_dist):
-        with pytest.raises(ValueError):
-            marginal_gain(Placement([5, 0, 0, 0, 0], cfg), 0, uniform_dist, cfg)
 
     def test_matches_direct_difference(self, cfg, uniform_dist):
         pl = Placement([2, 0, 0, 0, 0], cfg)
         grown = Placement([3, 0, 0, 0, 0], cfg)
         direct = (average_load_fast(pl, uniform_dist, cfg).total
                   - average_load_fast(grown, uniform_dist, cfg).total)
-        assert marginal_gain(pl, 0, uniform_dist, cfg) == pytest.approx(
-            direct, abs=1e-12)
+        assert scenario(uniform_dist, cfg).gains[0, 2] == pytest.approx(direct, abs=1e-12)
 
 
 class TestSharedWork:

@@ -65,6 +65,17 @@ class TestZipfPopularity:
         assert np.allclose(zipf_popularity(F, gamma).probs, weights / weights.sum(),
                            atol=1e-15)
 
+    def test_memoized_vector_cannot_be_changed(self):
+        # every caller of one (F, gamma) shares one object
+        shared = zipf_popularity(5, 0.6)
+        assert zipf_popularity(5, 0.6) is shared
+        with pytest.raises(ValueError):
+            shared.probs[0] = 0.5
+        with pytest.raises(AttributeError):
+            shared.probs = np.full(5, 0.2)
+        assert zipf_popularity(5, 0.6) is shared
+        assert np.array_equal(shared.probs, zipf_popularity.__wrapped__(5, 0.6).probs)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             zipf_popularity(0, 0.6)

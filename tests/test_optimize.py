@@ -29,7 +29,7 @@ from d2dcache import (
     success_probability,
     zipf_popularity,
 )
-from d2dcache.channel import _disc_terms
+from d2dcache.channel import _beta
 from d2dcache.load import delivered_packets_pmf, link_budget_for, scenario
 from d2dcache.model import poisson_pmf
 from d2dcache.optimize import U_SCAN
@@ -212,6 +212,38 @@ class TestExhaustive:
             assert dp == pytest.approx(brute, abs=1e-12)
             assert greedy == pytest.approx(dp, abs=1e-12)
 
+    def test_candidate_arrays_pick_as_the_packet_loop(self, monkeypatch):
+        # the min-plus step as a loop over (content, c), a candidate replacing
+        # the best only where strictly lower: whole candidate arrays, and
+        # arrays of one row per block, pick the same first minimum
+        from d2dcache import optimize
+
+        def loop_dp(dist, cfg):
+            K = min(cfg.L, cfg.M)
+            s = scenario(dist, cfg)
+            value = np.zeros(cfg.M + 1)
+            choice = np.zeros((cfg.F, cfg.M + 1), dtype=int)
+            for i in reversed(range(cfg.F)):
+                best = s.f[i] * s.tables[i, 0] + value
+                for c in range(1, K + 1):
+                    cand = s.f[i] * s.tables[i, c] + value[: cfg.M + 1 - c]
+                    better = cand < best[c:]
+                    best[c:][better] = cand[better]
+                    choice[i, c:][better] = c
+                value = best
+            c, budget = [], cfg.M
+            for i in range(cfg.F):
+                c.append(int(choice[i, budget]))
+                budget -= c[-1]
+            return c
+
+        instances = list(oracle_instances(12, 80))
+        expected = [loop_dp(dist, cfg) for cfg, dist in instances]
+        for entries in (optimize.BLOCK_ENTRIES, 1):
+            monkeypatch.setattr(optimize, "BLOCK_ENTRIES", entries)
+            got = [exhaustive_placement(dist, cfg).c.tolist() for cfg, dist in instances]
+            assert got == expected
+
     def test_dp_reaches_greedy_load_at_a_thousand_contents(self):
         cfg = default_config(F=1000, L=20, M=2000, lam=20.0)
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
@@ -346,11 +378,10 @@ class TestDeliveryMeans:
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
         # at a zeroed interference factor only u = 1 transmits (0**0 = 1),
         # which the closed form gives as m * exp(-m)
-        r, w, noise, beta = _disc_terms(cfg)
-        zeroed = beta.copy()
+        zeroed = _beta(cfg).copy()
         zeroed[::2] = 0.0
         for module in (channel, optimize):
-            monkeypatch.setattr(module, "_disc_terms", lambda c: (r, w, noise, zeroed))
+            monkeypatch.setattr(module, "_beta", lambda c: zeroed)
         assert noma_delivery_mean(q, cfg) == pytest.approx(long_noma_sum(q, cfg),
                                                            rel=1e-9, abs=0.0)
         monkeypatch.undo()
