@@ -7,15 +7,16 @@ the neighbors' cache contents (i.i.d. per-content PMFs).  Two independent
 evaluators are provided: exact enumeration over neighbor cache vectors (the
 oracle, feasible only for small truncation points) and a collapsed
 thinned-Poisson + capped-convolution evaluator (the fast path, exact up to
-the same truncation).  The fast path convolves only where delivery is
+the same truncation).  The fast path keeps delivered-packet PMFs on bins
+0..L-1, as the shortfall is 0 from L on, and convolves only where they are
 uncertain: u transmitters with budget 0 deliver nothing, and u >= L with
-budget >= 1 deliver at least L packets, whose bin no shortfall table reads.
+budget >= 1 deliver at least L packets.
 Budgets never rise with u under either scheme, so the silent counts are
 exactly u >= u0, u0 the first zero budget, and only u < min(L, u0) takes
 convolutions.  Budgets depend on u and the config only, so every distinct
 cache row shares one schedule: the rows are batched, each with its own
-Poisson window, and a convolution step is one (rows, L+1) transition-matrix
-product.  Bins below L equal a per-row construction up to rounding.  The
+Poisson window, and a convolution step is one (rows, L, L) transition-matrix
+product.  The bins equal a per-row construction up to rounding.  The
 same Poisson windows give each row's floored delivery E[u * budget(u)] and
 its truncation bound, which the scenario carries for the high-mobility
 placement and the Jensen-gap check; every Poisson window of a cache row is
@@ -94,73 +95,68 @@ def request_load(c_i: int, d, cfg: SystemConfig, lb: LinkBudget) -> int:
 
 @lru_cache(maxsize=32)
 def _transition_index(L: int) -> np.ndarray:
-    """Gather index of the transposed capped transition matrix from the row
-    [per_tx[0..L], tail[0..L]], tail[m] the per-transmitter mass at >= m:
-    entry (k, j), the chance of a move from j to k delivered packets, reads
-    per_tx[k - j] for j <= k < L, tail[L - j] for the fold k = L, and
+    """Gather index of the transposed transition matrix on bins 0..L-1 from
+    a transmitter's PMF per_tx[0..L-1]: entry (k, j), the chance of a move
+    from j to k delivered packets, reads per_tx[k - j] for j <= k, and
     per_tx[0] = 0 (a transmitter delivers one packet at least) for j > k."""
-    k, j = np.indices((L + 1, L + 1))
-    index = np.where(j <= k, k - j, 0)
-    index[L] = 2 * L + 1 - j[L]
-    return _readonly(index)
+    k, j = np.indices((L, L))
+    return _readonly(np.where(j <= k, k - j, 0))
 
 
 def _transitions(cond: np.ndarray, b: int, L: int) -> np.ndarray:
-    """(rows, L+1, L+1) transposed transition matrices of one more
-    transmitter with budget b >= 1: row k of matrix r holds the chances of
-    reaching k delivered packets (k = L: L or more) from each j, so a step
-    is one dot per (row, k) over j = 0..L, in j order."""
-    source = np.zeros((cond.shape[0], 2 * L + 2))
-    if b >= L:
-        source[:, 1 : L + 1] = cond
-    else:
-        source[:, 1:b] = cond[:, : b - 1]
+    """(rows, L, L) transposed transition matrices of one more transmitter
+    with budget b >= 1: row k of matrix r holds the chances of reaching k < L
+    delivered packets from each j, so a step is one dot per (row, k) over
+    j = 0..L-1, in j order.  Mass that reaches L never comes back below it,
+    so the source, the transmitter's PMF capped at min(b, L), stops at L-1."""
+    b = min(b, L)
+    source = np.zeros((cond.shape[0], L))
+    source[:, 1:b] = cond[:, : b - 1]
+    if b < L:
         source[:, b] = np.add.reduce(cond[:, b - 1 :], axis=1)
-    source[:, L + 1 :] = np.add.accumulate(source[:, L::-1], axis=1)[:, ::-1]
     # C order, so each dot runs over contiguous j as np.convolve's dots do
     return np.take(source, _transition_index(L), axis=1)
 
 
 def _step(power: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """The delivered-packet PMFs after one more transmitter, mass at >= L
-    folded into bin L: row r's bin k is the dot of transitions[r, k] with
-    power[r], which adds the products power[j] * per_tx[k - j] in j order,
-    the order np.convolve adds them in."""
+    """The delivered-packet PMFs on bins 0..L-1 after one more transmitter:
+    row r's bin k is the dot of transitions[r, k] with power[r], which adds
+    the products power[j] * per_tx[k - j] in j order, the order np.convolve
+    adds them in."""
     return np.vecdot(transitions, power[:, None, :])
 
 
 def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
-    """PMFs of the D2D-delivered packet count, one per cache row, their tail
-    bounds, the floored deliveries and their truncation bounds: ``q_i``
-    stacks R rows (R, L+1); returns (R, L+1), (R,), (R,), (R,).
+    """PMFs of the D2D-delivered packet count on bins 0..L-1, one per cache
+    row, their tail bounds, the floored deliveries and their truncation
+    bounds: ``q_i`` stacks R rows (R, L+1); returns (R, L), (R,), (R,), (R,).
 
     Collapses the (capable-count, cache-vector) expectation: the number of
     transmitters is the capable-user Poisson thinned by P[d > 0], truncated
     at its row's own point, and each transmitter's packet count is the cache
     PMF conditioned on d > 0, capped at the budget for that transmitter
-    count.  Mass at >= L is folded into the L bin (it can never leave
-    residual load).
+    count.  Mass at >= L is dropped: it can never leave residual load, and
+    as each transmitter hands over at least one packet it never comes back
+    below L, so the bins are those of the plain convolution mod x^L.
 
-    Each transmitter count u falls in one of three ranges:
+    Two ranges of transmitter counts u add to the bins; the counts between,
+    L <= u < u0, deliver at least L packets and add to none:
 
     - silent, u >= u0, the first zero budget: nothing is delivered, so
       pu[u] goes to bin 0;
-    - saturated, u >= L and budget[u] >= 1: each transmitter delivers at
-      least one packet, so pu[u] goes to bin L;
-    - the rest, u < min(L, u0): a capped u-fold convolution, as
-      products of the per-transmitter transition matrices, carried over from
-      u-1 while the budget stays the same and rebuilt where it steps, so at
-      most L*(L-1)/2 products whatever the mean.  The budgets depend on u
-      and the config only, so all rows share one schedule of products.
+    - u < min(L, u0): a capped u-fold convolution, as products of the
+      per-transmitter transition matrices, carried over from u-1 while the
+      budget stays the same and rebuilt where it steps, so at most
+      L*(L-1)/2 products whatever the mean.  The budgets depend on u and the
+      config only, so all rows share one schedule of products.
 
     Bin 0 is pu[0] plus the silent pu[u] summed in u order, exactly as a
     per-u construction sums them: past a row's window its pu is 0.0, and a
-    product's bin 0 is 0.0.  The bins below L add the same products as
+    product's bin 0 is 0.0.  The other bins add the same products as
     np.convolve in the same order, with zero terms between; they equal a
     per-row np.convolve construction up to rounding in the dot products.
-    Bin L may differ in its last bits; no shortfall table reads it, as its
-    weight max(0, L - c - L) is 0.  Rows are taken in blocks of at most
-    BLOCK_ENTRIES // max(U+1, (L+1)**2) rows, U the largest truncation point.
+    Rows are taken in blocks of at most BLOCK_ENTRIES // max(U+1, L*L) rows,
+    U the largest truncation point.
 
     The floored delivery E[u * budget(u)] is the expected packets D2D hands
     over per stay, floors included: the saturation level of the
@@ -174,13 +170,13 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     counts = np.arange(u_max.max() + 1)
     budget = link_budget_for(cfg).budget
     b = budget[: counts.size]
-    silent, saturated = b == 0, b[L:] >= 1
+    silent = b == 0
     convolved = b[1 : min(L, counts.size)]   # budgets of u = 1..min(L, U+1)-1
     convolved = convolved[convolved > 0].tolist()   # and u < u0: zeros are a suffix
     weight = counts * b   # packets u transmitters hand over, floors included
-    pmf = np.zeros((q_i.shape[0], L + 1))
+    pmf = np.zeros((q_i.shape[0], L))
     delivery = np.empty(q_i.shape[0])
-    step = max(1, BLOCK_ENTRIES // max(counts.size, (L + 1) ** 2))
+    step = max(1, BLOCK_ENTRIES // max(counts.size, L * L))
     for lo in range(0, q_i.shape[0], step):
         rows = slice(lo, lo + step)
         pu = poisson_pmf(counts, mean[rows, None])
@@ -200,7 +196,6 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
                 for _ in range(u - 1):
                     power = _step(power, transitions)
             mixed += pu[:, u, None] * power
-        mixed[:, L] += pu[:, L:] @ saturated
     return pmf, tails[:, 1], delivery, float(budget[1]) * (mean * tails[:, 0])
 
 
@@ -252,9 +247,10 @@ def shortfall_tables(q: np.ndarray, cfg: SystemConfig):
 
 @lru_cache(maxsize=32)
 def _shortfall_weights(L: int) -> np.ndarray:
-    """max(0, L - c - k): the shortfall at own cache c and k delivered packets."""
-    k = np.arange(L + 1)
-    return _readonly(np.maximum(0, L - k[:, None] - k))
+    """max(0, L - c - k): the shortfall at own cache c = 0..L and k = 0..L-1
+    delivered packets, shape (L+1, L); at k >= L it is 0."""
+    c, k = np.arange(L + 1), np.arange(L)
+    return _readonly(np.maximum(0, L - c[:, None] - k))
 
 
 @lru_cache(maxsize=8)   # small: a grid point reads one budget per scheme

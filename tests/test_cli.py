@@ -16,17 +16,24 @@ from d2dcache.cli import (
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 DEFAULT_CFG = str(REPO / "demos" / "default.cfg")
-# long contents with few of them (F=2, L=40, M=10): the largest packet budget
-# exceeds F at both mu values, so Monte Carlo draws counts content by content.
-# The test writes it next to the runs' directories; CI makes it with sed.
-LONG_CFG = "../long.cfg"
-LONG_EDITS = {"F": "2", "L": "40", "M": "10"}
+# Edits of the default config, which the test writes next to the runs'
+# directories and CI makes with sed:
+# - long.cfg, long contents with few of them (F=2, L=40, M=10): the largest
+#   packet budget exceeds F at both mu values, so Monte Carlo draws counts
+#   content by content;
+# - l47.cfg, F=3, L=47, M=40, lambda=12: the delivered-packet dots are one
+#   term short of a multiple of 16, where the summation order of a dot changes.
+EDITED_CONFIGS = {
+    "long.cfg": {"F": "2", "L": "40", "M": "10"},
+    "l47.cfg": {"F": "3", "L": "47", "M": "40", "lambda": "12"},
+}
 
-# The README's four commands, optimize with every method, a sweep over lambda,
-# which pins that memoized Poisson windows follow the mean, and two Monte
-# Carlo sweeps over mu, which pin each grid point's seed: one on the default
-# config and one on long contents.  Their golden outputs were written by
-# running each command alone in a fresh process.
+# The README's four commands, optimize with every method on the default
+# config and on L=47, a sweep over lambda, which pins that memoized Poisson
+# windows follow the mean, and two Monte Carlo sweeps over mu, which pin each
+# grid point's seed: one on the default config and one on long contents.
+# Their golden outputs were written by running each command alone in a fresh
+# process.
 README_RUNS = {
     "eval": ["eval", "--config", DEFAULT_CFG, "--placement", "5,0,0,0,0",
              "--out", "eval.csv"],
@@ -44,9 +51,11 @@ README_RUNS = {
     "sweep_mc": ["sweep", "--config", DEFAULT_CFG, "--axis", "mu", "--values", "1,4",
                  "--methods", "greedy,monte_carlo,high_mobility", "--schemes", "both",
                  "--trials", "500", "--seed", "9", "--out", "sweep_mc.csv"],
-    "sweep_mc_long": ["sweep", "--config", LONG_CFG, "--axis", "mu", "--values", "0.25,1",
-                      "--methods", "greedy,monte_carlo", "--trials", "2000",
-                      "--out", "sweep_mc_long.csv"],
+    "sweep_mc_long": ["sweep", "--config", "../long.cfg", "--axis", "mu",
+                      "--values", "0.25,1", "--methods", "greedy,monte_carlo",
+                      "--trials", "2000", "--out", "sweep_mc_long.csv"],
+    "optimize_l47": ["optimize", "--config", "../l47.cfg",
+                     "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both"],
 }
 
 GOOD_CONFIG = """\
@@ -371,10 +380,11 @@ def test_parser_is_built_once():
 def test_readme_commands_match_golden_bytes(tmp_path, monkeypatch, capsys):
     # all commands run back to back in this one process, so the shared parser
     # and the memoized scenarios must not carry state from one to the next
-    text = Path(DEFAULT_CFG).read_text()
-    for key, value in LONG_EDITS.items():
-        text = re.sub(rf"^{key}=.*$", f"{key}={value}", text, flags=re.MULTILINE)
-    (tmp_path / "long.cfg").write_text(text)
+    for name, edits in EDITED_CONFIGS.items():
+        text = Path(DEFAULT_CFG).read_text()
+        for key, value in edits.items():
+            text = re.sub(rf"^{key}=.*$", f"{key}={value}", text, flags=re.MULTILINE)
+        (tmp_path / name).write_text(text)
     for name, argv in README_RUNS.items():
         workdir = tmp_path / name
         workdir.mkdir()

@@ -18,6 +18,7 @@ from d2dcache import (
     sample_state,
     zipf_popularity,
 )
+from d2dcache.model import poisson_pmf
 from d2dcache.montecarlo import BLOCK_TRIALS
 
 
@@ -186,11 +187,28 @@ class TestEstimateAverageLoad:
         assert e1 == e3
         assert 0.0 <= e_tail <= cfg.L   # tail mean is a valid load average
 
-    def test_agrees_with_analytic(self, cfg, uniform_dist):
-        pl = greedy_placement(uniform_dist, cfg)[0]
-        exact = average_load_fast(pl, uniform_dist, cfg).total
-        est, se = estimate_average_load(pl, uniform_dist, cfg, trials=20_000, seed=3)
-        assert abs(est - exact) <= 3 * se
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # Dirichlet rows where L <= u < u0 carries more than 0.4 of each
+        # row's transmitter counts: those deliver L packets or more
+        dict(L=4, lam=11.4, mu=0.5, snr=1e4),                        # u0 = 11
+        dict(L=4, lam=4.0, mu=0.25, snr=1e4, scheme="non_orthogonal"),   # u0 = 10
+    ])
+    def test_agrees_with_analytic(self, overrides):
+        cfg = default_config(**overrides)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        if overrides:
+            dist = NeighborCacheDistribution(
+                np.random.default_rng(cfg.L).dirichlet(np.ones(cfg.L + 1), size=cfg.F))
+            budget = link_budget_for(cfg).budget
+            u0 = int(np.argmax(budget[1:] == 0)) + 1
+            mean = (1.0 - dist.q[:, :1]) * cfg.mean_capable
+            between = poisson_pmf(np.arange(cfg.L, u0), mean).sum(axis=1)
+            assert np.all(between > 0.4)
+        pl = greedy_placement(dist, cfg)[0]
+        analytic = average_load_fast(pl, dist, cfg)
+        est, se = estimate_average_load(pl, dist, cfg, trials=20_000, seed=3)
+        assert abs(est - analytic.total) <= 3 * se + analytic.truncation_bound
 
     @pytest.mark.parametrize("snr_db", [0, 10, 20, 30, 40])
     @pytest.mark.parametrize("scheme", ["orthogonal", "non_orthogonal"])
