@@ -8,7 +8,10 @@ intervals validates those evaluators end to end.
 
 Trials are drawn in blocks.  Block ``b`` has its own RNG stream keyed
 ``[seed, b]`` and is always drawn at full size, then truncated to the trials
-requested, so growing the trial count never changes earlier trials.
+requested, so growing the trial count never changes earlier trials.  The
+streams stay per block, but counting and reduction run once per pass of
+consecutive blocks holding at most ``PASS_DRAWS`` expected draws, which
+spreads their fixed cost over many blocks and bounds memory by a pass.
 
 A neighbor hands over ``min(d, budget[u])`` packets of a content it holds
 ``d`` of, and budgets never rise with u, so no count above ``budget[1]``
@@ -21,6 +24,8 @@ are contiguous.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,7 @@ from .model import (
 
 BLOCK_TRIALS = 256          # trials per RNG stream unless the draw cap lowers it
 MAX_BLOCK_DRAWS = 2**22     # expected cache-count draws per block (32 MB of uniforms)
+PASS_DRAWS = 2**16          # expected draws (and cells) counted and reduced in one pass
 
 
 @dataclass(frozen=True)
@@ -62,29 +68,38 @@ class SampledState:
 def sample_state(
     dist: NeighborCacheDistribution,
     cfg: SystemConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     trials: int = 1,
 ) -> SampledState:
-    """Draw ``trials`` neighborhoods with counts capped at the largest packet budget.
+    """Draw ``trials`` neighborhoods per stream, counts capped at the largest packet budget.
 
     Poisson neighbor counts and i.i.d. caches, but each cache count is
     ``min(count, levels)`` with ``levels = max(1, min(L, budget[1]))`` of
     ``cfg``'s link budget: valid for computing loads, not for the cache
-    contents themselves.  Neighbors are stacked in trial order; ``trial``
-    maps each one to its trial.  The uniforms are drawn row-major, (n, F),
-    then counted content-major against the first ``levels`` cut points of
-    ``cumsum(q)``.
+    contents themselves.  ``rng`` is one Generator or a sequence of them;
+    each draws its ``trials`` Poisson counts, then its (n_b, F) row-major
+    uniforms, exactly as it would alone.  Neighbors are stacked in stream
+    and trial order, and ``trial`` numbers the trials of all streams
+    consecutively.  The uniforms of all streams are counted at once,
+    content-major, against the first ``levels`` cut points of ``cumsum(q)``.
     """
-    counts = rng.poisson(cfg.mean_capable, size=trials)
-    n = int(counts.sum())
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    counts = [g.poisson(cfg.mean_capable, size=trials) for g in rngs]
+    sizes = [int(c.sum()) for c in counts]
+    n = sum(sizes)
     levels = max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
     cuts = np.cumsum(dist.q[: cfg.F, :levels], axis=1)   # the first levels cut points
-    u = rng.random((n, cfg.F)).T.copy()     # the row-major stream, content-major
+    u = np.empty((cfg.F, n))                # every stream's uniforms, content-major
+    start = 0
+    for g, size in zip(rngs, sizes):
+        u[:, start:start + size] = g.random((size, cfg.F)).T
+        start += size
     d = np.empty((cfg.F, n), dtype=np.min_scalar_type(cfg.L))
     for i in range(cfg.F):
         # inverse-CDF draw; at most levels <= L, so the last bin's float fuzz needs no clip
-        d[i] = np.searchsorted(cuts[i], u[i], side="right")
-    trial = np.repeat(np.arange(trials, dtype=np.int32), counts)
+        d[i] = cuts[i].searchsorted(u[i], "right")
+    trial = np.repeat(np.arange(len(rngs) * trials, dtype=np.int32),
+                      np.concatenate(counts))
     return SampledState(n=n, d=d.T, trial=trial)
 
 
@@ -99,6 +114,14 @@ def _block_trials(cfg: SystemConfig) -> int:
     return min(BLOCK_TRIALS, int(MAX_BLOCK_DRAWS / max(draws, 1.0)))
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an int; a TypeError names ``name`` when it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def estimate_average_load(
     placement: Placement,
     dist: NeighborCacheDistribution,
@@ -111,11 +134,15 @@ def estimate_average_load(
     Trials are drawn in blocks whose size depends on ``cfg`` only.  Each block
     has its own RNG stream keyed ``[seed, block]`` and is drawn at full size,
     then truncated, so growing the trial count never changes earlier trials.
+    Consecutive blocks are counted and reduced together, in passes of at
+    most ``PASS_DRAWS`` expected draws and (content, trial) cells and at
+    least one block; the pass size changes no bit of the result.
     The request is averaged exactly over the popularity weights inside each
     trial.  Packet budgets come from the memoized ``link_budget_for`` table;
     a longer one is built only when a sampled count passes its end.
     Raises CapacityError when one trial's expected draws exceed the cap.
     """
+    trials, seed = _index("trials", trials), _index("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -127,28 +154,32 @@ def estimate_average_load(
     missing = cfg.L - placement.c
 
     blocks = -(-trials // B)
+    # a block draws mean_capable*F*B counts into F*B cells; a pass bounds the larger
+    per_pass = max(1, int(PASS_DRAWS / (max(cfg.mean_capable, 1.0) * F * B)))
     values = np.empty(blocks * B)
-    for b in range(blocks):
-        rng = np.random.default_rng([seed, b])
-        state = sample_state(dist, cfg, rng, B)
+    for first in range(0, blocks, per_pass):
+        rngs = [np.random.default_rng([seed, b])
+                for b in range(first, min(blocks, first + per_pass))]
+        T = len(rngs) * B
+        state = sample_state(dist, cfg, rngs, B)
         # (content, trial) cell of every draw, content-major as the counts;
         # intp, as bincount copies other ints to intp
-        cell = (np.arange(F)[:, None] * B + state.trial).ravel()
+        cell = (np.arange(F)[:, None] * T + state.trial).ravel()
         held = state.d.T.ravel()
-        u = np.bincount(cell[held > 0], minlength=F * B)
+        u = np.bincount(cell[held > 0], minlength=F * T)
         if u.max() >= budget.size:
             budget = build_link_budget(cfg, u.max()).budget
         # min(d, b) = min(d, min(b, L)) as d <= L, so the gathered budget fits d's dtype
         cap = np.minimum(budget[u], cfg.L).astype(held.dtype)
-        delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=F * B)
-        # a C-contiguous (B, F) operand, so @ sums each trial as before
-        delivered = np.ascontiguousarray(delivered.reshape(F, B).T)
+        delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=F * T)
+        # a C-contiguous (T, F) operand, so @ sums each trial as before
+        delivered = np.ascontiguousarray(delivered.reshape(F, T).T)
         shortfall = np.maximum(0.0, missing - delivered)
-        values[b * B:(b + 1) * B] = shortfall @ f
+        values[first * B:first * B + T] = shortfall @ f
 
     values = values[:trials]
     estimate = float(values.mean())
     # deviations from the first trial: equal trials give a stderr of exactly 0
-    spread = values - values[0]
-    stderr = float(spread.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    values -= values[0]
+    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return estimate, stderr

@@ -30,8 +30,9 @@ EDITED_CONFIGS = {
 
 # The README's four commands, optimize with every method on the default
 # config and on L=47, a sweep over lambda, which pins that memoized Poisson
-# windows follow the mean, and two Monte Carlo sweeps over mu, which pin each
-# grid point's seed: one on the default config and one on long contents.
+# windows follow the mean, and three Monte Carlo sweeps over mu, which pin each
+# grid point's seed: one on the default config, one on long contents and one
+# of 30,000 trials, whose blocks are counted in several passes.
 # Their golden outputs were written by running each command alone in a fresh
 # process.
 README_RUNS = {
@@ -54,6 +55,9 @@ README_RUNS = {
     "sweep_mc_long": ["sweep", "--config", "../long.cfg", "--axis", "mu",
                       "--values", "0.25,1", "--methods", "greedy,monte_carlo",
                       "--trials", "2000", "--out", "sweep_mc_long.csv"],
+    "sweep_mc_many": ["sweep", "--config", DEFAULT_CFG, "--axis", "mu", "--values", "0.25,1",
+                      "--methods", "greedy,monte_carlo", "--schemes", "both",
+                      "--trials", "30000", "--seed", "3", "--out", "sweep_mc_many.csv"],
     "optimize_l47": ["optimize", "--config", "../l47.cfg",
                      "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both"],
 }

@@ -18,6 +18,7 @@ from d2dcache import (
     sample_state,
     zipf_popularity,
 )
+from d2dcache import montecarlo
 from d2dcache.model import poisson_pmf
 from d2dcache.montecarlo import BLOCK_TRIALS
 
@@ -53,6 +54,13 @@ def _pin_rows(F, L):
             row[-2:] = (1.0, 3.0)
         rows.append(row / row.sum())
     return NeighborCacheDistribution(np.array(rows))
+
+
+def _pin_estimate(cfg, trials, seed=7):
+    """The estimate of the pinned cases: pin rows, M spread evenly over contents."""
+    c = [min(cfg.L, cfg.M // cfg.F + (i < cfg.M % cfg.F)) for i in range(cfg.F)]
+    return estimate_average_load(Placement(c, cfg), _pin_rows(cfg.F, cfg.L), cfg,
+                                 trials, seed)
 
 
 def _levels(cfg):
@@ -152,6 +160,17 @@ class TestSampleState:
         assert state.d.dtype == np.min_scalar_type(cfg.L)
         assert np.array_equal(state.d, expected)
 
+    def test_streams_stack_in_order(self, cfg, uniform_dist):
+        # two streams give the two one-stream states stacked, trials numbered on
+        both = sample_state(uniform_dist, cfg, [np.random.default_rng([5, b]) for b in (0, 1)],
+                            BLOCK_TRIALS)
+        one = [sample_state(uniform_dist, cfg, np.random.default_rng([5, b]), BLOCK_TRIALS)
+               for b in (0, 1)]
+        assert both.n == one[0].n + one[1].n
+        assert np.array_equal(both.d, np.concatenate([one[0].d, one[1].d]))
+        assert np.array_equal(both.trial,
+                              np.concatenate([one[0].trial, one[1].trial + BLOCK_TRIALS]))
+
     def test_block_maps_neighbors_to_trials(self, cfg, uniform_dist):
         state = sample_state(uniform_dist, cfg, np.random.default_rng(13), trials=50)
         counts = np.random.default_rng(13).poisson(cfg.mean_capable, size=50)
@@ -244,10 +263,23 @@ class TestEstimateAverageLoad:
     def test_estimates_are_pinned(self, key):
         case, scheme, trials = key
         cfg = default_config(scheme=scheme, **PIN_CONFIGS[case])
-        c = [min(cfg.L, cfg.M // cfg.F + (i < cfg.M % cfg.F)) for i in range(cfg.F)]
-        got = estimate_average_load(Placement(c, cfg), _pin_rows(cfg.F, cfg.L), cfg,
-                                    trials, seed=7)
-        assert got == PINNED[key]
+        assert _pin_estimate(cfg, trials) == PINNED[key]
+
+    @pytest.mark.parametrize("pass_draws", [1, 2**40])
+    @pytest.mark.parametrize("scheme", ["orthogonal", "non_orthogonal"])
+    @pytest.mark.parametrize("overrides, trials", [
+        (dict(), 255), (dict(), 256), (dict(), 257), (dict(), 30_000),
+        (PIN_CONFIGS["F2_L40"], 2000),
+        (PIN_CONFIGS["extend"], 2000),                   # extends the budget in a pass
+        (dict(F=3, L=5, lam=0.2), 20_000),
+    ])
+    def test_any_pass_size_gives_the_same_bits(self, overrides, trials, scheme, pass_draws,
+                                               monkeypatch):
+        # one block per pass, and one pass per call, against the default passes
+        cfg = default_config(scheme=scheme, **overrides)
+        expected = _pin_estimate(cfg, trials)
+        monkeypatch.setattr(montecarlo, "PASS_DRAWS", pass_draws)
+        assert _pin_estimate(cfg, trials) == expected
 
     def test_stderr_exactly_zero_when_trials_agree(self):
         # at 0 dB every packet budget is 0, so every trial has the same load
@@ -294,6 +326,25 @@ class TestEstimateAverageLoad:
             tracemalloc.stop()
         assert peak < 24 * cfg.mean_capable * cfg.F
 
+    @pytest.mark.parametrize("overrides", [
+        dict(mu=0.25),      # mean 2: 25 blocks of draws per pass
+        dict(lam=0.025),    # mean 0.0125: a pass is capped by its (content, trial) cells
+    ])
+    def test_peak_memory_is_bounded_by_a_pass(self, overrides):
+        # past the first passes, more trials add only their values: 8 bytes each
+        cfg = default_config(**overrides)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        pl = greedy_placement(dist, cfg)[0]
+        peaks = {}
+        for trials in (30_000, 100_000):
+            tracemalloc.start()
+            try:
+                estimate_average_load(pl, dist, cfg, trials=trials, seed=0)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000] - peaks[30_000] <= 1.25 * 8 * (100_000 - 30_000)
+
     @pytest.mark.parametrize("scheme", ["orthogonal", "non_orthogonal"])
     def test_counts_past_the_link_budget_extend_it(self, scheme, monkeypatch):
         # at n_trunc_epsilon=0.3 the memoized budget ends below counts the
@@ -332,3 +383,7 @@ class TestEstimateAverageLoad:
             estimate_average_load(pl, uniform_dist, cfg, trials=0, seed=0)
         with pytest.raises(ValueError):
             estimate_average_load(pl, uniform_dist, cfg, trials=10, seed=-1)
+        with pytest.raises(TypeError, match="trials"):
+            estimate_average_load(pl, uniform_dist, cfg, trials=1e4, seed=0)
+        with pytest.raises(TypeError, match="seed"):
+            estimate_average_load(pl, uniform_dist, cfg, trials=10, seed=1.5)
