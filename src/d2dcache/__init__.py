@@ -3,7 +3,9 @@
 Library layout:
 
 - ``model``: system parameters, Zipf popularity, Poisson mobility counts
-- ``channel``: success probabilities, rates, per-stay packet budgets
+- ``channel``: success probabilities, rates, per-stay packet budgets, and
+  the disc quadrature behind them, which also gives the non-orthogonal
+  delivery mean as a sum over the nodes taken in blocks of cache rows
 - ``load``: exact and fast evaluators of the average BS load
 - ``optimize``: greedy/exhaustive placement, matroid and submodularity
   property harnesses, and the high-mobility analysis, whose closed-form

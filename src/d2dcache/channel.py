@@ -114,6 +114,23 @@ def success_probability(u, cfg: SystemConfig):
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
+def expected_successes(m, cfg: SystemConfig):
+    """E[u P[SINR > tau | u]] for u ~ Poisson(m), exactly: P is a quadrature
+    sum of beta_k**(u-1) terms, and E[u beta**(u-1)] = m exp(-m(1-beta)).
+    ``m`` is a float (gives a float) or an array of means (gives one value
+    per mean), evaluated BLOCK_ENTRIES (mean, node) terms at a time."""
+    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    noise, beta = _noise(cfg), _beta(cfg)
+    flat = np.reshape(m, (-1, 1))
+    out = np.empty(flat.shape[0])
+    rows = max(1, BLOCK_ENTRIES // cfg.quad_nodes)
+    for lo in range(0, out.size, rows):
+        mb = flat[lo:lo + rows]
+        integrand = noise * mb * np.exp(-mb * (1.0 - beta)) * 2.0 * r / cfg.radius**2
+        out[lo:lo + rows] = np.vecdot(integrand, w)
+    return float(out[0]) if np.ndim(m) == 0 else out.reshape(np.shape(m))
+
+
 def success_probability_mc(u: int, cfg: SystemConfig, trials: int, seed: int):
     """Monte Carlo estimate of P[SINR > tau | u] by direct SINR sampling.
 

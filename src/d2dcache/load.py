@@ -285,11 +285,11 @@ class Scenario:
 def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
     """The scenario of ``dist`` under ``cfg``, memoized by the frozen config
     and the bytes of the F cache rows in use, so a hit equals a fresh build."""
-    q = dist.q[: cfg.F]
+    q = dist.rows(cfg)
     return _build_scenario(cfg, q.tobytes(), q.shape)
 
 
-@lru_cache(maxsize=8)   # small: callers reuse a scenario within one grid point
+@lru_cache(maxsize=2)   # a grid point's two schemes; a sweep finishes a point first
 def _build_scenario(cfg: SystemConfig, q_bytes: bytes, shape: tuple) -> Scenario:
     q = np.frombuffer(q_bytes).reshape(shape)   # rows the caller's dist validated
     tables, tails, delivery, bound = shortfall_tables(q, cfg)
@@ -337,8 +337,7 @@ def average_load_enum(
     p_n = poisson_pmf(np.arange(n_max + 1), mean)
 
     per_content = np.zeros(cfg.F)
-    for i in range(cfg.F):
-        q_i = dist.q[i]
+    for i, q_i in enumerate(dist.rows(cfg)):
         c_i = int(placement.c[i])
         expect = 0.0
         for n in range(p_n.size):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from enum import Enum
 from functools import lru_cache, wraps
 
@@ -186,6 +186,7 @@ def zipf_popularity(F: int, gamma: float) -> ContentPopularity:
     return ContentPopularity(weights / weights.sum())
 
 
+@dataclass(frozen=True, eq=False)
 class NeighborCacheDistribution:
     """Per-content PMF of the packet count a neighboring user caches.
 
@@ -194,8 +195,10 @@ class NeighborCacheDistribution:
     neighbors.
     """
 
-    def __init__(self, q):
-        arr = np.asarray(q, dtype=float)
+    q: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.q, dtype=float)
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ValueError("cache distribution must be an (F, L+1) matrix")
         if np.any(arr < 0):
@@ -203,7 +206,7 @@ class NeighborCacheDistribution:
         sums = arr.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError(f"each per-content PMF must sum to 1, got sums {sums}")
-        self.q = _readonly(arr)
+        object.__setattr__(self, "q", _readonly(arr))
 
     @property
     def F(self) -> int:
@@ -213,12 +216,21 @@ class NeighborCacheDistribution:
     def L(self) -> int:
         return self.q.shape[1] - 1
 
+    def rows(self, cfg: SystemConfig) -> np.ndarray:
+        """The cache rows of cfg's F contents, q[:cfg.F]; raises unless the
+        rows have cfg's L+1 columns and there are at least cfg.F of them."""
+        if self.L != cfg.L or self.F < cfg.F:
+            raise ValueError(f"cache distribution has {self.F} rows for L={self.L}; "
+                             f"the config reads {cfg.F} rows for L={cfg.L}")
+        return self.q[: cfg.F]
+
     @classmethod
     def uniform(cls, F: int, L: int) -> "NeighborCacheDistribution":
         """Uniform PMF 1/(L+1) over {0..L} for every content (the default)."""
         return cls(np.full((F, L + 1), 1.0 / (L + 1)))
 
 
+@dataclass(frozen=True, eq=False)
 class Placement:
     """The typical user's cache vector: packets stored per content.
 
@@ -226,8 +238,11 @@ class Placement:
     0 <= c[i] <= L and sum(c) <= M.  Violations raise, never clamp.
     """
 
-    def __init__(self, c, cfg: SystemConfig):
-        arr = np.asarray(c)
+    c: np.ndarray
+    cfg: InitVar[SystemConfig]
+
+    def __post_init__(self, cfg: SystemConfig):
+        arr = np.asarray(self.c)
         if arr.ndim != 1 or arr.size != cfg.F:
             raise ValueError(f"placement must have F={cfg.F} entries, got shape {arr.shape}")
         if not (arr == np.floor(arr)).all():
@@ -237,7 +252,7 @@ class Placement:
             raise ValueError(f"placement entries must lie in 0..L={cfg.L}: {arr}")
         if arr.sum() > cfg.M:
             raise ValueError(f"placement uses {arr.sum()} packets, memory is M={cfg.M}")
-        self.c = _readonly(arr)
+        object.__setattr__(self, "c", _readonly(arr))
 
     def __eq__(self, other):
         return isinstance(other, Placement) and np.array_equal(self.c, other.c)

@@ -83,12 +83,12 @@ def sample_state(
     consecutively.  The uniforms of all streams are counted at once,
     content-major, against the first ``levels`` cut points of ``cumsum(q)``.
     """
+    levels = max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
+    cuts = np.cumsum(dist.rows(cfg)[:, :levels], axis=1)   # the first levels cut points
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     counts = [g.poisson(cfg.mean_capable, size=trials) for g in rngs]
     sizes = [int(c.sum()) for c in counts]
     n = sum(sizes)
-    levels = max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
-    cuts = np.cumsum(dist.q[: cfg.F, :levels], axis=1)   # the first levels cut points
     u = np.empty((cfg.F, n))                # every stream's uniforms, content-major
     start = 0
     for g, size in zip(rngs, sizes):

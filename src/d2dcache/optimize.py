@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import BLOCK_ENTRIES, _beta, _gauss_legendre, _noise, success_probability
+from .channel import BLOCK_ENTRIES, expected_successes, success_probability
 from .load import average_load_fast, scenario
 from .model import (
     CapacityError,
@@ -248,16 +248,11 @@ def check_submodularity(
 
 def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
     """Floor-free expected D2D delivery per stay under non-orthogonal access,
-    (L/mu) log(1+tau) E[u P[SINR>tau | u]], exactly: P is a quadrature sum of
-    beta_k**(u-1) terms, and E[u beta**(u-1)] = m exp(-m(1-beta)) for Poisson u.
+    (L/mu) log(1+tau) E[u P[SINR>tau | u]], exactly, by ``expected_successes``.
     ``q`` is one cache row (gives a float) or a stack of rows (gives one value
     per row, m the vector of their mean transmitter counts)."""
-    cfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
-    m = (1.0 - q[..., :1]) * cfg.mean_capable
-    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    integrand = _noise(cfg) * m * np.exp(-m * (1.0 - _beta(cfg))) * 2.0 * r / cfg.radius**2
-    value = cfg.L / cfg.mu * math.log1p(cfg.tau) * np.vecdot(integrand, w)
-    return float(value) if q.ndim == 1 else value
+    m = (1.0 - q[..., 0]) * cfg.mean_capable
+    return cfg.L / cfg.mu * math.log1p(cfg.tau) * expected_successes(m, cfg)
 
 
 @lru_cache(maxsize=8)   # the non-orthogonal scan is a quadrature pass
@@ -291,7 +286,7 @@ def per_content_delivery(dist: NeighborCacheDistribution, cfg: SystemConfig):
     the scenario carries under orthogonal access, noma_delivery_mean over
     the F cache rows under non-orthogonal access."""
     if cfg.scheme is Scheme.NON_ORTHOGONAL:
-        return noma_delivery_mean(dist.q[: cfg.F], cfg)
+        return noma_delivery_mean(dist.rows(cfg), cfg)
     return scenario(dist, cfg).delivery
 
 
@@ -303,16 +298,7 @@ def high_mobility_continuous(deliverable: float, cfg: SystemConfig) -> np.ndarra
     every content sits at t with the excess unused.
     """
     t = cfg.L - deliverable
-    c = np.zeros(cfg.F)
-    if t <= 0 or cfg.M == 0:
-        return c
-    if cfg.M >= cfg.F * t:
-        c[:] = t
-        return c
-    k = math.ceil(cfg.M / t)
-    c[: k - 1] = t
-    c[k - 1] = cfg.M - (k - 1) * t
-    return c
+    return np.clip(cfg.M - t * np.arange(cfg.F), 0.0, max(t, 0.0))
 
 
 def _integerize(deliverable, cfg: SystemConfig) -> np.ndarray:

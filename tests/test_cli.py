@@ -399,3 +399,14 @@ def test_readme_commands_match_golden_bytes(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out.encode() == golden.pop("stdout"), name
         written = {p.name.split(".", 1)[1]: p.read_bytes() for p in workdir.iterdir()}
         assert written == golden, name
+
+
+def test_golden_runs_agree_with_ci_and_demos():
+    # a golden run is listed twice, in README_RUNS and in CI's console-script
+    # step, and each demo has a golden stdout; neither list may drift
+    assert {p.name.split(".", 1)[0] for p in GOLDEN.iterdir() if p.is_file()} <= set(README_RUNS)
+    ci = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    for written in [*(f"{name}.stdout" for name in README_RUNS), *EDITED_CONFIGS]:
+        assert re.search(rf"> {re.escape(written)}\s", ci), written
+    assert ({p.stem for p in (GOLDEN / "demos").glob("*.stdout")}
+            == {p.stem for p in (REPO / "demos").glob("*.py")})

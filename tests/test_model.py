@@ -292,6 +292,10 @@ class TestPlacement:
         p = Placement([1, 1, 1, 1, 1], cfg)
         with pytest.raises(ValueError):
             p.c[0] = 3
+        with pytest.raises(AttributeError):
+            p.c = np.array([9] * 5)
+        assert p == Placement(c=[1, 1, 1, 1, 1], cfg=cfg)
+        assert repr(p) == "Placement([1, 1, 1, 1, 1])"
 
 
 class TestDistributions:
@@ -300,6 +304,13 @@ class TestDistributions:
         assert dist.q.shape == (3, 5)
         assert np.allclose(dist.q, 0.2)
         assert dist.F == 3 and dist.L == 4
+
+    def test_immutable(self):
+        dist = NeighborCacheDistribution.uniform(3, 4)
+        with pytest.raises(ValueError):
+            dist.q[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            dist.q = np.full((3, 5), 0.2)
 
     def test_rejects_bad_pmf(self):
         with pytest.raises(ValueError):
@@ -314,3 +325,38 @@ class TestDistributions:
             ContentPopularity([0.9, 0.2])        # not normalized
         with pytest.raises(ValueError):
             ContentPopularity([1.5, -0.5])
+
+
+class TestRowsBoundary:
+    """Every entry point reads the cache rows through ``dist.rows(cfg)``:
+    rows of another L, or fewer than F rows, raise instead of being used."""
+
+    ENTRY_POINTS = {
+        "average_load_fast": lambda pl, dist, cfg: d2dcache.average_load_fast(pl, dist, cfg),
+        "average_load_enum": lambda pl, dist, cfg: d2dcache.average_load_enum(pl, dist, cfg),
+        "greedy_placement": lambda pl, dist, cfg: d2dcache.greedy_placement(dist, cfg),
+        "exhaustive_placement": lambda pl, dist, cfg: d2dcache.exhaustive_placement(dist, cfg),
+        "high_mobility_placement":
+            lambda pl, dist, cfg: d2dcache.high_mobility_placement(dist, cfg),
+        "per_content_delivery": lambda pl, dist, cfg: d2dcache.per_content_delivery(dist, cfg),
+        "jensen_gap_check": lambda pl, dist, cfg: d2dcache.jensen_gap_check(pl, dist, cfg),
+        "estimate_average_load":
+            lambda pl, dist, cfg: d2dcache.estimate_average_load(pl, dist, cfg, 100, 0),
+    }
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("F,L", [(5, 4), (5, 6), (4, 5)])
+    def test_mismatched_rows_raise(self, name, F, L, scheme):
+        cfg = default_config(scheme=scheme, lam=0.2, n_trunc_epsilon=1e-3)   # enum runs
+        pl = Placement([1] * cfg.F, cfg)
+        with pytest.raises(ValueError, match="cache distribution has"):
+            self.ENTRY_POINTS[name](pl, NeighborCacheDistribution.uniform(F, L), cfg)
+
+    def test_extra_rows_are_allowed(self, cfg):
+        pl = Placement([1] * cfg.F, cfg)
+        extra = NeighborCacheDistribution.uniform(cfg.F + 2, cfg.L)
+        assert extra.rows(cfg).shape == (cfg.F, cfg.L + 1)
+        exact = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        assert (d2dcache.average_load_fast(pl, extra, cfg).total
+                == d2dcache.average_load_fast(pl, exact, cfg).total)

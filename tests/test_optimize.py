@@ -372,7 +372,7 @@ class TestDeliveryMeans:
                 long_noma_sum(q, cfg), rel=1e-9, abs=0.0)
 
     def test_noma_closed_form_edges(self, monkeypatch):
-        from d2dcache import channel, optimize
+        from d2dcache import channel
 
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, lam=4.0, snr=1e4)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
@@ -380,8 +380,7 @@ class TestDeliveryMeans:
         # which the closed form gives as m * exp(-m)
         zeroed = _beta(cfg).copy()
         zeroed[::2] = 0.0
-        for module in (channel, optimize):
-            monkeypatch.setattr(module, "_beta", lambda c: zeroed)
+        monkeypatch.setattr(channel, "_beta", lambda c: zeroed)
         assert noma_delivery_mean(q, cfg) == pytest.approx(long_noma_sum(q, cfg),
                                                            rel=1e-9, abs=0.0)
         monkeypatch.undo()
@@ -424,6 +423,23 @@ class TestDeliveryMeans:
             assert bound[i] == one_bound[0]
             assert noma_delivery_mean(rows, cfg)[i] == noma_delivery_mean(q_i, cfg)
         assert value[3] == 0.0 and bound[3] == 0.0
+
+    def test_noma_memory_per_row_is_bounded(self):
+        # the quadrature runs in blocks of rows, so a stack of rows costs a
+        # few floats per row beyond one block, not a row of nodes each
+        import tracemalloc
+
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, L=1, lam=4.0)
+        one = noma_delivery_mean(np.array([0.25, 0.75]), cfg)   # builds the memoized nodes
+        peaks = {}
+        for rows in (2**15, 2**17):
+            q = np.tile([0.25, 0.75], (rows, 1))
+            tracemalloc.start()
+            values = noma_delivery_mean(q, cfg)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert (values == one).all()
+        assert peaks[2**17] - peaks[2**15] <= 100 * (2**17 - 2**15)
 
 
 class TestHighMobilityPlacement:
