@@ -21,6 +21,11 @@ same Poisson windows give each row's floored delivery E[u * budget(u)] and
 its truncation bound, which the scenario carries for the high-mobility
 placement and the Jensen-gap check; every Poisson window of a cache row is
 formed here.
+The scenario of a set of cache rows reads, of the config, only its
+packet-budget table (which it passes to the PMFs), gamma, the mean capable
+count and epsilon, and it is memoized on those and the rows: configs whose
+budget tables agree, as both schemes of a grid point often do, share one
+build.
 """
 
 from __future__ import annotations
@@ -126,10 +131,12 @@ def _step(power: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     return np.vecdot(transitions, power[:, None, :])
 
 
-def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
+def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, budget: np.ndarray):
     """PMFs of the D2D-delivered packet count on bins 0..L-1, one per cache
     row, their tail bounds, the floored deliveries and their truncation
     bounds: ``q_i`` stacks R rows (R, L+1); returns (R, L), (R,), (R,), (R,).
+    ``budget`` is cfg's packet-budget table, ``link_budget_for(cfg).budget``;
+    of cfg, only the fields of the Poisson windows are read.
 
     Collapses the (capable-count, cache-vector) expectation: the number of
     transmitters is the capable-user Poisson thinned by P[d > 0], truncated
@@ -165,10 +172,9 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig):
     E[u; u > U] = mean * P[u >= U] and budgets non-increasing in u, so every
     missing term is at most budget(1) per transmitter.
     """
-    L = cfg.L
+    L = q_i.shape[1] - 1
     mean, u_max, tails = _windows(cfg, np.asarray(q_i[:, 0], dtype=float).tobytes())
     counts = np.arange(u_max.max() + 1)
-    budget = link_budget_for(cfg).budget
     b = budget[: counts.size]
     silent = b == 0
     convolved = b[1 : min(L, counts.size)]   # budgets of u = 1..min(L, U+1)-1
@@ -227,11 +233,11 @@ def _distinct_rows(q: np.ndarray):
     return np.array(first), np.array(inverse)
 
 
-def shortfall_tables(q: np.ndarray, cfg: SystemConfig):
+def shortfall_tables(q: np.ndarray, cfg: SystemConfig, budget: np.ndarray):
     """Per-content shortfall tables E[(L - c - delivered)^+] for c = 0..L,
     shape (F, L+1), plus per-content tail masses, floored deliveries and
     their truncation bounds, shape (F,) each, of the F validated cache rows
-    ``q``, shape (F, L+1).
+    ``q``, shape (F, L+1), under cfg's packet-budget table ``budget``.
 
     The delivered-packet distribution does not depend on the typical user's
     own cache, so one PMF serves every cache level.  Contents with the same
@@ -240,8 +246,8 @@ def shortfall_tables(q: np.ndarray, cfg: SystemConfig):
     are scattered back to the F contents.
     """
     first, inverse = _distinct_rows(q)
-    pmf, *per_row = delivered_packets_pmf(q[first], cfg)
-    tables = np.vecdot(_shortfall_weights(cfg.L), pmf[:, None, :])
+    pmf, *per_row = delivered_packets_pmf(q[first], cfg, budget)
+    tables = np.vecdot(_shortfall_weights(q.shape[1] - 1), pmf[:, None, :])
     return tables[inverse], *(a[inverse] for a in per_row)
 
 
@@ -271,8 +277,9 @@ class Scenario:
     """Popularity, (F, L+1) shortfall tables, their tail masses, the (F, L)
     per-packet gains ``gains[i, c]``, the load decrease from the (c+1)-th
     packet of content i, and the per-content floored deliveries
-    E[u * budget(u)] with bounds on their truncation error, for one (cache
-    rows, config) pair; read-only, as every caller shares it."""
+    E[u * budget(u)] with bounds on their truncation error, for one set of
+    cache rows under one packet-budget table; read-only, as every caller
+    shares it."""
 
     f: np.ndarray
     tables: np.ndarray
@@ -283,17 +290,24 @@ class Scenario:
 
 
 def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
-    """The scenario of ``dist`` under ``cfg``, memoized by the frozen config
-    and the bytes of the F cache rows in use, so a hit equals a fresh build."""
+    """The scenario of ``dist`` under ``cfg``, memoized by what its build
+    reads: cfg's packet-budget table, the F cache rows in use, ``gamma``,
+    the mean capable count and ``n_trunc_epsilon``.  Both schemes of a grid
+    point, and grid points, whose budget tables agree share one build, and
+    a hit equals a fresh build."""
     q = dist.rows(cfg)
-    return _build_scenario(cfg, q.tobytes(), q.shape)
+    return _build_scenario(cfg, link_budget_for(cfg).budget.tobytes(), q.tobytes(), q.shape)
 
 
-@lru_cache(maxsize=2)   # a grid point's two schemes; a sweep finishes a point first
-def _build_scenario(cfg: SystemConfig, q_bytes: bytes, shape: tuple) -> Scenario:
+# Two entries: a grid point's two schemes, as a sweep finishes a point first.
+# F and L come with the rows' shape, so cfg's fields are those of the key.
+@memo_on("gamma", "mean_capable", "n_trunc_epsilon", maxsize=2)
+def _build_scenario(cfg: SystemConfig, budget_bytes: bytes, q_bytes: bytes,
+                    shape: tuple) -> Scenario:
     q = np.frombuffer(q_bytes).reshape(shape)   # rows the caller's dist validated
-    tables, tails, delivery, bound = shortfall_tables(q, cfg)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    budget = np.frombuffer(budget_bytes, dtype=int)
+    tables, tails, delivery, bound = shortfall_tables(q, cfg, budget)
+    f = zipf_popularity(shape[0], cfg.gamma).probs
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
     return Scenario(f, *map(_readonly, (tables, tails, gains, delivery, bound)))
 
@@ -308,8 +322,9 @@ def average_load_fast(
     Agrees with the enumeration oracle up to the reported truncation bounds;
     the collapse is gated by that equivalence in the test suite.
     """
+    c = placement.counts(cfg)
     s = scenario(dist, cfg)
-    per_content = s.f * s.tables[np.arange(cfg.F), placement.c]
+    per_content = s.f * s.tables[np.arange(cfg.F), c]
     bound = float((s.f * cfg.L * s.tails).sum())
     return LoadEvaluation(float(per_content.sum()), per_content, bound)
 
@@ -325,6 +340,7 @@ def average_load_enum(
     to the Poisson truncation point.  Verification oracle: refuses when the
     truncation point exceeds N_ENUM_MAX.
     """
+    c = placement.counts(cfg)
     n_max = poisson_truncation(cfg)
     if n_max > N_ENUM_MAX:
         raise CapacityError(
@@ -338,7 +354,7 @@ def average_load_enum(
 
     per_content = np.zeros(cfg.F)
     for i, q_i in enumerate(dist.rows(cfg)):
-        c_i = int(placement.c[i])
+        c_i = int(c[i])
         expect = 0.0
         for n in range(p_n.size):
             term = 0.0

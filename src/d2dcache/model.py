@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from functools import lru_cache, wraps
+from operator import attrgetter
 
 import numpy as np
 from scipy import special
@@ -137,13 +138,15 @@ def memo_on(*fields: str, maxsize: int = 8):
     ``cache_clear`` are those of the underlying ``lru_cache``.
     """
     view = namedtuple("Fields", fields)
+    get = attrgetter(*fields)   # a tuple of two fields or more, one field's value
+    make = view._make if len(fields) > 1 else view
 
     def decorate(f):
         cached = lru_cache(maxsize=maxsize)(f)
 
         @wraps(f)
         def memo(cfg, *args):
-            return cached(view._make(getattr(cfg, name) for name in fields), *args)
+            return cached(make(get(cfg)), *args)
 
         memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
         return memo
@@ -162,11 +165,12 @@ class ContentPopularity:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("popularity must be a non-empty 1-d vector")
-        if (p <= 0).any():
-            raise ValueError("popularity entries must be positive")
-        if (np.diff(p) > 0).any():
+        # each check is written so that NaN fails it
+        if not (p > 0).all():
+            raise ValueError("popularity entries must be positive numbers")
+        if not (np.diff(p) <= 0).all():
             raise ValueError("popularity must be non-increasing")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"popularity must sum to 1, got {p.sum()!r}")
         object.__setattr__(self, "probs", _readonly(p))
 
@@ -180,7 +184,7 @@ def zipf_popularity(F: int, gamma: float) -> ContentPopularity:
     memoized on (F, gamma), and shared, so frozen and read-only."""
     if not (isinstance(F, int) and F >= 1):
         raise ValueError(f"F must be an integer >= 1, got {F!r}")
-    if gamma < 0:
+    if not gamma >= 0:   # NaN fails it
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
     weights = np.arange(1, F + 1, dtype=float) ** (-float(gamma))
     return ContentPopularity(weights / weights.sum())
@@ -201,10 +205,11 @@ class NeighborCacheDistribution:
         arr = np.asarray(self.q, dtype=float)
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ValueError("cache distribution must be an (F, L+1) matrix")
-        if np.any(arr < 0):
-            raise ValueError("cache PMF entries must be nonnegative")
+        # each check is written so that NaN fails it
+        if not (arr >= 0).all():
+            raise ValueError("cache PMF entries must be nonnegative numbers")
         sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
+        if not (np.abs(sums - 1.0) <= 1e-12).all():
             raise ValueError(f"each per-content PMF must sum to 1, got sums {sums}")
         object.__setattr__(self, "q", _readonly(arr))
 
@@ -235,11 +240,15 @@ class Placement:
     """The typical user's cache vector: packets stored per content.
 
     Construction validates the cache constraints against the config:
-    0 <= c[i] <= L and sum(c) <= M.  Violations raise, never clamp.
+    0 <= c[i] <= L and sum(c) <= M.  Violations raise, never clamp.  The
+    evaluators read the counts through ``counts(cfg)``, which checks them
+    against the config they evaluate under.
     """
 
     c: np.ndarray
     cfg: InitVar[SystemConfig]
+    top: int = field(init=False)    # the largest count
+    used: int = field(init=False)   # packets stored in all
 
     def __post_init__(self, cfg: SystemConfig):
         arr = np.asarray(self.c)
@@ -248,11 +257,24 @@ class Placement:
         if not (arr == np.floor(arr)).all():
             raise ValueError("placement entries must be integers")
         arr = arr.astype(int)
-        if (arr < 0).any() or (arr > cfg.L).any():
+        top, used = int(arr.max()), int(arr.sum())
+        if arr.min() < 0 or top > cfg.L:
             raise ValueError(f"placement entries must lie in 0..L={cfg.L}: {arr}")
-        if arr.sum() > cfg.M:
-            raise ValueError(f"placement uses {arr.sum()} packets, memory is M={cfg.M}")
+        if used > cfg.M:
+            raise ValueError(f"placement uses {used} packets, memory is M={cfg.M}")
         object.__setattr__(self, "c", _readonly(arr))
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "used", used)
+
+    def counts(self, cfg: SystemConfig) -> np.ndarray:
+        """The packet counts c; raises unless they fit cfg: F of them, none
+        above L and at most M in all.  Checked against the integers recorded
+        at construction, so it makes no pass over c."""
+        if self.c.size != cfg.F or self.top > cfg.L or self.used > cfg.M:
+            raise ValueError(f"placement of {self.c.size} contents holds up to {self.top} "
+                             f"packets of one and {self.used} in all; the config reads "
+                             f"F={cfg.F}, L={cfg.L}, M={cfg.M}")
+        return self.c
 
     def __eq__(self, other):
         return isinstance(other, Placement) and np.array_equal(self.c, other.c)

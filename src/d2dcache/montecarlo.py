@@ -151,7 +151,7 @@ def estimate_average_load(
     F = cfg.F
     f = zipf_popularity(F, cfg.gamma).probs
     budget = link_budget_for(cfg).budget   # packet budget at u = 0..
-    missing = cfg.L - placement.c
+    missing = cfg.L - placement.counts(cfg)
 
     blocks = -(-trials // B)
     # a block draws mean_capable*F*B counts into F*B cells; a pass bounds the larger

@@ -341,7 +341,8 @@ def relaxed_objective(c, delivery, cfg: SystemConfig) -> float:
     tol = 1e-9
     if c.shape != (cfg.F,):
         raise ValueError(f"placement must have F={cfg.F} entries")
-    if np.any(c < -tol) or np.any(c > cfg.L + tol) or c.sum() > cfg.M + tol:
+    # written so that NaN fails it
+    if not ((c >= -tol).all() and (c <= cfg.L + tol).all() and c.sum() <= cfg.M + tol):
         raise ValueError(f"infeasible relaxed placement: {c}")
     f = zipf_popularity(cfg.F, cfg.gamma).probs
     return float(np.dot(f, np.maximum(0.0, cfg.L - c - delivery)))
@@ -365,7 +366,7 @@ def jensen_gap_check(
     is bounded by stay_time times |gap_constant(cfg)|.
     """
     s = scenario(dist, cfg)
-    composite = relaxed_objective(placement.c, s.delivery, cfg)
+    composite = relaxed_objective(placement.counts(cfg), s.delivery, cfg)
     evaluation = average_load_fast(placement, dist, cfg)
     gap = abs(evaluation.total - composite)
     bound = expected_stay_time(cfg) * abs(gap_constant(cfg))

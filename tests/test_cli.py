@@ -209,6 +209,17 @@ class TestSweepCommand:
         assert (open(outs[0] + ".manifest", "rb").read()
                 == open(outs[1] + ".manifest", "rb").read())
 
+    def test_readme_sweep_builds_one_scenario_per_budget_table(self, tmp_path, monkeypatch):
+        # its 18 (snr, scheme) points read 10 distinct packet-budget tables:
+        # one for 0-15 dB, where every budget is 0 under both schemes, one
+        # for both schemes at 25 dB, and one per scheme at 20 and 30-40 dB
+        from d2dcache import load
+
+        monkeypatch.chdir(tmp_path)
+        load._build_scenario.cache_clear()
+        assert main(README_RUNS["sweep"]) == 0
+        assert load._build_scenario.cache_info().misses == 10
+
     def test_decreasing_values_rejected(self, tmp_path, config_path):
         rc = main(["sweep", "--config", config_path, "--axis", "mu",
                    "--values", "4,1", "--methods", "greedy",

@@ -105,7 +105,7 @@ def one_table(q_i, cfg):
     """The shortfall table and tail of one cache row, through shortfall_tables."""
     from d2dcache.load import shortfall_tables
 
-    tables, tails, _, _ = shortfall_tables(q_i[None], cfg)
+    tables, tails, _, _ = shortfall_tables(q_i[None], cfg, link_budget_for(cfg).budget)
     return tables[0], tails[0]
 
 
@@ -329,7 +329,7 @@ class TestSharedWork:
         built = []
         monkeypatch.setattr(load, "delivered_packets_pmf",
                             lambda q_i, *args: built.append(q_i) or delivered_packets_pmf(q_i, *args))
-        tables, tails, _, _ = shortfall_tables(q, cfg)
+        tables, tails, _, _ = shortfall_tables(q, cfg, link_budget_for(cfg).budget)
         # one batched call over the distinct rows, in order of first appearance
         assert len(built) == 1 and np.array_equal(built[0], np.array([a, b, c]))
         pairs = [one_table(q_i, cfg) for q_i in q]
@@ -351,7 +351,7 @@ class TestSharedWork:
         steps_taken = []
         monkeypatch.setattr(load, "_step",
                             lambda *args: steps_taken.append(1) or _step(*args))
-        pmf, tail, _, _ = delivered_packets_pmf(q_i[None], cfg)
+        pmf, tail, _, _ = delivered_packets_pmf(q_i[None], cfg, link_budget_for(cfg).budget)
         pmf, tail = pmf[0], tail[0]
         assert np.array_equal(pmf, reference[:-1])
         assert np.array_equal(shortfall_from_pmf(pmf, cfg), shortfall_from_pmf(reference, cfg))
@@ -399,7 +399,7 @@ class TestSharedWork:
         calls = []
         monkeypatch.setattr(load, "_step",
                             lambda *args: calls.append(1) or _step(*args))
-        tables, tails, _, _ = shortfall_tables(q, cfg)
+        tables, tails, _, _ = shortfall_tables(q, cfg, link_budget_for(cfg).budget)
         assert 0 < len(calls) <= cfg.L * (cfg.L - 1) // 2
         limit = np.arange(cfg.L, -1, -1)
         # the log-space Poisson terms of the transmitter counts lose mass at
@@ -424,8 +424,8 @@ class TestSharedWork:
 
         cfg, q = instance
         L = cfg.L
-        tables, tails, delivery, bound = shortfall_tables(q, cfg)
-        pmf = delivered_packets_pmf(q, cfg)[0]
+        tables, tails, delivery, bound = shortfall_tables(q, cfg, link_budget_for(cfg).budget)
+        pmf = delivered_packets_pmf(q, cfg, link_budget_for(cfg).budget)[0]
         budget = link_budget_for(cfg).budget
         for i, q_i in enumerate(q):
             reference, ref_u_max, ref_tail = from_scratch_pmf(q_i, cfg)
@@ -482,7 +482,7 @@ class TestSharedWork:
             # greedy and the DP read no delivery: the batched ones stand in
             reference = (np.array([shortfall_from_pmf(pmf, cfg) for pmf, _, _ in per_row]),
                          np.array([tail for _, _, tail in per_row]),
-                         *load.shortfall_tables(dist.q, cfg)[2:])
+                         *load.shortfall_tables(dist.q, cfg, link_budget_for(cfg).budget)[2:])
             with monkeypatch.context() as patch:
                 patch.setattr(load, "shortfall_tables", lambda *args: reference)
                 _build_scenario.cache_clear()
@@ -490,7 +490,9 @@ class TestSharedWork:
                 assert exhaustive_placement(dist, cfg) == batched[1]
             _build_scenario.cache_clear()
             if scheme is Scheme.ORTHOGONAL:
-                deliveries = [delivered_packets_pmf(q_i[None], cfg)[2][0] for q_i in dist.q]
+                budget = link_budget_for(cfg).budget
+                deliveries = [delivered_packets_pmf(q_i[None], cfg, budget)[2][0]
+                              for q_i in dist.q]
             else:
                 deliveries = [noma_delivery_mean(q_i, cfg) for q_i in dist.q]
             assert high_mobility_placement(dist, cfg) == Placement(
@@ -514,7 +516,7 @@ class TestSharedWork:
             link_budget_for(cfg)
             tracemalloc.start()
             try:
-                tables = shortfall_tables(dist.q, cfg)[0]
+                tables = shortfall_tables(dist.q, cfg, link_budget_for(cfg).budget)[0]
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -318,6 +318,22 @@ class TestDistributions:
         with pytest.raises(ValueError):
             NeighborCacheDistribution([[-0.1, 1.1]])
 
+    @pytest.mark.parametrize("row", [
+        [0.5, math.nan, 0.5],   # passed both checks, and each evaluator read it
+        [math.nan, 0.5, 0.5],   # a NaN P[d = 0]
+        [math.inf, 0.0, 0.0],
+    ])
+    def test_rejects_nan_and_inf(self, row):
+        with pytest.raises(ValueError, match="nonnegative|sum to 1"):
+            NeighborCacheDistribution([row] * 5)
+
+    def test_nan_popularity_is_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            zipf_popularity(5, math.nan)
+        for probs in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                ContentPopularity(probs)
+
     def test_popularity_validation(self):
         with pytest.raises(ValueError):
             ContentPopularity([0.2, 0.3, 0.5])   # increasing
@@ -360,3 +376,37 @@ class TestRowsBoundary:
         exact = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
         assert (d2dcache.average_load_fast(pl, extra, cfg).total
                 == d2dcache.average_load_fast(pl, exact, cfg).total)
+
+
+class TestPlacementBoundary:
+    """Every evaluator reads the counts through ``placement.counts(cfg)``: a
+    placement built for another config raises unless its counts fit cfg."""
+
+    ENTRY_POINTS = {
+        name: TestRowsBoundary.ENTRY_POINTS[name]
+        for name in ("average_load_fast", "average_load_enum", "jensen_gap_check",
+                     "estimate_average_load")
+    }
+    CASES = {
+        "fewer_contents": (dict(F=1), [3]),     # c[0] was broadcast to every content
+        "more_memory": (dict(M=25), [5] * 5),   # 25 packets in a memory of 5
+        "longer_contents": (dict(L=8, M=8), [6, 0, 0, 0, 0]),   # 6 packets of 5
+    }
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_a_placement_that_does_not_fit_raises(self, case, name, scheme):
+        cfg = default_config(scheme=scheme, lam=0.2, n_trunc_epsilon=1e-3)   # enum runs
+        overrides, c = self.CASES[case]
+        pl = Placement(c, default_config(**overrides))
+        with pytest.raises(ValueError, match="placement of"):
+            self.ENTRY_POINTS[name](pl, NeighborCacheDistribution.uniform(cfg.F, cfg.L), cfg)
+
+    def test_a_placement_that_fits_is_evaluated(self, cfg):
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        other = Placement([2, 1, 1, 1, 0], default_config(L=8, M=25))
+        assert (other.top, other.used) == (2, 5)
+        assert other.counts(cfg) is other.c
+        assert (d2dcache.average_load_fast(other, dist, cfg).total
+                == d2dcache.average_load_fast(Placement(other.c, cfg), dist, cfg).total)

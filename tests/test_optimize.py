@@ -334,13 +334,13 @@ class TestDeliveryMeans:
     def test_zero_without_arrivals(self):
         cfg = default_config(lam=0.0)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
-        assert delivered_packets_pmf(q[None], cfg)[2][0] == 0.0
+        assert delivered_packets_pmf(q[None], cfg, link_budget_for(cfg).budget)[2][0] == 0.0
         assert noma_delivery_mean(q, cfg) == 0.0
 
     def test_zero_at_low_threshold(self):
         cfg = default_config(tau=1e-12)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
-        assert delivered_packets_pmf(q[None], cfg)[2][0] == 0.0
+        assert delivered_packets_pmf(q[None], cfg, link_budget_for(cfg).budget)[2][0] == 0.0
         assert noma_delivery_mean(q, cfg) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("snr_db,mu", [(40.0, 1.0), (20.0, 10.0), (30.0, 2.0)])
@@ -350,7 +350,8 @@ class TestDeliveryMeans:
         rng = np.random.default_rng(int(snr_db * 10 + mu))
         q = rng.random(cfg.L + 1)
         q /= q.sum()
-        assert delivered_packets_pmf(q[None], cfg)[2][0] == pytest.approx(
+        budget = link_budget_for(cfg).budget
+        assert delivered_packets_pmf(q[None], cfg, budget)[2][0] == pytest.approx(
             enum_delivery_oracle(q, cfg.with_scheme(Scheme.ORTHOGONAL),
                                  Scheme.ORTHOGONAL), abs=1e-7)
         assert noma_delivery_mean(q, cfg) == pytest.approx(
@@ -417,8 +418,9 @@ class TestDeliveryMeans:
         s = scenario(NeighborCacheDistribution(rows), cfg)
         value, bound = s.delivery, s.delivery_bound
         assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
+        budget = link_budget_for(cfg).budget
         for i, q_i in enumerate(rows):
-            *_, one_value, one_bound = delivered_packets_pmf(q_i[None], cfg)
+            *_, one_value, one_bound = delivered_packets_pmf(q_i[None], cfg, budget)
             assert value[i] == pytest.approx(one_value[0], rel=1e-15, abs=0.0)
             assert bound[i] == one_bound[0]
             assert noma_delivery_mean(rows, cfg)[i] == noma_delivery_mean(q_i, cfg)
@@ -530,7 +532,7 @@ class TestHighMobilityPlacement:
         from d2dcache.optimize import _integerize
 
         assert cfg.scheme is Scheme.ORTHOGONAL
-        one_row = delivered_packets_pmf(uniform_dist.q[:1], cfg)[2][0]
+        one_row = delivered_packets_pmf(uniform_dist.q[:1], cfg, link_budget_for(cfg).budget)[2][0]
         expected = Placement(_integerize(one_row, cfg), cfg)
         load._build_scenario.cache_clear()
         greedy_placement(uniform_dist, cfg)
@@ -548,7 +550,7 @@ class TestHighMobilityPlacement:
 
         def fn(q_i, cfg):   # one row alone
             if scheme is Scheme.ORTHOGONAL:
-                return delivered_packets_pmf(q_i[None], cfg)[2][0]
+                return delivered_packets_pmf(q_i[None], cfg, link_budget_for(cfg).budget)[2][0]
             return noma_delivery_mean(q_i, cfg)
 
         a = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
@@ -585,11 +587,16 @@ class TestHighMobilityPlacement:
 
 class TestRelaxedObjective:
     def test_zero_placement_value(self, cfg, uniform_dist):
-        nu = delivered_packets_pmf(uniform_dist.q[:1], cfg)[2][0]
+        nu = delivered_packets_pmf(uniform_dist.q[:1], cfg, link_budget_for(cfg).budget)[2][0]
         expected = max(0.0, cfg.L - nu)   # popularity weights sum to 1
         delivery = per_content_delivery(uniform_dist, cfg)
         got = relaxed_objective(np.zeros(cfg.F), delivery, cfg)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [[math.nan, 0, 0, 0, 0], [6, 0, 0, 0, 0], [2, 2, 2, 0, 0]])
+    def test_rejects_an_infeasible_or_nan_placement(self, cfg, c):
+        with pytest.raises(ValueError, match="infeasible"):
+            relaxed_objective(c, 0.5, cfg)
 
     def test_closed_form_beats_random_vectors(self, uniform_dist):
         cfg = default_config(snr=1e4)   # nonzero delivery
