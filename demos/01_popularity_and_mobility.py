@@ -20,7 +20,7 @@ print("benchmark scenario:", cfg, sep="\n  ")
 
 print("\n-- request popularity (Zipf) --")
 for gamma in (0.0, 0.6, 1.2):
-    probs = zipf_popularity(cfg.F, gamma).probs
+    probs = zipf_popularity(cfg.F, gamma)
     print(f"gamma={gamma:3.1f}:", np.array2string(probs, precision=4))
 print("gamma=0 is uniform; larger gamma concentrates requests on rank 1.")
 

@@ -31,10 +31,9 @@ def main():
     for snr_db in (20, 40):
         for scheme in Scheme:
             c = default_config(snr=10.0 ** (snr_db / 10), scheme=scheme)
-            lb = build_link_budget(c, 6)
             print(f"snr={snr_db}dB {scheme.value:15s} "
                   f"rate(u)={[f'{r:.3f}' for r in rate(np.arange(1, 7), c)]} "
-                  f"budget(u)={lb.budget[1:].tolist()}")
+                  f"budget(u)={build_link_budget(c, 6)[1:].tolist()}")
     print("orthogonal access splits the resource 1/u; non-orthogonal keeps it")
     print("all but pays interference through the success probability.")
 

@@ -21,10 +21,10 @@ cfg = default_config(n_trunc_epsilon=1e-4)   # truncation point 5: enum stays ch
 dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
 
 print("-- anatomy of one request --")
-lb = build_link_budget(cfg, 4)
-print(f"per-stay budgets: {lb.budget[1:5].tolist()} for u=1..4 transmitters")
+budget = build_link_budget(cfg, 4)
+print(f"per-stay budgets: {budget[1:5].tolist()} for u=1..4 transmitters")
 for c_i, d in [(0, [4]), (2, [4]), (0, [2, 3]), (0, [0, 0, 0]), (5, [5, 5])]:
-    load = request_load(c_i, d, cfg, lb)
+    load = request_load(c_i, d, cfg, budget)
     print(f"  own cache {c_i}, neighbor packets {d} -> BS serves {load} packets")
 
 print("\n-- exact enumeration vs fast evaluator --")

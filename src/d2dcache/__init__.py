@@ -16,11 +16,13 @@ Library layout:
 
 Every entry point reads the access scheme from its ``SystemConfig``
 (``cfg.with_scheme`` switches it), and ``model.MAX_TABLE_ENTRIES`` and
-``model.MAX_TRUNCATION`` cap what a config may ask for.
+``model.MAX_TRUNCATION`` cap what a config may ask for.  The per-config
+vectors are plain read-only arrays: ``zipf_popularity`` gives the request
+probabilities, and ``link_budget_for`` and ``build_link_budget`` the packet
+budget of each transmitter count u, with index 0 a sentinel.
 """
 
 from .channel import (
-    LinkBudget,
     build_link_budget,
     interference_factor,
     packet_budget,
@@ -37,7 +39,6 @@ from .load import (
 )
 from .model import (
     CapacityError,
-    ContentPopularity,
     NeighborCacheDistribution,
     Placement,
     Scheme,
@@ -49,7 +50,7 @@ from .model import (
     poisson_truncation,
     zipf_popularity,
 )
-from .montecarlo import SampledState, estimate_average_load, sample_state
+from .montecarlo import estimate_average_load, sample_state
 from .optimize import (
     JensenGapReport,
     MatroidReport,
@@ -71,14 +72,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "ContentPopularity",
     "JensenGapReport",
-    "LinkBudget",
     "LoadEvaluation",
     "MatroidReport",
     "NeighborCacheDistribution",
     "Placement",
-    "SampledState",
     "Scheme",
     "SubmodularityReport",
     "SystemConfig",

@@ -1,4 +1,4 @@
-"""Wireless link layer: per-packet success probability, rates, packet budgets.
+"""Wireless link layer: per-packet success probability, rates, packet-budget tables.
 
 A transmitting neighbor sits at a uniform-in-disc distance from the typical
 user; its signal sees Rayleigh fading, path loss r**(-alpha), noise, and (for
@@ -11,7 +11,6 @@ Gauss-Legendre quadrature and cross-checked by direct Monte Carlo sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -200,31 +199,17 @@ def packet_budget(u, cfg: SystemConfig):
     return int(budget) if np.ndim(budget) == 0 else budget.astype(int)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Per-u packet budgets, indexed directly by u; index 0 is a sentinel
-    (no transmitter: budget 0) so that ``budget[u]`` reads naturally.  The
+def build_link_budget(cfg: SystemConfig, u_max: int) -> np.ndarray:
+    """Read-only packet budgets of u = 0..u_max, indexed directly by u: one
+    ``packet_budget`` call on the array u = 1..u_max, so entries equal the
+    scalar calls, and index 0 a sentinel (no transmitter: budget 0).  The
     budgets never rise with u, under either scheme, so the zero budgets
-    form a suffix."""
-
-    budget: np.ndarray
-
-    @property
-    def u_max(self) -> int:
-        return self.budget.size - 1
-
-    def __post_init__(self):
-        b = _readonly(self.budget)[1:]
-        if (b < 0).any():
-            raise ValueError("packet budgets must be nonnegative")
-        if (np.diff(b) > 0).any():
-            raise ValueError("packet budget must be non-increasing in u")
-
-
-def build_link_budget(cfg: SystemConfig, u_max: int) -> LinkBudget:
-    """The packet budgets of u = 1..u_max, one ``packet_budget`` call on the
-    array u, so entries equal the scalar calls; index 0 holds the sentinel."""
+    form a suffix; a table that breaks this raises."""
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
-    budget = np.concatenate(([0], packet_budget(np.arange(1, u_max + 1), cfg)))
-    return LinkBudget(budget=budget)
+    b = packet_budget(np.arange(1, u_max + 1), cfg)
+    if (b < 0).any():
+        raise ValueError("packet budgets must be nonnegative")
+    if (np.diff(b) > 0).any():
+        raise ValueError("packet budget must be non-increasing in u")
+    return _readonly(np.concatenate(([0], b)))

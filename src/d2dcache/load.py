@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import BLOCK_ENTRIES, LinkBudget, build_link_budget
+from .channel import BLOCK_ENTRIES, build_link_budget
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -76,8 +76,9 @@ class LoadEvaluation:
             raise ValueError("per-content loads must be nonnegative")
 
 
-def request_load(c_i: int, d, cfg: SystemConfig, lb: LinkBudget) -> int:
-    """Packets the BS serves for one request, given neighbor cache counts d.
+def request_load(c_i: int, d, cfg: SystemConfig, budget: np.ndarray) -> int:
+    """Packets the BS serves for one request, given neighbor cache counts d
+    and the packet-budget table ``budget``, indexed by u.
 
     u counts the neighbors holding at least one packet of the content; each
     of them delivers min(d_k, budget[u]) packets.  Neighbors with zero
@@ -92,9 +93,9 @@ def request_load(c_i: int, d, cfg: SystemConfig, lb: LinkBudget) -> int:
     u = transmitters.size
     if u == 0:
         return cfg.L - c_i
-    if u > lb.u_max:
-        raise ValueError(f"link budget covers u <= {lb.u_max}, need u = {u}")
-    delivered = np.minimum(transmitters, lb.budget[u]).sum()
+    if u >= budget.size:
+        raise ValueError(f"link budget covers u <= {budget.size - 1}, need u = {u}")
+    delivered = np.minimum(transmitters, budget[u]).sum()
     return int(max(0, cfg.L - c_i - delivered))
 
 
@@ -135,7 +136,7 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, budget: np.ndarray
     """PMFs of the D2D-delivered packet count on bins 0..L-1, one per cache
     row, their tail bounds, the floored deliveries and their truncation
     bounds: ``q_i`` stacks R rows (R, L+1); returns (R, L), (R,), (R,), (R,).
-    ``budget`` is cfg's packet-budget table, ``link_budget_for(cfg).budget``;
+    ``budget`` is cfg's packet-budget table, ``link_budget_for(cfg)``;
     of cfg, only the fields of the Poisson windows are read.
 
     Collapses the (capable-count, cache-vector) expectation: the number of
@@ -260,9 +261,10 @@ def _shortfall_weights(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)   # small: a grid point reads one budget per scheme
-def link_budget_for(cfg: SystemConfig) -> LinkBudget:
-    """The link budget of ``cfg``, covering every transmitter count the
-    truncated sums can see; memoized, as every evaluator reads it."""
+def link_budget_for(cfg: SystemConfig) -> np.ndarray:
+    """The read-only packet-budget table of ``cfg``, indexed by u, covering
+    every transmitter count the truncated sums can see; memoized, as every
+    evaluator reads it."""
     return build_link_budget(cfg, max(1, _truncation_point(cfg)))
 
 
@@ -296,7 +298,7 @@ def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
     point, and grid points, whose budget tables agree share one build, and
     a hit equals a fresh build."""
     q = dist.rows(cfg)
-    return _build_scenario(cfg, link_budget_for(cfg).budget.tobytes(), q.tobytes(), q.shape)
+    return _build_scenario(cfg, link_budget_for(cfg).tobytes(), q.tobytes(), q.shape)
 
 
 # Two entries: a grid point's two schemes, as a sweep finishes a point first.
@@ -307,7 +309,7 @@ def _build_scenario(cfg: SystemConfig, budget_bytes: bytes, q_bytes: bytes,
     q = np.frombuffer(q_bytes).reshape(shape)   # rows the caller's dist validated
     budget = np.frombuffer(budget_bytes, dtype=int)
     tables, tails, delivery, bound = shortfall_tables(q, cfg, budget)
-    f = zipf_popularity(shape[0], cfg.gamma).probs
+    f = zipf_popularity(shape[0], cfg.gamma)
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
     return Scenario(f, *map(_readonly, (tables, tails, gains, delivery, bound)))
 
@@ -347,8 +349,8 @@ def average_load_enum(
             f"enumeration needs n <= {N_ENUM_MAX}, truncation point is {n_max}; "
             "use average_load_fast"
         )
-    lb = link_budget_for(cfg)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    budget = link_budget_for(cfg)
+    f = zipf_popularity(cfg.F, cfg.gamma)
     mean = cfg.mean_capable
     p_n = poisson_pmf(np.arange(n_max + 1), mean)
 
@@ -362,7 +364,7 @@ def average_load_enum(
                 weight = math.prod(q_i[dk] for dk in d)
                 if weight == 0.0:
                     continue
-                term += weight * request_load(c_i, d, cfg, lb)
+                term += weight * request_load(c_i, d, cfg, budget)
             expect += p_n[n] * term
         per_content[i] = f[i] * expect
     bound = float(cfg.L * poisson_tail(mean, n_max))

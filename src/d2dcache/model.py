@@ -154,40 +154,18 @@ def memo_on(*fields: str, maxsize: int = 8):
     return decorate
 
 
-@dataclass(frozen=True, eq=False)
-class ContentPopularity:
-    """Normalized, non-increasing request probabilities over the F contents;
-    frozen, with a read-only vector, as memoized popularities are shared."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("popularity must be a non-empty 1-d vector")
-        # each check is written so that NaN fails it
-        if not (p > 0).all():
-            raise ValueError("popularity entries must be positive numbers")
-        if not (np.diff(p) <= 0).all():
-            raise ValueError("popularity must be non-increasing")
-        if not abs(p.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"popularity must sum to 1, got {p.sum()!r}")
-        object.__setattr__(self, "probs", _readonly(p))
-
-    def __len__(self):
-        return self.probs.size
-
-
 @lru_cache(maxsize=8)
-def zipf_popularity(F: int, gamma: float) -> ContentPopularity:
-    """Zipf request probabilities: rank-i weight i**(-gamma), normalized;
-    memoized on (F, gamma), and shared, so frozen and read-only."""
+def zipf_popularity(F: int, gamma: float) -> np.ndarray:
+    """Zipf request probabilities: rank-i weight i**(-gamma), normalized,
+    non-increasing and summing to 1; memoized on (F, gamma), and shared, so
+    read-only.  At a large gamma the tail may underflow to 0.0: a content
+    nobody requests."""
     if not (isinstance(F, int) and F >= 1):
         raise ValueError(f"F must be an integer >= 1, got {F!r}")
     if not gamma >= 0:   # NaN fails it
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
     weights = np.arange(1, F + 1, dtype=float) ** (-float(gamma))
-    return ContentPopularity(weights / weights.sum())
+    return _readonly(weights / weights.sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,33 +44,18 @@ MAX_BLOCK_DRAWS = 2**22     # expected cache-count draws per block (32 MB of uni
 PASS_DRAWS = 2**16          # expected draws (and cells) counted and reduced in one pass
 
 
-@dataclass(frozen=True)
-class SampledState:
-    """Sampled neighborhoods of one or more trials, neighbors stacked in trial order.
-
-    ``d[j, i]`` is neighbor j's packet count of content i, capped at
-    ``levels = max(1, min(L, budget[1]))``: the largest number of packets
-    any neighbor hands over, so the cap changes no load.  ``d`` is the
-    transposed view of a content-major (F, n) array, in the smallest
-    unsigned dtype holding L.
-    """
-
-    n: int
-    d: np.ndarray          # (n, F) cached-packet counts, capped at levels
-    trial: np.ndarray      # (n,) int32 trial index of each neighbor
-
-    def __post_init__(self):
-        for a in (self.d, self.trial):
-            a.setflags(write=False)
-
-
 def sample_state(
     dist: NeighborCacheDistribution,
     cfg: SystemConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
     trials: int = 1,
-) -> SampledState:
-    """Draw ``trials`` neighborhoods per stream, counts capped at the largest packet budget.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``trials`` neighborhoods per stream, counts capped at the largest
+    packet budget; returns (d, trial).
+
+    ``d[j, i]`` is neighbor j's packet count of content i, shape (n, F): the
+    transposed view of a content-major (F, n) array, in the smallest
+    unsigned dtype holding L.  ``trial[j]``, int32, is neighbor j's trial.
 
     Poisson neighbor counts and i.i.d. caches, but each cache count is
     ``min(count, levels)`` with ``levels = max(1, min(L, budget[1]))`` of
@@ -83,7 +67,7 @@ def sample_state(
     consecutively.  The uniforms of all streams are counted at once,
     content-major, against the first ``levels`` cut points of ``cumsum(q)``.
     """
-    levels = max(1, min(cfg.L, int(link_budget_for(cfg).budget[1])))
+    levels = max(1, min(cfg.L, int(link_budget_for(cfg)[1])))
     cuts = np.cumsum(dist.rows(cfg)[:, :levels], axis=1)   # the first levels cut points
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     counts = [g.poisson(cfg.mean_capable, size=trials) for g in rngs]
@@ -100,7 +84,7 @@ def sample_state(
         d[i] = cuts[i].searchsorted(u[i], "right")
     trial = np.repeat(np.arange(len(rngs) * trials, dtype=np.int32),
                       np.concatenate(counts))
-    return SampledState(n=n, d=d.T, trial=trial)
+    return d.T, trial
 
 
 def _block_trials(cfg: SystemConfig) -> int:
@@ -149,8 +133,8 @@ def estimate_average_load(
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     B = _block_trials(cfg)
     F = cfg.F
-    f = zipf_popularity(F, cfg.gamma).probs
-    budget = link_budget_for(cfg).budget   # packet budget at u = 0..
+    f = zipf_popularity(F, cfg.gamma)
+    budget = link_budget_for(cfg)   # packet budget at u = 0..
     missing = cfg.L - placement.counts(cfg)
 
     blocks = -(-trials // B)
@@ -161,14 +145,14 @@ def estimate_average_load(
         rngs = [np.random.default_rng([seed, b])
                 for b in range(first, min(blocks, first + per_pass))]
         T = len(rngs) * B
-        state = sample_state(dist, cfg, rngs, B)
+        d, trial = sample_state(dist, cfg, rngs, B)
         # (content, trial) cell of every draw, content-major as the counts;
         # intp, as bincount copies other ints to intp
-        cell = (np.arange(F)[:, None] * T + state.trial).ravel()
-        held = state.d.T.ravel()
+        cell = (np.arange(F)[:, None] * T + trial).ravel()
+        held = d.T.ravel()
         u = np.bincount(cell[held > 0], minlength=F * T)
         if u.max() >= budget.size:
-            budget = build_link_budget(cfg, u.max()).budget
+            budget = build_link_budget(cfg, u.max())
         # min(d, b) = min(d, min(b, L)) as d <= L, so the gathered budget fits d's dtype
         cap = np.minimum(budget[u], cfg.L).astype(held.dtype)
         delivered = np.bincount(cell, weights=np.minimum(held, cap[cell]), minlength=F * T)
@@ -177,9 +161,11 @@ def estimate_average_load(
         shortfall = np.maximum(0.0, missing - delivered)
         values[first * B:first * B + T] = shortfall @ f
 
+    # deviations from the first trial: when every trial agrees, the mean is
+    # exactly that trial's load and the stderr exactly 0
     values = values[:trials]
-    estimate = float(values.mean())
-    # deviations from the first trial: equal trials give a stderr of exactly 0
-    values -= values[0]
+    shift = values[0]
+    values -= shift
+    estimate = float(shift + values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return estimate, stderr

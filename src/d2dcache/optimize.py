@@ -313,7 +313,7 @@ def _integerize(deliverable, cfg: SystemConfig) -> np.ndarray:
     objective; worthless ones are left out.
     """
     t = np.minimum(cfg.L, cfg.L - np.asarray(deliverable, dtype=float))
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    f = zipf_popularity(cfg.F, cfg.gamma)
     # packet k (0-based) is worth f_i * clip(t_i - k, 0, 1): f_i, f_i*frac_i, 0
     value = f[:, None] * np.clip(np.reshape(t, (-1, 1)) - np.arange(cfg.L), 0.0, 1.0)
     picks = _packet_order(value)[: cfg.M]
@@ -344,7 +344,7 @@ def relaxed_objective(c, delivery, cfg: SystemConfig) -> float:
     # written so that NaN fails it
     if not ((c >= -tol).all() and (c <= cfg.L + tol).all() and c.sum() <= cfg.M + tol):
         raise ValueError(f"infeasible relaxed placement: {c}")
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    f = zipf_popularity(cfg.F, cfg.gamma)
     return float(np.dot(f, np.maximum(0.0, cfg.L - c - delivery)))
 
 

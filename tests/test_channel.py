@@ -7,7 +7,6 @@ import pytest
 
 from d2dcache import (
     CapacityError,
-    LinkBudget,
     Scheme,
     build_link_budget,
     default_config,
@@ -213,13 +212,13 @@ class TestSuccessProbability:
             raise RuntimeError("beta built")
 
         p1 = success_probability(1, cfg)
-        budgets = build_link_budget(cfg, 10).budget
+        budgets = build_link_budget(cfg, 10)
         monkeypatch.setattr(channel, "_beta", refuse)
         assert success_probability(1, cfg) == p1
         assert np.array_equal(success_probability(np.ones((2, 3), dtype=int), cfg),
                               np.full((2, 3), p1))
         # orthogonal access reads p(1) only, at every u
-        assert np.array_equal(build_link_budget(cfg, 10).budget, budgets)
+        assert np.array_equal(build_link_budget(cfg, 10), budgets)
         with pytest.raises(RuntimeError):
             success_probability(2, cfg)
 
@@ -305,16 +304,16 @@ class TestPacketBudget:
 
 class TestLinkBudget:
     def test_single_entry(self, cfg):
-        lb = build_link_budget(cfg, 1)
-        assert lb.u_max == 1
-        assert lb.budget.tolist() == [0, packet_budget(1, cfg)]
+        budget = build_link_budget(cfg, 1)
+        assert budget.tolist() == [0, packet_budget(1, cfg)]
+        assert not budget.flags.writeable
 
     def test_tables_match_pointwise_ops(self):
         for scheme, snr in itertools.product(Scheme, (100.0, 1e4)):
             cfg = default_config(scheme=scheme, snr=snr)
-            lb = build_link_budget(cfg, 10)
+            budget = build_link_budget(cfg, 10)
             for u in range(1, 11):
-                assert lb.budget[u] == packet_budget(u, cfg)
+                assert budget[u] == packet_budget(u, cfg)
 
     def test_p_succ_non_increasing_noma(self):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, snr=1e4)
@@ -338,19 +337,19 @@ class TestLinkBudget:
         assert np.all(beta == 1.0)
 
     def test_budget_non_increasing_orthogonal(self):
-        lb = build_link_budget(default_config(snr=1e4), 10)
-        assert np.all(np.diff(lb.budget[1:]) <= 0)
+        budget = build_link_budget(default_config(snr=1e4), 10)
+        assert np.all(np.diff(budget[1:]) <= 0)
 
     def test_memory_is_bounded_by_the_block(self):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
         _beta(cfg), _noise(cfg)
         tracemalloc.start()
         try:
-            lb = build_link_budget(cfg, 200_000)
+            budget = build_link_budget(cfg, 200_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert lb.u_max == 200_000
+        assert budget.size == 200_001
         # the budget table plus one or two block arrays of BLOCK_ENTRIES floats
         # (4 MB each); one unblocked (u, node) matrix alone would be 102 MB
         assert peak < 64 * 2**20
@@ -368,8 +367,13 @@ class TestLinkBudget:
         # rows of 512 nodes would be 32 MB per temporary
         assert peak < 16 * 2**20
 
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(ValueError):
-            LinkBudget(budget=np.array([0, 1, 2]))
-        with pytest.raises(ValueError):
-            LinkBudget(budget=np.array([0, -1]))
+    @pytest.mark.parametrize("table, match", [
+        ([1, 2], "non-increasing"),
+        ([-1], "nonnegative"),
+    ])
+    def test_invariant_violations_rejected(self, table, match, monkeypatch):
+        from d2dcache import channel
+
+        monkeypatch.setattr(channel, "packet_budget", lambda u, cfg: np.array(table))
+        with pytest.raises(ValueError, match=match):
+            build_link_budget(default_config(), len(table))

@@ -165,7 +165,7 @@ class TestEvalCommand:
         header, row = open(out).read().splitlines()
         assert header == CSV_HEADER
         load = float(row.split(",")[4])
-        f = zipf_popularity(5, 0.6).probs
+        f = zipf_popularity(5, 0.6)
         assert load == pytest.approx(float(f[1:].sum() * 5), abs=1e-9)
         manifest = open(out + ".manifest").read()
         assert "placement=5,0,0,0,0" in manifest
@@ -375,6 +375,35 @@ class TestOptimizeCommand:
         rc = main(["optimize", "--config", config_path,
                    "--methods", "monte_carlo", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+class TestZipfTailUnderflow:
+    """gamma=1000 on the default config: the Zipf tail underflows to zero
+    popularity, which every config check accepts, so every command runs."""
+
+    @pytest.fixture
+    def gamma_path(self, tmp_path):
+        path = tmp_path / "gamma.cfg"
+        path.write_text(re.sub(r"^gamma=.*$", "gamma=1000", Path(DEFAULT_CFG).read_text(),
+                               flags=re.MULTILINE))
+        return str(path)
+
+    def test_optimize_places_every_packet_on_the_first_content(self, gamma_path, tmp_path,
+                                                               capsys):
+        rc = main(["optimize", "--config", gamma_path,
+                   "--methods", "greedy,exhaustive,high_mobility", "--schemes", "both",
+                   "--out", str(tmp_path / "opt.csv")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert re.findall(r"placement=\[(\S+)\]", out) == ["5,0,0,0,0"] * 6
+
+    def test_monte_carlo_sweep(self, gamma_path, tmp_path, capsys):
+        rc = main(["sweep", "--config", gamma_path, "--axis", "mu", "--values", "1,4",
+                   "--methods", "greedy,monte_carlo", "--trials", "500",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_validate_command(config_path):

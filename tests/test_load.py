@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from d2dcache import (
     CapacityError,
-    LinkBudget,
     NeighborCacheDistribution,
     Placement,
     Scheme,
@@ -73,7 +72,7 @@ def from_scratch_pmf(q_i, cfg):
         reference[0] = 1.0
         return reference, 0, 0.0
     u_max = poisson_truncation(cfg, mean)
-    budget = link_budget_for(cfg).budget
+    budget = link_budget_for(cfg)
     pu = stats.poisson.pmf(np.arange(u_max + 1), mean)
     cond = q_i[1:] / (1.0 - q_i[0])
     reference[0] = pu[0]
@@ -105,7 +104,7 @@ def one_table(q_i, cfg):
     """The shortfall table and tail of one cache row, through shortfall_tables."""
     from d2dcache.load import shortfall_tables
 
-    tables, tails, _, _ = shortfall_tables(q_i[None], cfg, link_budget_for(cfg).budget)
+    tables, tails, _, _ = shortfall_tables(q_i[None], cfg, link_budget_for(cfg))
     return tables[0], tails[0]
 
 
@@ -150,43 +149,45 @@ def at_dot_boundaries(test):
 
 class TestRequestLoad:
     def test_full_self_cache_covers_everything(self, cfg):
-        lb = build_link_budget(cfg, 3)
+        budget = build_link_budget(cfg, 3)
         for d in ([], [3], [1, 2, 5]):
-            assert request_load(cfg.L, d, cfg, lb) == 0
+            assert request_load(cfg.L, d, cfg, budget) == 0
 
     def test_direct_arithmetic(self):
         cfg = default_config()
-        lb = build_link_budget(cfg, 1)
-        assert lb.budget[1] == 1   # precondition for the arithmetic below
+        budget = build_link_budget(cfg, 1)
+        assert budget[1] == 1   # precondition for the arithmetic below
         # (L - c - min(d, B(1)))^+ = (5 - 2 - 1)^+ = 2
-        assert request_load(2, [4], cfg, lb) == 2
+        assert request_load(2, [4], cfg, budget) == 2
 
     def test_all_zero_neighbors(self, cfg):
-        lb = build_link_budget(cfg, 3)
-        assert request_load(0, [0, 0, 0], cfg, lb) == cfg.L
+        budget = build_link_budget(cfg, 3)
+        assert request_load(0, [0, 0, 0], cfg, budget) == cfg.L
 
     def test_zero_packet_neighbors_do_not_count_toward_u(self):
         # u=1 keeps the big u=1 budget even with idle neighbors around
         cfg = default_config(snr=1e4)
-        lb = build_link_budget(cfg, 4)
-        assert lb.budget[1] > lb.budget[2]
-        assert request_load(0, [3, 0, 0, 0], cfg, lb) == request_load(0, [3], cfg, lb)
+        budget = build_link_budget(cfg, 4)
+        assert budget[1] > budget[2]
+        assert request_load(0, [3, 0, 0, 0], cfg, budget) == request_load(0, [3], cfg, budget)
 
     def test_budget_zero_still_counts_transmitter(self):
         # both neighbors transmit but deliver nothing when budget(2) = 0
         cfg = default_config()
-        lb = build_link_budget(cfg, 2)
-        assert lb.budget[2] == 0
-        assert request_load(1, [4, 4], cfg, lb) == cfg.L - 1
+        budget = build_link_budget(cfg, 2)
+        assert budget[2] == 0
+        assert request_load(1, [4, 4], cfg, budget) == cfg.L - 1
 
     def test_domain_errors(self, cfg):
-        lb = build_link_budget(cfg, 2)
+        budget = build_link_budget(cfg, 2)
         with pytest.raises(ValueError):
-            request_load(-1, [0], cfg, lb)
+            request_load(-1, [0], cfg, budget)
         with pytest.raises(ValueError):
-            request_load(cfg.L + 1, [0], cfg, lb)
+            request_load(cfg.L + 1, [0], cfg, budget)
         with pytest.raises(ValueError):
-            request_load(0, [cfg.L + 1], cfg, lb)
+            request_load(0, [cfg.L + 1], cfg, budget)
+        with pytest.raises(ValueError, match="covers u <= 2, need u = 3"):
+            request_load(0, [1, 1, 1], cfg, budget)
 
 
 class TestEnumEvaluator:
@@ -195,7 +196,7 @@ class TestEnumEvaluator:
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
         pl = Placement([3, 1, 1, 0, 0], cfg)
         ev = average_load_enum(pl, dist, cfg)
-        f = zipf_popularity(cfg.F, cfg.gamma).probs
+        f = zipf_popularity(cfg.F, cfg.gamma)
         assert ev.total == pytest.approx(np.dot(f, cfg.L - pl.c), abs=1e-12)
 
     def test_full_memory_zero_load(self):
@@ -228,7 +229,7 @@ class TestFastEvaluator:
         dist = NeighborCacheDistribution(q)
         pl = Placement([1, 1, 1, 1, 1], cfg)
         ev = average_load_fast(pl, dist, cfg)
-        f = zipf_popularity(cfg.F, cfg.gamma).probs
+        f = zipf_popularity(cfg.F, cfg.gamma)
         assert ev.per_content[2] == pytest.approx(f[2] * (cfg.L - 1), abs=1e-12)
 
     @pytest.mark.parametrize("sharp", [False, True])
@@ -257,7 +258,7 @@ class TestFastEvaluator:
         for _ in range(10):
             cfg, dist, pl = random_small_instance(rng)
             ev = average_load_fast(pl, dist, cfg)
-            f = zipf_popularity(cfg.F, cfg.gamma).probs
+            f = zipf_popularity(cfg.F, cfg.gamma)
             assert 0.0 <= ev.total <= cfg.L + 1e-12
             assert ev.total <= np.dot(f, cfg.L - pl.c) + 1e-12
             assert ev.total == pytest.approx(ev.per_content.sum(), abs=1e-12)
@@ -292,7 +293,7 @@ class TestMarginalGain:
         q = np.zeros((cfg.F, cfg.L + 1))
         q[:, 0] = 1.0
         dist = NeighborCacheDistribution(q)
-        f = zipf_popularity(cfg.F, cfg.gamma).probs
+        f = zipf_popularity(cfg.F, cfg.gamma)
         gains = scenario(dist, cfg).gains
         for i in range(cfg.F):
             assert gains[i, 1] == pytest.approx(f[i], abs=1e-12)
@@ -329,7 +330,7 @@ class TestSharedWork:
         built = []
         monkeypatch.setattr(load, "delivered_packets_pmf",
                             lambda q_i, *args: built.append(q_i) or delivered_packets_pmf(q_i, *args))
-        tables, tails, _, _ = shortfall_tables(q, cfg, link_budget_for(cfg).budget)
+        tables, tails, _, _ = shortfall_tables(q, cfg, link_budget_for(cfg))
         # one batched call over the distinct rows, in order of first appearance
         assert len(built) == 1 and np.array_equal(built[0], np.array([a, b, c]))
         pairs = [one_table(q_i, cfg) for q_i in q]
@@ -342,23 +343,22 @@ class TestSharedWork:
         from d2dcache.load import _step, delivered_packets_pmf
 
         cfg = default_config(F=1, L=10, M=0, lam=6.0, snr=1e4, scheme=scheme)
-        lb = link_budget_for(cfg)
+        budget = link_budget_for(cfg)
         q_i = np.array([0.3] + [0.07] * 10)
-        steps = np.diff(lb.budget[1 : cfg.L])
+        steps = np.diff(budget[1 : cfg.L])
         assert np.count_nonzero(steps) >= 2 and np.any(steps == 0)
         reference, u_max, ref_tail = from_scratch_pmf(q_i, cfg)
 
         steps_taken = []
         monkeypatch.setattr(load, "_step",
                             lambda *args: steps_taken.append(1) or _step(*args))
-        pmf, tail, _, _ = delivered_packets_pmf(q_i[None], cfg, link_budget_for(cfg).budget)
+        pmf, tail, _, _ = delivered_packets_pmf(q_i[None], cfg, budget)
         pmf, tail = pmf[0], tail[0]
         assert np.array_equal(pmf, reference[:-1])
         assert np.array_equal(shortfall_from_pmf(pmf, cfg), shortfall_from_pmf(reference, cfg))
         # products only for u < L with budget >= 1: one per u within a run of
         # equal budgets, u - 1 where it steps (the first factor is the
         # transmitter's own PMF)
-        budget = lb.budget
         assert len(steps_taken) == sum(
             1 if u > 1 and budget[u] == budget[u - 1] else u - 1
             for u in range(1, min(cfg.L, u_max + 1)) if budget[u] >= 1)
@@ -370,7 +370,7 @@ class TestSharedWork:
         they are >= L."""
         cfg = default_config(F=1, L=4, M=0, lam=11.4, mu=0.5, snr=1e4)
         q_i = np.array([0.0, 0.25, 0.25, 0.25, 0.25])
-        budget = link_budget_for(cfg).budget
+        budget = link_budget_for(cfg)
         u0 = int(np.argmax(budget[1:] == 0)) + 1
         reference, u_max, ref_tail = from_scratch_pmf(q_i, cfg)
         assert cfg.L < u0 <= u_max and np.all(budget[1:u0] >= 1)
@@ -380,11 +380,15 @@ class TestSharedWork:
         # the silent counts carry most of the mass here
         assert table[0] > 0.5 * cfg.L
 
-    def test_budget_that_rises_again_is_refused(self):
+    def test_budget_that_rises_again_is_refused(self, monkeypatch):
         """Budgets never rise with u under either scheme, so a budget that
         comes back after a silent count cannot reach the evaluators."""
+        from d2dcache import channel
+
+        rising = np.array([2, 0, 2, 2, 3, 1, 0])
+        monkeypatch.setattr(channel, "packet_budget", lambda u, cfg: rising)
         with pytest.raises(ValueError, match="non-increasing"):
-            LinkBudget(budget=np.array([0, 2, 0, 2, 2, 3, 1, 0]))
+            build_link_budget(default_config(), rising.size)
 
     def test_table_at_mean_5e5_is_its_limit_within_bounded_work(self, monkeypatch):
         """At mean 5e5 nearly all the mass lies past the first zero budget, so
@@ -399,7 +403,7 @@ class TestSharedWork:
         calls = []
         monkeypatch.setattr(load, "_step",
                             lambda *args: calls.append(1) or _step(*args))
-        tables, tails, _, _ = shortfall_tables(q, cfg, link_budget_for(cfg).budget)
+        tables, tails, _, _ = shortfall_tables(q, cfg, link_budget_for(cfg))
         assert 0 < len(calls) <= cfg.L * (cfg.L - 1) // 2
         limit = np.arange(cfg.L, -1, -1)
         # the log-space Poisson terms of the transmitter counts lose mass at
@@ -424,9 +428,9 @@ class TestSharedWork:
 
         cfg, q = instance
         L = cfg.L
-        tables, tails, delivery, bound = shortfall_tables(q, cfg, link_budget_for(cfg).budget)
-        pmf = delivered_packets_pmf(q, cfg, link_budget_for(cfg).budget)[0]
-        budget = link_budget_for(cfg).budget
+        tables, tails, delivery, bound = shortfall_tables(q, cfg, link_budget_for(cfg))
+        pmf = delivered_packets_pmf(q, cfg, link_budget_for(cfg))[0]
+        budget = link_budget_for(cfg)
         for i, q_i in enumerate(q):
             reference, ref_u_max, ref_tail = from_scratch_pmf(q_i, cfg)
             mean = (1.0 - q_i[0]) * cfg.mean_capable
@@ -482,7 +486,7 @@ class TestSharedWork:
             # greedy and the DP read no delivery: the batched ones stand in
             reference = (np.array([shortfall_from_pmf(pmf, cfg) for pmf, _, _ in per_row]),
                          np.array([tail for _, _, tail in per_row]),
-                         *load.shortfall_tables(dist.q, cfg, link_budget_for(cfg).budget)[2:])
+                         *load.shortfall_tables(dist.q, cfg, link_budget_for(cfg))[2:])
             with monkeypatch.context() as patch:
                 patch.setattr(load, "shortfall_tables", lambda *args: reference)
                 _build_scenario.cache_clear()
@@ -490,7 +494,7 @@ class TestSharedWork:
                 assert exhaustive_placement(dist, cfg) == batched[1]
             _build_scenario.cache_clear()
             if scheme is Scheme.ORTHOGONAL:
-                budget = link_budget_for(cfg).budget
+                budget = link_budget_for(cfg)
                 deliveries = [delivered_packets_pmf(q_i[None], cfg, budget)[2][0]
                               for q_i in dist.q]
             else:
@@ -516,7 +520,7 @@ class TestSharedWork:
             link_budget_for(cfg)
             tracemalloc.start()
             try:
-                tables = shortfall_tables(dist.q, cfg, link_budget_for(cfg).budget)[0]
+                tables = shortfall_tables(dist.q, cfg, link_budget_for(cfg))[0]
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -531,7 +535,7 @@ class TestSharedWork:
         assert scenario(NeighborCacheDistribution(uniform_dist.q.copy()),
                         default_config()) is s
         for array in (s.f, s.tables, s.tails, s.gains, s.delivery, s.delivery_bound,
-                      link_budget_for(cfg).budget):
+                      link_budget_for(cfg)):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             s.tables[0, 0] = 1.0

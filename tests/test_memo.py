@@ -3,12 +3,26 @@ field a cache does not read hits it, a change to each field it reads misses
 it, and what it serves equals a fresh build.  A key that left out a field
 would serve stale results, so every field of SystemConfig is tried."""
 
+import importlib
+import pkgutil
 from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from d2dcache import NeighborCacheDistribution, Scheme, SystemConfig, default_config
+import d2dcache
+from d2dcache import (
+    NeighborCacheDistribution,
+    Scheme,
+    SystemConfig,
+    average_load_fast,
+    default_config,
+    estimate_average_load,
+    exhaustive_placement,
+    greedy_placement,
+    high_mobility_placement,
+    jensen_gap_check,
+)
 from d2dcache.channel import _beta, _noise
 from d2dcache.load import (
     _build_scenario,
@@ -82,12 +96,12 @@ def test_windows_are_keyed_by_the_mean_and_the_rows_q0():
     # rows that differ past q0 share their windows, not their PMFs
     q = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
     cfg = default_config(L=2)
-    delivered_packets_pmf(q[:1], cfg, link_budget_for(cfg).budget)
+    delivered_packets_pmf(q[:1], cfg, link_budget_for(cfg))
     hits = _windows.cache_info().hits
-    pmf = delivered_packets_pmf(q[1:], cfg, link_budget_for(cfg).budget)[0]
+    pmf = delivered_packets_pmf(q[1:], cfg, link_budget_for(cfg))[0]
     assert _windows.cache_info().hits == hits + 1
     _windows.cache_clear()
-    assert np.array_equal(pmf, delivered_packets_pmf(q[1:], cfg, link_budget_for(cfg).budget)[0])
+    assert np.array_equal(pmf, delivered_packets_pmf(q[1:], cfg, link_budget_for(cfg))[0])
 
 
 def test_windows_are_read_only():
@@ -108,7 +122,7 @@ def test_a_scenario_after_a_shared_build_equals_a_cold_one(snr_db, equal_tables)
     rng = np.random.default_rng(3)
     dist = NeighborCacheDistribution(rng.dirichlet(np.ones(6), size=5))
     cfg = default_config(lam=3.0, snr=db_to_linear(snr_db))
-    tables = [link_budget_for(cfg.with_scheme(s)).budget for s in Scheme]
+    tables = [link_budget_for(cfg.with_scheme(s)) for s in Scheme]
     assert np.array_equal(*tables) == equal_tables
     assert tables[0].any() == (snr_db > 0)
     _build_scenario.cache_clear()
@@ -134,13 +148,13 @@ def test_the_scenario_is_keyed_by_the_budget_table_and_the_fields_it_reads(field
     dist = NeighborCacheDistribution(Q)
     other = replace(BASE, **{field: OTHER[field]})
     if field in SAME_TABLE:
-        assert np.array_equal(link_budget_for(other).budget, link_budget_for(BASE).budget)
+        assert np.array_equal(link_budget_for(other), link_budget_for(BASE))
     _build_scenario.cache_clear()
     first = scenario(dist, BASE)
     served = scenario(dist, other)
     assert (served is first) == (field in SAME_TABLE)
     q = dist.rows(other)
-    cold = _build_scenario.__wrapped__(other, link_budget_for(other).budget.tobytes(),
+    cold = _build_scenario.__wrapped__(other, link_budget_for(other).tobytes(),
                                        q.tobytes(), q.shape)
     assert _same(served, cold)
 
@@ -152,3 +166,78 @@ def test_a_field_not_named_cannot_be_read():
 
     with pytest.raises(AttributeError):
         reads_m(default_config())
+
+
+# Every memoized function of the package, "module.name"; a new cache must be
+# listed here, so that the warm-vs-cold test below clears it too.
+MEMOIZED = {
+    "channel._beta", "channel._gauss_legendre", "channel._noise", "cli.build_parser",
+    "load._build_scenario", "load._shortfall_weights", "load._transition_index",
+    "load._truncation_point", "load._windows", "load.link_budget_for",
+    "model.zipf_popularity", "optimize._verify_cardinality_matroid",
+    "optimize.gap_constant",
+}
+
+
+def _caches():
+    """Every object of a d2dcache module, defined there, with a cache_clear."""
+    found = {}
+    for info in pkgutil.iter_modules(d2dcache.__path__):
+        module = importlib.import_module(f"d2dcache.{info.name}")
+        for name, value in vars(module).items():
+            if (callable(getattr(value, "cache_clear", None))
+                    and getattr(value, "__module__", None) == module.__name__):
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def test_every_cache_is_listed():
+    assert set(_caches()) == MEMOIZED
+
+
+# A few values of each field, so that a walk over configs keeps hitting
+# caches keyed by some of the fields while others change; every M fits F*L.
+WALK = dict(F=[3, 4], L=[2, 3, 4], M=[2, 4, 6], gamma=[0.6, 1.5], eta=[0.5, 1.0],
+            lam=[1.0, 3.0], mu=[1.0, 0.5], tau=[db_to_linear(5.0), 2.0], radius=[5.0, 3.0],
+            alpha=[4.0, 3.0], snr=[1.0, 100.0, 1e4], scheme=list(Scheme),
+            n_trunc_epsilon=[1e-9, 1e-6], quad_nodes=[64, 16])
+
+
+def _walk(rng, steps):
+    """Configs and cache distributions, each step changing one to three
+    fields of the last config, and the rows only now and then."""
+    cfg, rows = default_config(F=3, L=3, M=4), {}
+    for _ in range(steps):
+        changes = {name: WALK[name][rng.integers(len(WALK[name]))]
+                   for name in rng.choice(list(WALK), size=rng.integers(1, 4), replace=False)}
+        cfg = replace(cfg, **changes)
+        shape = (cfg.F, cfg.L + 1)
+        if shape not in rows or rng.random() < 0.2:
+            uniform = rng.random() < 0.5
+            rows[shape] = (np.full(shape, 1.0 / shape[1]) if uniform
+                           else rng.dirichlet(np.ones(shape[1]), size=cfg.F))
+        yield cfg, NeighborCacheDistribution(rows[shape])
+
+
+def _results(dist, cfg):
+    """What the public entry points return for one config."""
+    placement, trace = greedy_placement(dist, cfg)
+    return (placement.c, tuple(trace), exhaustive_placement(dist, cfg).c,
+            high_mobility_placement(dist, cfg).c, average_load_fast(placement, dist, cfg),
+            jensen_gap_check(placement, dist, cfg),
+            estimate_average_load(placement, dist, cfg, trials=300, seed=1),
+            scenario(dist, cfg), link_budget_for(cfg))
+
+
+def test_warm_results_equal_cold_ones():
+    # every result of a walk whose caches stay warm equals the result of the
+    # same config after every cache is cleared
+    caches = _caches().values()
+    for cache in caches:
+        cache.cache_clear()
+    walk = list(_walk(np.random.default_rng(5), 400))
+    warm = [_results(dist, cfg) for cfg, dist in walk]
+    for (cfg, dist), served in zip(walk, warm):
+        for cache in caches:
+            cache.cache_clear()
+        assert _same(served, _results(dist, cfg)), cfg

@@ -13,7 +13,6 @@ import d2dcache
 
 from d2dcache import (
     CapacityError,
-    ContentPopularity,
     NeighborCacheDistribution,
     Placement,
     Scheme,
@@ -43,17 +42,17 @@ ZIPF_5_06 = [
 
 class TestZipfPopularity:
     def test_uniform_at_gamma_zero(self):
-        assert np.allclose(zipf_popularity(5, 0.0).probs, 0.2, atol=1e-15)
+        assert np.allclose(zipf_popularity(5, 0.0), 0.2, atol=1e-15)
 
     def test_single_content(self):
-        assert zipf_popularity(1, 0.6).probs.tolist() == [1.0]
+        assert zipf_popularity(1, 0.6).tolist() == [1.0]
 
     def test_frozen_reference_vector(self):
-        assert np.allclose(zipf_popularity(5, 0.6).probs, ZIPF_5_06, atol=1e-14)
+        assert np.allclose(zipf_popularity(5, 0.6), ZIPF_5_06, atol=1e-14)
 
     def test_probability_vector_invariants(self):
         for F, gamma in [(1, 0.0), (7, 0.6), (25, 1.3), (4, 3.0)]:
-            p = zipf_popularity(F, gamma).probs
+            p = zipf_popularity(F, gamma)
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p > 0)
             assert np.all(np.diff(p) <= 0)
@@ -62,7 +61,7 @@ class TestZipfPopularity:
         # normalizing k * i**-gamma gives the same vector for any k > 0
         F, gamma = 6, 0.9
         weights = 37.5 * np.arange(1, F + 1, dtype=float) ** -gamma
-        assert np.allclose(zipf_popularity(F, gamma).probs, weights / weights.sum(),
+        assert np.allclose(zipf_popularity(F, gamma), weights / weights.sum(),
                            atol=1e-15)
 
     def test_memoized_vector_cannot_be_changed(self):
@@ -70,11 +69,19 @@ class TestZipfPopularity:
         shared = zipf_popularity(5, 0.6)
         assert zipf_popularity(5, 0.6) is shared
         with pytest.raises(ValueError):
-            shared.probs[0] = 0.5
-        with pytest.raises(AttributeError):
-            shared.probs = np.full(5, 0.2)
+            shared[0] = 0.5
         assert zipf_popularity(5, 0.6) is shared
-        assert np.array_equal(shared.probs, zipf_popularity.__wrapped__(5, 0.6).probs)
+        assert np.array_equal(shared, zipf_popularity.__wrapped__(5, 0.6))
+
+    @pytest.mark.parametrize("F, gamma", [(5, 1000.0), (1000, 108.5)])
+    def test_tail_may_underflow_to_zero(self, F, gamma):
+        # gamma above 744.4/ln F: the last weight F**-gamma underflows to 0.0,
+        # a content nobody requests, which every config check accepts
+        p = zipf_popularity(F, gamma)
+        assert not p.flags.writeable
+        assert np.all(np.diff(p) <= 0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert p[-1] == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -330,17 +337,6 @@ class TestDistributions:
     def test_nan_popularity_is_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             zipf_popularity(5, math.nan)
-        for probs in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan], [1.0, math.nan]):
-            with pytest.raises(ValueError):
-                ContentPopularity(probs)
-
-    def test_popularity_validation(self):
-        with pytest.raises(ValueError):
-            ContentPopularity([0.2, 0.3, 0.5])   # increasing
-        with pytest.raises(ValueError):
-            ContentPopularity([0.9, 0.2])        # not normalized
-        with pytest.raises(ValueError):
-            ContentPopularity([1.5, -0.5])
 
 
 class TestRowsBoundary:

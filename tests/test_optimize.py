@@ -105,7 +105,7 @@ def integerize_reference(deliverable, cfg):
     full = np.floor(t)
     frac = t - full
     cap = full + (frac > 0)
-    f = zipf_popularity(cfg.F, cfg.gamma).probs
+    f = zipf_popularity(cfg.F, cfg.gamma)
     c = np.zeros(cfg.F, dtype=int)
     for _ in range(cfg.M):
         marginal = np.where(c < full, f, np.where(c < cap, f * frac, -np.inf))
@@ -334,13 +334,13 @@ class TestDeliveryMeans:
     def test_zero_without_arrivals(self):
         cfg = default_config(lam=0.0)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
-        assert delivered_packets_pmf(q[None], cfg, link_budget_for(cfg).budget)[2][0] == 0.0
+        assert delivered_packets_pmf(q[None], cfg, link_budget_for(cfg))[2][0] == 0.0
         assert noma_delivery_mean(q, cfg) == 0.0
 
     def test_zero_at_low_threshold(self):
         cfg = default_config(tau=1e-12)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
-        assert delivered_packets_pmf(q[None], cfg, link_budget_for(cfg).budget)[2][0] == 0.0
+        assert delivered_packets_pmf(q[None], cfg, link_budget_for(cfg))[2][0] == 0.0
         assert noma_delivery_mean(q, cfg) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("snr_db,mu", [(40.0, 1.0), (20.0, 10.0), (30.0, 2.0)])
@@ -350,7 +350,7 @@ class TestDeliveryMeans:
         rng = np.random.default_rng(int(snr_db * 10 + mu))
         q = rng.random(cfg.L + 1)
         q /= q.sum()
-        budget = link_budget_for(cfg).budget
+        budget = link_budget_for(cfg)
         assert delivered_packets_pmf(q[None], cfg, budget)[2][0] == pytest.approx(
             enum_delivery_oracle(q, cfg.with_scheme(Scheme.ORTHOGONAL),
                                  Scheme.ORTHOGONAL), abs=1e-7)
@@ -418,7 +418,7 @@ class TestDeliveryMeans:
         s = scenario(NeighborCacheDistribution(rows), cfg)
         value, bound = s.delivery, s.delivery_bound
         assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
-        budget = link_budget_for(cfg).budget
+        budget = link_budget_for(cfg)
         for i, q_i in enumerate(rows):
             *_, one_value, one_bound = delivered_packets_pmf(q_i[None], cfg, budget)
             assert value[i] == pytest.approx(one_value[0], rel=1e-15, abs=0.0)
@@ -485,7 +485,7 @@ class TestHighMobilityPlacement:
         from itertools import product
         from d2dcache.optimize import _integerize
         cfg = default_config(F=3, L=3, M=4)
-        f = zipf_popularity(cfg.F, cfg.gamma).probs
+        f = zipf_popularity(cfg.F, cfg.gamma)
         for t in (0.4, 1.0, 1.7, 2.5, 2.94, 3.0):
             delivery = cfg.L - t
             best = min(
@@ -532,7 +532,7 @@ class TestHighMobilityPlacement:
         from d2dcache.optimize import _integerize
 
         assert cfg.scheme is Scheme.ORTHOGONAL
-        one_row = delivered_packets_pmf(uniform_dist.q[:1], cfg, link_budget_for(cfg).budget)[2][0]
+        one_row = delivered_packets_pmf(uniform_dist.q[:1], cfg, link_budget_for(cfg))[2][0]
         expected = Placement(_integerize(one_row, cfg), cfg)
         load._build_scenario.cache_clear()
         greedy_placement(uniform_dist, cfg)
@@ -550,7 +550,7 @@ class TestHighMobilityPlacement:
 
         def fn(q_i, cfg):   # one row alone
             if scheme is Scheme.ORTHOGONAL:
-                return delivered_packets_pmf(q_i[None], cfg, link_budget_for(cfg).budget)[2][0]
+                return delivered_packets_pmf(q_i[None], cfg, link_budget_for(cfg))[2][0]
             return noma_delivery_mean(q_i, cfg)
 
         a = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
@@ -587,7 +587,7 @@ class TestHighMobilityPlacement:
 
 class TestRelaxedObjective:
     def test_zero_placement_value(self, cfg, uniform_dist):
-        nu = delivered_packets_pmf(uniform_dist.q[:1], cfg, link_budget_for(cfg).budget)[2][0]
+        nu = delivered_packets_pmf(uniform_dist.q[:1], cfg, link_budget_for(cfg))[2][0]
         expected = max(0.0, cfg.L - nu)   # popularity weights sum to 1
         delivery = per_content_delivery(uniform_dist, cfg)
         got = relaxed_objective(np.zeros(cfg.F), delivery, cfg)
@@ -615,7 +615,7 @@ class TestRelaxedObjective:
         cfg = default_config(snr=1e4)
         delivery = per_content_delivery(uniform_dist, cfg)
         star = high_mobility_continuous(delivery[0], cfg)
-        f = zipf_popularity(cfg.F, cfg.gamma).probs
+        f = zipf_popularity(cfg.F, cfg.gamma)
         base = relaxed_objective(star, delivery, cfg)
         k = int(np.flatnonzero(star > 0)[-1])   # least popular cached content
         for j in range(k + 1, cfg.F):
@@ -698,7 +698,7 @@ class TestGapConstant:
                                radius=float(rng.uniform(1.0, 10.0)))
             for scheme in Scheme:
                 cfg = base.with_scheme(scheme)
-                u = np.arange(1, max(U_SCAN, link_budget_for(cfg).u_max) + 1)
+                u = np.arange(1, max(U_SCAN, link_budget_for(cfg).size - 1) + 1)
                 delivered = cfg.L * u * rate(u, cfg)
                 c = gap_constant(cfg)
                 assert c <= 0
