@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         extra = []
         for row, placement in grid:
             _, _, sname, method, load = row.split(",")[:5]
-            counts = ",".join(str(x) for x in placement.c)
+            counts = ",".join(map(str, placement.c.tolist()))
             extra.append(f"placement_{method}_{sname}={counts}")
             print(f"{sname:15s} {method:13s} load={load} placement=[{counts}]")
         write_manifest(out, cfg, args.seed, "optimize", extra)

@@ -18,14 +18,14 @@ cache row shares one schedule: the rows are batched, each with its own
 Poisson window, and a convolution step is one (rows, L, L) transition-matrix
 product.  The bins equal a per-row construction up to rounding.  The
 same Poisson windows give each row's floored delivery E[u * budget(u)] and
-its truncation bound, which the scenario carries for the high-mobility
-placement and the Jensen-gap check; every Poisson window of a cache row is
-formed here.
-The scenario of a set of cache rows reads, of the config, only its
+its truncation bound; the scenario carries the deliveries for the
+high-mobility placement, and the bounds summed over the popularity for the
+Jensen-gap check.  Every Poisson window is formed here.
+The scenario of a cache distribution reads, of the config, only F, its
 packet-budget table (which it passes to the PMFs), gamma, the mean capable
-count and epsilon, and it is memoized on those and the rows: configs whose
-budget tables agree, as both schemes of a grid point often do, share one
-build.
+count and epsilon, and it is memoized on those and the distribution object:
+configs whose budget tables agree, as both schemes of a grid point often
+do, share one build.
 """
 
 from __future__ import annotations
@@ -206,9 +206,9 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, budget: np.ndarray
     return pmf, tails[:, 1], delivery, float(budget[1]) * (mean * tails[:, 0])
 
 
-# Two entries: one holds five values per distinct cache row, key included,
-# up to 2**22 rows at the table cap.  A grid point's two schemes, and grid
-# points that leave the mean and epsilon alone, share one entry.
+# Two entries: the widest window, at q0 = 0, which sizes the link budget, and
+# the windows of the distinct cache rows, five values a row, key included, up
+# to 2**22 rows at the table cap; configs of one mean and epsilon share them.
 @memo_on("mean_capable", "n_trunc_epsilon", maxsize=2)
 def _windows(cfg: SystemConfig, q0_bytes: bytes):
     """Read-only Poisson windows of the cache rows whose P[d = 0] are
@@ -224,6 +224,9 @@ def _distinct_rows(q: np.ndarray):
     """The index of each distinct row's first occurrence in q, and each row's
     distinct index.  Rows are matched by their bytes, so a result shared by
     equal rows is exactly what each of them would get."""
+    bits = q.view(np.int64)   # bit-equal, so -0.0 and 0.0 stay apart
+    if (bits == bits[0]).all():   # the CLI's uniform caches: one row
+        return np.zeros(1, dtype=int), np.zeros(len(q), dtype=int)
     ids, first, inverse = {}, [], []
     for r, row in enumerate(q):
         key = row.tobytes()
@@ -263,55 +266,49 @@ def _shortfall_weights(L: int) -> np.ndarray:
 @lru_cache(maxsize=8)   # small: a grid point reads one budget per scheme
 def link_budget_for(cfg: SystemConfig) -> np.ndarray:
     """The read-only packet-budget table of ``cfg``, indexed by u, covering
-    every transmitter count the truncated sums can see; memoized, as every
-    evaluator reads it."""
-    return build_link_budget(cfg, max(1, _truncation_point(cfg)))
-
-
-@memo_on("mean_capable", "n_trunc_epsilon")
-def _truncation_point(cfg: SystemConfig) -> int:
-    """The Poisson truncation point of the mean capable count."""
-    return poisson_truncation(cfg)
+    every transmitter count the truncated sums can see, the widest window's
+    (at q0 = 0); memoized, as every evaluator reads it."""
+    return build_link_budget(cfg, max(1, int(_windows(cfg, np.zeros(1).tobytes())[1][0])))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Popularity, (F, L+1) shortfall tables, their tail masses, the (F, L)
-    per-packet gains ``gains[i, c]``, the load decrease from the (c+1)-th
-    packet of content i, and the per-content floored deliveries
-    E[u * budget(u)] with bounds on their truncation error, for one set of
-    cache rows under one packet-budget table; read-only, as every caller
-    shares it."""
+    """Popularity, (F, L+1) shortfall tables, the (F, L) per-packet gains
+    ``gains[i, c]``, the load decrease from the (c+1)-th packet of content
+    i, the per-content floored deliveries E[u * budget(u)], and bounds on
+    the truncation errors of a load sum f_i tables[i, c_i] and of sum f_i
+    delivery_i, for one cache distribution under one packet-budget table;
+    read-only, as every caller shares it."""
 
     f: np.ndarray
     tables: np.ndarray
-    tails: np.ndarray
     gains: np.ndarray
     delivery: np.ndarray
-    delivery_bound: np.ndarray
+    load_bound: float
+    delivery_bound: float
 
 
 def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
     """The scenario of ``dist`` under ``cfg``, memoized by what its build
-    reads: cfg's packet-budget table, the F cache rows in use, ``gamma``,
-    the mean capable count and ``n_trunc_epsilon``.  Both schemes of a grid
-    point, and grid points, whose budget tables agree share one build, and
-    a hit equals a fresh build."""
-    q = dist.rows(cfg)
-    return _build_scenario(cfg, link_budget_for(cfg).tobytes(), q.tobytes(), q.shape)
+    reads: cfg's packet-budget table, the distribution object and F,
+    ``gamma``, the mean capable count and ``n_trunc_epsilon``.  Both schemes
+    of a grid point, and grid points, whose budget tables agree share one
+    build, and a hit equals a fresh build."""
+    dist.rows(cfg)   # checks F and L
+    return _build_scenario(cfg, link_budget_for(cfg).tobytes(), dist, cfg.F)
 
 
 # Two entries: a grid point's two schemes, as a sweep finishes a point first.
-# F and L come with the rows' shape, so cfg's fields are those of the key.
+# A distribution hashes by identity and its rows are read-only, so it keys them.
 @memo_on("gamma", "mean_capable", "n_trunc_epsilon", maxsize=2)
-def _build_scenario(cfg: SystemConfig, budget_bytes: bytes, q_bytes: bytes,
-                    shape: tuple) -> Scenario:
-    q = np.frombuffer(q_bytes).reshape(shape)   # rows the caller's dist validated
+def _build_scenario(cfg: SystemConfig, budget_bytes: bytes,
+                    dist: NeighborCacheDistribution, F: int) -> Scenario:
     budget = np.frombuffer(budget_bytes, dtype=int)
-    tables, tails, delivery, bound = shortfall_tables(q, cfg, budget)
-    f = zipf_popularity(shape[0], cfg.gamma)
+    tables, tails, delivery, bound = shortfall_tables(dist.q[:F], cfg, budget)
+    f = zipf_popularity(F, cfg.gamma)
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
-    return Scenario(f, *map(_readonly, (tables, tails, gains, delivery, bound)))
+    return Scenario(f, *map(_readonly, (tables, gains, delivery)),
+                    float((f * dist.L * tails).sum()), float(np.dot(f, bound)))
 
 
 def average_load_fast(
@@ -327,8 +324,7 @@ def average_load_fast(
     c = placement.counts(cfg)
     s = scenario(dist, cfg)
     per_content = s.f * s.tables[np.arange(cfg.F), c]
-    bound = float((s.f * cfg.L * s.tails).sum())
-    return LoadEvaluation(float(per_content.sum()), per_content, bound)
+    return LoadEvaluation(float(per_content.sum()), per_content, s.load_bound)
 
 
 def average_load_enum(

@@ -174,13 +174,13 @@ class NeighborCacheDistribution:
 
     ``q[i, d]`` is the probability a neighbor holds exactly ``d`` packets of
     content ``i``, with d in 0..L.  Rows are independent and identical across
-    neighbors.
+    neighbors.  The instance owns a read-only copy, so its identity keys the rows.
     """
 
     q: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.q, dtype=float)
+        arr = np.array(self.q, dtype=float)
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ValueError("cache distribution must be an (F, L+1) matrix")
         # each check is written so that NaN fails it

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import BLOCK_ENTRIES, expected_successes, success_probability
 from .load import average_load_fast, scenario
@@ -33,6 +32,7 @@ from .model import (
     Placement,
     Scheme,
     SystemConfig,
+    _readonly,
     expected_stay_time,
     poisson_truncation,
     zipf_popularity,
@@ -105,7 +105,8 @@ def exhaustive_placement(dist: NeighborCacheDistribution, cfg: SystemConfig) -> 
     rows = max(1, BLOCK_ENTRIES // (cfg.M + 1))
     padded = np.full(K + cfg.M + 1, np.inf)   # value[b] at K + b, inf below
     padded[K:] = 0.0   # past the last content nothing is left to load
-    shifted = sliding_window_view(padded, cfg.M + 1)[::-1]   # row c: value[b - c]
+    # a view of 8-byte floats whose row c is value[b - c], at padded[K + b - c]
+    shifted = _readonly(np.ndarray((K + 1, cfg.M + 1), float, padded, 8 * K, (-8, 8)))
     choice = np.zeros((cfg.F, cfg.M + 1), dtype=np.min_scalar_type(K))
     for i in reversed(range(cfg.F)):
         for lo in range(0, K + 1, rows):
@@ -371,5 +372,5 @@ def jensen_gap_check(
     gap = abs(evaluation.total - composite)
     bound = expected_stay_time(cfg) * abs(gap_constant(cfg))
     # both sides of the gap carry surfaced truncation error; allow for it
-    slack = 1e-9 + evaluation.truncation_bound + float(np.dot(s.f, s.delivery_bound))
+    slack = 1e-9 + evaluation.truncation_bound + s.delivery_bound
     return JensenGapReport(gap=gap, bound=bound, ok=(gap <= bound + slack))

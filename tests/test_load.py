@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -528,15 +530,17 @@ class TestSharedWork:
         assert peaks[1] - peaks[0] <= 4 * 8_000 * (L + 1) * 8
 
     def test_scenario_is_shared_and_read_only(self, cfg, uniform_dist):
-        from d2dcache.load import scenario
+        from d2dcache.load import scenario, shortfall_tables
 
         s = scenario(uniform_dist, cfg)
-        # an equal config and equal cache rows hit the same entry
-        assert scenario(NeighborCacheDistribution(uniform_dist.q.copy()),
-                        default_config()) is s
-        for array in (s.f, s.tables, s.tails, s.gains, s.delivery, s.delivery_bound,
-                      link_budget_for(cfg)):
+        # an equal config and the same distribution hit the same entry
+        assert scenario(uniform_dist, default_config()) is s
+        for array in (s.f, s.tables, s.gains, s.delivery, link_budget_for(cfg)):
             assert not array.flags.writeable
+        # the two bounds are the popularity-weighted sums of the per-content ones
+        _, tails, _, bound = shortfall_tables(uniform_dist.q, cfg, link_budget_for(cfg))
+        assert s.load_bound == float((s.f * cfg.L * tails).sum())
+        assert s.delivery_bound == float(np.dot(s.f, bound))
         with pytest.raises(ValueError):
             s.tables[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -544,3 +548,37 @@ class TestSharedWork:
         # gains[i, c] is the table decrement of the (c+1)-th packet, bit for bit
         assert s.gains.shape == (cfg.F, cfg.L)
         assert np.array_equal(s.gains, s.f[:, None] * (s.tables[:, :-1] - s.tables[:, 1:]))
+
+    def test_equal_rows_of_another_distribution_build_an_equal_scenario(self, cfg,
+                                                                          uniform_dist):
+        # a distribution keys its scenario by identity: equal rows build anew
+        s = scenario(uniform_dist, cfg)
+        other = scenario(NeighborCacheDistribution(uniform_dist.q), cfg)
+        assert other is not s
+        for field in fields(s):
+            assert np.array_equal(getattr(other, field.name), getattr(s, field.name))
+
+    def test_warm_scenario_hit_copies_no_rows(self):
+        import tracemalloc
+
+        # 65,536 rows of 51 entries are 26.7 MB: a hit must not copy them
+        cfg = default_config(F=65_536, L=50, M=0)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        s = scenario(dist, cfg)
+        tracemalloc.start()
+        try:
+            assert scenario(dist, cfg) is s
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_distinct_rows_keep_negative_zero_apart(self):
+        from d2dcache.load import _distinct_rows
+
+        row = np.array([0.5, 0.5, 0.0])
+        twin = np.array([0.5, 0.5, -0.0])   # equal as floats, not as bits
+        for q, first, inverse in [([row, twin, row], [0, 1], [0, 1, 0]),
+                                  ([twin, twin], [0], [0, 0])]:
+            got = _distinct_rows(np.array(q))
+            assert [a.tolist() for a in got] == [first, inverse]

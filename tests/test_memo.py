@@ -26,7 +26,6 @@ from d2dcache import (
 from d2dcache.channel import _beta, _noise
 from d2dcache.load import (
     _build_scenario,
-    _truncation_point,
     _windows,
     delivered_packets_pmf,
     link_budget_for,
@@ -41,18 +40,17 @@ OTHER = dict(F=6, gamma=0.7, L=6, M=4, eta=0.25, lam=2.0, mu=2.0, tau=2.0,
 MEAN = {"eta", "lam", "mu"}   # the fields of the mean capable count
 Q0 = np.array([0.5, 1.0 / 3.0, 0.0]).tobytes()
 # a budget table long enough for the windows of every config below, and
-# cache rows of default_config(): F and L come with their shape
+# a cache distribution of default_config()'s F and L
 BUDGET = np.array([0, 3, 2, 2, 1] + [0] * 59).tobytes()
 Q = np.random.default_rng(2).dirichlet(np.ones(6), size=5)
+DIST = NeighborCacheDistribution(Q)
 
 # name: (memo, its arguments after the config, the fields it reads)
 CACHES = {
     "beta": (_beta, (), {"quad_nodes", "radius", "alpha", "tau"}),
     "noise": (_noise, (), {"quad_nodes", "radius", "alpha", "tau", "snr"}),
     "windows": (_windows, (Q0,), MEAN | {"n_trunc_epsilon"}),
-    "truncation_point": (_truncation_point, (), MEAN | {"n_trunc_epsilon"}),
-    "scenario": (_build_scenario, (BUDGET, Q.tobytes(), Q.shape),
-                 MEAN | {"gamma", "n_trunc_epsilon"}),
+    "scenario": (_build_scenario, (BUDGET, DIST, 5), MEAN | {"gamma", "n_trunc_epsilon"}),
 }
 
 
@@ -129,7 +127,7 @@ def test_a_scenario_after_a_shared_build_equals_a_cold_one(snr_db, equal_tables)
     warm = [scenario(dist, cfg.with_scheme(s)) for s in Scheme]
     assert _build_scenario.cache_info().misses == 2 - equal_tables
     assert (warm[0] is warm[1]) == equal_tables
-    for memo in (_beta, _noise, _windows, _truncation_point, _build_scenario):
+    for memo in (_beta, _noise, _windows, _build_scenario):
         memo.cache_clear()
     for s, shared in zip(Scheme, warm):
         assert _same(scenario(dist, cfg.with_scheme(s)), shared)
@@ -145,18 +143,28 @@ SAME_TABLE = {name: OTHER[name] for name in
 @pytest.mark.parametrize("field", [*SAME_TABLE, "gamma", "eta", "lam", "mu",
                                    "n_trunc_epsilon"])
 def test_the_scenario_is_keyed_by_the_budget_table_and_the_fields_it_reads(field):
-    dist = NeighborCacheDistribution(Q)
     other = replace(BASE, **{field: OTHER[field]})
     if field in SAME_TABLE:
         assert np.array_equal(link_budget_for(other), link_budget_for(BASE))
     _build_scenario.cache_clear()
-    first = scenario(dist, BASE)
-    served = scenario(dist, other)
+    first = scenario(DIST, BASE)
+    served = scenario(DIST, other)
     assert (served is first) == (field in SAME_TABLE)
-    q = dist.rows(other)
-    cold = _build_scenario.__wrapped__(other, link_budget_for(other).tobytes(),
-                                       q.tobytes(), q.shape)
+    cold = _build_scenario.__wrapped__(other, link_budget_for(other).tobytes(), DIST, other.F)
     assert _same(served, cold)
+
+
+def test_a_distribution_with_extra_rows_is_keyed_by_f_too():
+    # the key holds the distribution, not its rows: F picks the rows in use
+    dist = NeighborCacheDistribution(np.random.default_rng(4).dirichlet(np.ones(6), size=7))
+    _build_scenario.cache_clear()
+    for F in (5, 6, 5):
+        cfg = default_config(F=F)
+        served = scenario(dist, cfg)
+        assert served.tables.shape == (F, 6)
+        assert _same(served, _build_scenario.__wrapped__(cfg, link_budget_for(cfg).tobytes(),
+                                                         dist, F))
+    assert _build_scenario.cache_info().hits == 1
 
 
 def test_a_field_not_named_cannot_be_read():
@@ -173,7 +181,7 @@ def test_a_field_not_named_cannot_be_read():
 MEMOIZED = {
     "channel._beta", "channel._gauss_legendre", "channel._noise", "cli.build_parser",
     "load._build_scenario", "load._shortfall_weights", "load._transition_index",
-    "load._truncation_point", "load._windows", "load.link_budget_for",
+    "load._windows", "load.link_budget_for",
     "model.zipf_popularity", "optimize._verify_cardinality_matroid",
     "optimize.gap_constant",
 }
@@ -205,18 +213,21 @@ WALK = dict(F=[3, 4], L=[2, 3, 4], M=[2, 4, 6], gamma=[0.6, 1.5], eta=[0.5, 1.0]
 
 def _walk(rng, steps):
     """Configs and cache distributions, each step changing one to three
-    fields of the last config, and the rows only now and then."""
-    cfg, rows = default_config(F=3, L=3, M=4), {}
+    fields of the last config, and the rows only now and then.  Each drawn
+    set of rows keeps one distribution, so steps that share rows share its
+    scenarios."""
+    cfg, dists = default_config(F=3, L=3, M=4), {}
     for _ in range(steps):
         changes = {name: WALK[name][rng.integers(len(WALK[name]))]
                    for name in rng.choice(list(WALK), size=rng.integers(1, 4), replace=False)}
         cfg = replace(cfg, **changes)
         shape = (cfg.F, cfg.L + 1)
-        if shape not in rows or rng.random() < 0.2:
+        if shape not in dists or rng.random() < 0.2:
             uniform = rng.random() < 0.5
-            rows[shape] = (np.full(shape, 1.0 / shape[1]) if uniform
-                           else rng.dirichlet(np.ones(shape[1]), size=cfg.F))
-        yield cfg, NeighborCacheDistribution(rows[shape])
+            dists[shape] = NeighborCacheDistribution(
+                np.full(shape, 1.0 / shape[1]) if uniform
+                else rng.dirichlet(np.ones(shape[1]), size=cfg.F))
+        yield cfg, dists[shape]
 
 
 def _results(dist, cfg):

@@ -27,7 +27,7 @@ from d2dcache import (
     poisson_truncation,
     zipf_popularity,
 )
-from d2dcache.load import scenario
+from d2dcache.load import link_budget_for, scenario, shortfall_tables
 from d2dcache.model import MAX_TABLE_ENTRIES, MAX_TRUNCATION, poisson_pmf, poisson_tail
 
 # Frozen by an independent 40-digit mpmath script: i**-0.6 summed over i=1..5.
@@ -222,8 +222,10 @@ def test_floored_delivery_bound_at_zero_truncation_point():
         scfg = cfg.with_scheme(scheme)
         s = scenario(dist, scfg)
         assert np.all(s.delivery == 0.0)
-        assert math.isfinite(s.delivery_bound[0])
-        assert np.all(s.delivery_bound == packet_budget(1, scfg) * mean)
+        bound = shortfall_tables(dist.q, scfg, link_budget_for(scfg))[3]
+        assert math.isfinite(bound[0])
+        assert np.all(bound == packet_budget(1, scfg) * mean)
+        assert s.delivery_bound == float(np.dot(s.f, bound))
         assert jensen_gap_check(placement, dist, scfg).ok
 
 
@@ -318,6 +320,14 @@ class TestDistributions:
             dist.q[0, 0] = 1.0
         with pytest.raises(AttributeError):
             dist.q = np.full((3, 5), 0.2)
+
+    def test_owns_a_read_only_copy_of_the_rows(self):
+        # the instance keys its scenario, so its rows never change under it
+        a = np.full((3, 5), 0.2)
+        dist = NeighborCacheDistribution(a)
+        assert a.flags.writeable and not dist.q.flags.writeable
+        a[0] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.all(dist.q == 0.2)
 
     def test_rejects_bad_pmf(self):
         with pytest.raises(ValueError):

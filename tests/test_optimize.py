@@ -30,7 +30,7 @@ from d2dcache import (
     zipf_popularity,
 )
 from d2dcache.channel import _beta
-from d2dcache.load import delivered_packets_pmf, link_budget_for, scenario
+from d2dcache.load import delivered_packets_pmf, link_budget_for, scenario, shortfall_tables
 from d2dcache.model import poisson_pmf
 from d2dcache.optimize import U_SCAN
 
@@ -415,10 +415,10 @@ class TestDeliveryMeans:
         rng = np.random.default_rng(int(lam))
         rows = rng.dirichlet(np.ones(cfg.L + 1) * 0.3, size=12)
         rows[3] = np.eye(cfg.L + 1)[0]
-        s = scenario(NeighborCacheDistribution(rows), cfg)
-        value, bound = s.delivery, s.delivery_bound
-        assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
         budget = link_budget_for(cfg)
+        value = scenario(NeighborCacheDistribution(rows), cfg).delivery
+        bound = shortfall_tables(rows, cfg, budget)[3]
+        assert len(set(poisson_truncation(cfg, (1 - rows[:, 0]) * cfg.mean_capable))) > 2
         for i, q_i in enumerate(rows):
             *_, one_value, one_bound = delivered_packets_pmf(q_i[None], cfg, budget)
             assert value[i] == pytest.approx(one_value[0], rel=1e-15, abs=0.0)
