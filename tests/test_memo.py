@@ -50,6 +50,8 @@ CACHES = {
     "beta": (_beta, (), {"quad_nodes", "radius", "alpha", "tau"}),
     "noise": (_noise, (), {"quad_nodes", "radius", "alpha", "tau", "snr"}),
     "windows": (_windows, (Q0,), MEAN | {"n_trunc_epsilon"}),
+    # the widest window, at q0 = 0, whose truncation point sizes the budget table
+    "truncation_point": (_windows, (np.zeros(1).tobytes(),), MEAN | {"n_trunc_epsilon"}),
     "scenario": (_build_scenario, (BUDGET, DIST, 5), MEAN | {"gamma", "n_trunc_epsilon"}),
 }
 
