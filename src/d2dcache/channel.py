@@ -63,19 +63,27 @@ def interference_factor(r: float, cfg: SystemConfig) -> float:
 # Memoized on the fields each reads, so both schemes of a grid point, and
 # grid points that differ in no such field, share one build.  beta is a mean
 # of terms <= 1; clamped at 1 against rounding, every beta**(u-1) and so
-# every success probability is non-increasing in u.
+# every success probability is non-increasing in u.  Powers past the float
+# range raise no warning: a NaN beta (0/0 or inf/inf) is refused, and an
+# infinite noise exponent gives a noise factor of 0.
 @memo_on("quad_nodes", "radius", "alpha", "tau")
 def _beta(cfg: SystemConfig) -> np.ndarray:
     """Read-only interference factor beta at each outer quadrature node."""
     r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    return _readonly(np.minimum(_interference_factor_at(r, cfg), 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.minimum(_interference_factor_at(r, cfg), 1.0)
+    if not np.isfinite(beta).all():
+        raise CapacityError(f"interference factors leave the float range at "
+                            f"radius={cfg.radius:g}, alpha={cfg.alpha:g}")
+    return _readonly(beta)
 
 
 @memo_on("quad_nodes", "radius", "alpha", "tau", "snr")
 def _noise(cfg: SystemConfig) -> np.ndarray:
     """Read-only noise factor exp(-r**alpha * tau / snr) at each outer node."""
     r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    return _readonly(np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr))
+    with np.errstate(over="ignore"):
+        return _readonly(np.exp(-(r ** cfg.alpha) * cfg.tau / cfg.snr))
 
 
 def success_probability(u, cfg: SystemConfig):

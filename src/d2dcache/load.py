@@ -21,11 +21,11 @@ same Poisson windows give each row's floored delivery E[u * budget(u)] and
 its truncation bound; the scenario carries the deliveries for the
 high-mobility placement, and the bounds summed over the popularity for the
 Jensen-gap check.  Every Poisson window is formed here.
-The scenario of a cache distribution reads, of the config, only F, its
-packet-budget table (which it passes to the PMFs), gamma, the mean capable
-count and epsilon, and it is memoized on those and the distribution object:
-configs whose budget tables agree, as both schemes of a grid point often
-do, share one build.
+The scenario of a cache distribution reads, of the config, only its budget
+table (which it passes to the PMFs), gamma, the mean capable count and
+epsilon; it is memoized on those, the table by the bytes object holding it,
+and the distribution object, whose rows are exactly the config's: a hit
+copies nothing, and configs whose tables agree (often both schemes) share it.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _windows(cfg: SystemConfig, q0_bytes: bytes):
     return _readonly(mean), _readonly(u_max), _readonly(tails)
 
 
-def _distinct_rows(q: np.ndarray):
+def distinct_rows(q: np.ndarray):
     """The index of each distinct row's first occurrence in q, and each row's
     distinct index.  Rows are matched by their bytes, so a result shared by
     equal rows is exactly what each of them would get."""
@@ -249,7 +249,7 @@ def shortfall_tables(q: np.ndarray, cfg: SystemConfig, budget: np.ndarray):
     caches make all F rows equal) take one batched PMF call, and the results
     are scattered back to the F contents.
     """
-    first, inverse = _distinct_rows(q)
+    first, inverse = distinct_rows(q)
     pmf, *per_row = delivered_packets_pmf(q[first], cfg, budget)
     tables = np.vecdot(_shortfall_weights(q.shape[1] - 1), pmf[:, None, :])
     return tables[inverse], *(a[inverse] for a in per_row)
@@ -265,10 +265,11 @@ def _shortfall_weights(L: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)   # small: a grid point reads one budget per scheme
 def link_budget_for(cfg: SystemConfig) -> np.ndarray:
-    """The read-only packet-budget table of ``cfg``, indexed by u, covering
-    every transmitter count the truncated sums can see, the widest window's
-    (at q0 = 0); memoized, as every evaluator reads it."""
-    return build_link_budget(cfg, max(1, int(_windows(cfg, np.zeros(1).tobytes())[1][0])))
+    """The read-only packet-budget table of ``cfg``, indexed by u, for every
+    transmitter count of the widest window (at q0 = 0); memoized, as every
+    evaluator reads it, and a view of the bytes object that keys the scenario."""
+    table = build_link_budget(cfg, max(1, int(_windows(cfg, np.zeros(1).tobytes())[1][0])))
+    return np.frombuffer(table.tobytes(), dtype=table.dtype)
 
 
 @dataclass(frozen=True)
@@ -290,22 +291,22 @@ class Scenario:
 
 def scenario(dist: NeighborCacheDistribution, cfg: SystemConfig) -> Scenario:
     """The scenario of ``dist`` under ``cfg``, memoized by what its build
-    reads: cfg's packet-budget table, the distribution object and F,
+    reads: the bytes of cfg's packet-budget table, the distribution object,
     ``gamma``, the mean capable count and ``n_trunc_epsilon``.  Both schemes
     of a grid point, and grid points, whose budget tables agree share one
     build, and a hit equals a fresh build."""
     dist.rows(cfg)   # checks F and L
-    return _build_scenario(cfg, link_budget_for(cfg).tobytes(), dist, cfg.F)
+    return _build_scenario(cfg, link_budget_for(cfg).base, dist)
 
 
 # Two entries: a grid point's two schemes, as a sweep finishes a point first.
 # A distribution hashes by identity and its rows are read-only, so it keys them.
 @memo_on("gamma", "mean_capable", "n_trunc_epsilon", maxsize=2)
 def _build_scenario(cfg: SystemConfig, budget_bytes: bytes,
-                    dist: NeighborCacheDistribution, F: int) -> Scenario:
+                    dist: NeighborCacheDistribution) -> Scenario:
     budget = np.frombuffer(budget_bytes, dtype=int)
-    tables, tails, delivery, bound = shortfall_tables(dist.q[:F], cfg, budget)
-    f = zipf_popularity(F, cfg.gamma)
+    tables, tails, delivery, bound = shortfall_tables(dist.q, cfg, budget)
+    f = zipf_popularity(dist.F, cfg.gamma)
     gains = f[:, None] * (tables[:, :-1] - tables[:, 1:])
     return Scenario(f, *map(_readonly, (tables, gains, delivery)),
                     float((f * dist.L * tails).sum()), float(np.dot(f, bound)))

@@ -87,7 +87,8 @@ class SystemConfig:
             ("lam", self.lam, self.lam >= 0),
             ("mu", self.mu, self.mu > 0),
             ("tau", self.tau, self.tau > 0),
-            ("radius", self.radius, self.radius > 0),
+            # the disc density 2r/radius**2 needs a square that is neither 0 nor inf
+            ("radius", self.radius, 0 < self.radius * self.radius < math.inf),
             ("alpha", self.alpha, self.alpha > 0),
             ("snr", self.snr, self.snr > 0),
             ("n_trunc_epsilon", self.n_trunc_epsilon, 0 < self.n_trunc_epsilon < 1),
@@ -200,12 +201,11 @@ class NeighborCacheDistribution:
         return self.q.shape[1] - 1
 
     def rows(self, cfg: SystemConfig) -> np.ndarray:
-        """The cache rows of cfg's F contents, q[:cfg.F]; raises unless the
-        rows have cfg's L+1 columns and there are at least cfg.F of them."""
-        if self.L != cfg.L or self.F < cfg.F:
+        """The cache rows q; raises unless their shape is cfg's (F, L+1)."""
+        if self.q.shape != (cfg.F, cfg.L + 1):
             raise ValueError(f"cache distribution has {self.F} rows for L={self.L}; "
                              f"the config reads {cfg.F} rows for L={cfg.L}")
-        return self.q[: cfg.F]
+        return self.q
 
     @classmethod
     def uniform(cls, F: int, L: int) -> "NeighborCacheDistribution":

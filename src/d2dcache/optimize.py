@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import BLOCK_ENTRIES, expected_successes, success_probability
-from .load import average_load_fast, scenario
+from .load import average_load_fast, distinct_rows, scenario
 from .model import (
     CapacityError,
     NeighborCacheDistribution,
@@ -256,7 +256,6 @@ def noma_delivery_mean(q: np.ndarray, cfg: SystemConfig):
     return cfg.L / cfg.mu * math.log1p(cfg.tau) * expected_successes(m, cfg)
 
 
-@lru_cache(maxsize=8)   # the non-orthogonal scan is a quadrature pass
 def gap_constant(cfg: SystemConfig) -> float:
     """c = -L sup_u u*rate(u) <= 0, the Jensen-gap constant of cfg's scheme.
 
@@ -284,10 +283,13 @@ def gap_constant(cfg: SystemConfig) -> float:
 def per_content_delivery(dist: NeighborCacheDistribution, cfg: SystemConfig):
     """Expected D2D deliverable packets per stay of each of the F contents
     under cfg's scheme, all nonnegative: the floored E[u * budget(u)] that
-    the scenario carries under orthogonal access, noma_delivery_mean over
-    the F cache rows under non-orthogonal access."""
+    the scenario carries under orthogonal access, noma_delivery_mean under
+    non-orthogonal access, taken over the distinct cache rows, as the
+    scenario takes them, and gathered back to the F contents."""
     if cfg.scheme is Scheme.NON_ORTHOGONAL:
-        return noma_delivery_mean(dist.rows(cfg), cfg)
+        q = dist.rows(cfg)
+        first, inverse = distinct_rows(q)
+        return noma_delivery_mean(q[first], cfg)[inverse]
     return scenario(dist, cfg).delivery
 
 

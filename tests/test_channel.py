@@ -1,19 +1,23 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from d2dcache import (
     CapacityError,
+    NeighborCacheDistribution,
     Scheme,
+    average_load_fast,
     build_link_budget,
     default_config,
     interference_factor,
     packet_budget,
     rate,
     success_probability,
+    greedy_placement,
     success_probability_mc,
 )
 from d2dcache.channel import (
@@ -90,6 +94,23 @@ class TestInterferenceFactor:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_extreme_channels_finish_or_refuse(self, scheme):
+        # x**alpha and r**alpha underflow (0/0) or overflow (inf/inf) at the
+        # nodes: a NaN beta is refused, an infinite noise exponent is a noise
+        # factor of 0, and no numpy warning comes first
+        for radius, alpha in itertools.product([1e-160, 5.0, 1e150], [0.01, 4.0, 1000.0]):
+            cfg = default_config(radius=radius, alpha=alpha, scheme=scheme)
+            dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    placement, _ = greedy_placement(dist, cfg)
+                except CapacityError as exc:
+                    assert "float range" in str(exc) and scheme is Scheme.NON_ORTHOGONAL, cfg
+                    continue
+                assert math.isfinite(average_load_fast(placement, dist, cfg).total), cfg
 
 
 class TestSuccessProbability:

@@ -296,16 +296,32 @@ class TestSweepCommand:
         pytest.param({"F=5": "F=1000000", "L=5": "L=50"}, id="table_entries"),
     ])
     def test_config_above_a_cap_is_one_line_on_stderr(self, edits, tmp_path, capsys):
+        assert "cap" in self._refused_optimize(edits, tmp_path, capsys)
+
+    @pytest.mark.parametrize("edits", [
+        pytest.param({"alpha=4": "alpha=120", "scheme=orthogonal": "scheme=non_orthogonal"},
+                     id="nan_interference_factor"),
+        pytest.param({"radius=5": "radius=1e300"}, id="radius_squared_inf"),
+        pytest.param({"radius=5": "radius=1e-300"}, id="radius_squared_zero"),
+    ])
+    def test_extreme_channel_is_one_line_on_stderr(self, edits, tmp_path, capsys):
+        self._refused_optimize(edits, tmp_path, capsys)
+
+    @staticmethod
+    def _refused_optimize(edits, tmp_path, capsys):
+        """stderr of an optimize run on GOOD_CONFIG with ``edits``, which
+        must exit 1 with one line there and write no CSV."""
         text = GOOD_CONFIG
         for old, new in edits.items():
             text = text.replace(old, new)
-        path = tmp_path / "capped.cfg"
+        path = tmp_path / "edited.cfg"
         path.write_text(text)
         rc = main(["optimize", "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err and "cap" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+        return err
 
 
 class TestOptimizeCommand:

@@ -558,11 +558,16 @@ class TestSharedWork:
         for field in fields(s):
             assert np.array_equal(getattr(other, field.name), getattr(s, field.name))
 
-    def test_warm_scenario_hit_copies_no_rows(self):
+    @pytest.mark.parametrize("overrides", [
+        # 65,536 rows of 51 entries are 26.7 MB
+        pytest.param(dict(F=65_536, L=50, M=0), id="rows"),
+        # at mean 5e6 the budget table has 5,013,417 entries, 40 MB
+        pytest.param(dict(lam=1e7), id="budget_table"),
+    ])
+    def test_warm_scenario_hit_copies_nothing(self, overrides):
         import tracemalloc
 
-        # 65,536 rows of 51 entries are 26.7 MB: a hit must not copy them
-        cfg = default_config(F=65_536, L=50, M=0)
+        cfg = default_config(**overrides)
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
         s = scenario(dist, cfg)
         tracemalloc.start()
@@ -574,11 +579,11 @@ class TestSharedWork:
         assert peak < 2**20
 
     def test_distinct_rows_keep_negative_zero_apart(self):
-        from d2dcache.load import _distinct_rows
+        from d2dcache.load import distinct_rows
 
         row = np.array([0.5, 0.5, 0.0])
         twin = np.array([0.5, 0.5, -0.0])   # equal as floats, not as bits
         for q, first, inverse in [([row, twin, row], [0, 1], [0, 1, 0]),
                                   ([twin, twin], [0], [0, 0])]:
-            got = _distinct_rows(np.array(q))
+            got = distinct_rows(np.array(q))
             assert [a.tolist() for a in got] == [first, inverse]

@@ -52,7 +52,7 @@ CACHES = {
     "windows": (_windows, (Q0,), MEAN | {"n_trunc_epsilon"}),
     # the widest window, at q0 = 0, whose truncation point sizes the budget table
     "truncation_point": (_windows, (np.zeros(1).tobytes(),), MEAN | {"n_trunc_epsilon"}),
-    "scenario": (_build_scenario, (BUDGET, DIST, 5), MEAN | {"gamma", "n_trunc_epsilon"}),
+    "scenario": (_build_scenario, (BUDGET, DIST), MEAN | {"gamma", "n_trunc_epsilon"}),
 }
 
 
@@ -152,21 +152,8 @@ def test_the_scenario_is_keyed_by_the_budget_table_and_the_fields_it_reads(field
     first = scenario(DIST, BASE)
     served = scenario(DIST, other)
     assert (served is first) == (field in SAME_TABLE)
-    cold = _build_scenario.__wrapped__(other, link_budget_for(other).tobytes(), DIST, other.F)
+    cold = _build_scenario.__wrapped__(other, link_budget_for(other).base, DIST)
     assert _same(served, cold)
-
-
-def test_a_distribution_with_extra_rows_is_keyed_by_f_too():
-    # the key holds the distribution, not its rows: F picks the rows in use
-    dist = NeighborCacheDistribution(np.random.default_rng(4).dirichlet(np.ones(6), size=7))
-    _build_scenario.cache_clear()
-    for F in (5, 6, 5):
-        cfg = default_config(F=F)
-        served = scenario(dist, cfg)
-        assert served.tables.shape == (F, 6)
-        assert _same(served, _build_scenario.__wrapped__(cfg, link_budget_for(cfg).tobytes(),
-                                                         dist, F))
-    assert _build_scenario.cache_info().hits == 1
 
 
 def test_a_field_not_named_cannot_be_read():
@@ -185,7 +172,6 @@ MEMOIZED = {
     "load._build_scenario", "load._shortfall_weights", "load._transition_index",
     "load._windows", "load.link_budget_for",
     "model.zipf_popularity", "optimize._verify_cardinality_matroid",
-    "optimize.gap_constant",
 }
 
 

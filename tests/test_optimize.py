@@ -29,7 +29,7 @@ from d2dcache import (
     success_probability,
     zipf_popularity,
 )
-from d2dcache.channel import _beta
+from d2dcache.channel import _beta, expected_successes
 from d2dcache.load import delivered_packets_pmf, link_budget_for, scenario, shortfall_tables
 from d2dcache.model import poisson_pmf
 from d2dcache.optimize import U_SCAN
@@ -564,6 +564,19 @@ class TestHighMobilityPlacement:
         expected = Placement(_integerize(fn(b, cfg), cfg), cfg)
         assert high_mobility_placement(repeated, scfg) == expected
 
+    def test_uniform_rows_take_one_noma_mean(self, cfg, uniform_dist, monkeypatch):
+        # equal rows share one closed-form mean, gathered back to the F contents
+        from d2dcache import optimize
+
+        scfg = cfg.with_scheme(Scheme.NON_ORTHOGONAL)
+        one_row = noma_delivery_mean(uniform_dist.q[0], scfg)
+        means = []
+        monkeypatch.setattr(optimize, "expected_successes",
+                            lambda m, c: means.append(np.size(m)) or expected_successes(m, c))
+        delivery = per_content_delivery(uniform_dist, scfg)
+        assert means == [1]
+        assert np.array_equal(delivery, np.full(cfg.F, one_row))
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_heterogeneous_rows_reach_relaxed_optimum(self, scheme):
         # each content has its own threshold; brute force over every
@@ -737,19 +750,16 @@ class TestGapConstant:
                 fine = replace(cfg, quad_nodes=1024)
                 assert gap_constant(cfg) == pytest.approx(gap_constant(fine), rel=1e-4)
 
-    def test_memoized_per_config(self, monkeypatch):
+    def test_one_quadrature_pass_per_call(self, monkeypatch):
         from d2dcache import optimize
 
         calls = []
         monkeypatch.setattr(optimize, "success_probability",
                             lambda *args: calls.append(args) or success_probability(*args))
-        gap_constant.cache_clear()
-        first = gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
-        assert len(calls) == 1
-        # an equal config, built anew, repeats no quadrature
-        again = gap_constant(default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5))
-        assert len(calls) == 1
-        assert isinstance(again, float) and again == first
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, lam=1e5)
+        first = gap_constant(cfg)
+        assert len(calls) == 1   # one array call over the whole scan
+        assert isinstance(first, float) and gap_constant(cfg) == first
 
     def test_scan_reads_no_link_budget(self, monkeypatch):
         # the scan runs to max(U_SCAN, the Poisson truncation point) on its
@@ -762,7 +772,6 @@ class TestGapConstant:
         for lam in (1.0, 1e5):   # truncation points below and above U_SCAN
             cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, lam=lam)
             expected = gap_constant(cfg)
-            gap_constant.cache_clear()
             with monkeypatch.context() as patch:
                 for module in (load, optimize):
                     patch.setattr(module, "link_budget_for", refuse, raising=False)
