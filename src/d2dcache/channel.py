@@ -6,6 +6,8 @@ non-orthogonal access) interference from the other transmitters, themselves
 uniform in the disc.  The success probability P[SINR > tau | u transmitters]
 reduces to a nested 1-d integral over the disc, evaluated here by fixed-order
 Gauss-Legendre quadrature and cross-checked by direct Monte Carlo sampling.
+Both read an interferer's distance through its ratio to the link's length,
+so no accepted radius or path-loss exponent makes a term NaN.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .model import CapacityError, Scheme, SystemConfig, _readonly, memo_on
 BLOCK_ENTRIES = 8192 * 64
 
 # Most (node, node) pairs of a rule: the interference factors at the nodes
-# take (n, n) arrays of about 24 bytes per pair, about 100 MB at 2048 nodes.
+# take (n, n) arrays of about 16 bytes per pair, about 67 MB at 2048 nodes.
 MAX_NODE_PAIRS = 2048 * 2048
 
 
@@ -39,21 +41,22 @@ def _gauss_legendre(n: int, upper: float):
 
 
 def _interference_factor_at(r, cfg: SystemConfig):
-    """Vectorized mean of x**a/(x**a + tau*r**a) over a uniform-in-disc distance x."""
+    """Vectorized mean of 1/(1 + tau*(r/x)**a) over a uniform-in-disc distance x."""
     x, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
     r = np.asarray(r, dtype=float)
-    xa = x ** cfg.alpha
-    # integrand: x^a / (x^a + tau r^a) * 2x/R^2, for each requested r
-    num = xa * 2.0 * x / cfg.radius**2
-    den = xa[None, :] + cfg.tau * (r[..., None] ** cfg.alpha)
-    return (num[None, :] / den * w[None, :]).sum(axis=-1)
+    # x^a/(x^a + tau r^a) depends on r/x alone; a power past the float range
+    # is inf, a term of 0, so for r >= 0 and nodes x > 0 no term is NaN
+    with np.errstate(over="ignore"):
+        den = 1.0 + cfg.tau * (r[..., None] / x) ** cfg.alpha
+    return (2.0 * x / cfg.radius**2 * w / den).sum(axis=-1)
 
 
 def interference_factor(r: float, cfg: SystemConfig) -> float:
     """Per-interferer attenuation factor of the success probability.
 
     Equals the disc average of x**alpha / (x**alpha + tau*r**alpha), where x
-    is an interferer's distance; lies in [0, 1] and equals 1 at r=0.
+    is an interferer's distance, computed as 1 / (1 + tau*(r/x)**alpha);
+    lies in [0, 1] up to rounding and equals 1 at r=0.
     """
     if not 0 <= r <= cfg.radius:
         raise ValueError(f"r must lie in [0, radius={cfg.radius}], got {r}")
@@ -64,18 +67,12 @@ def interference_factor(r: float, cfg: SystemConfig) -> float:
 # grid points that differ in no such field, share one build.  beta is a mean
 # of terms <= 1; clamped at 1 against rounding, every beta**(u-1) and so
 # every success probability is non-increasing in u.  Powers past the float
-# range raise no warning: a NaN beta (0/0 or inf/inf) is refused, and an
-# infinite noise exponent gives a noise factor of 0.
+# range raise no warning: an infinite noise exponent gives a noise factor of 0.
 @memo_on("quad_nodes", "radius", "alpha", "tau")
 def _beta(cfg: SystemConfig) -> np.ndarray:
     """Read-only interference factor beta at each outer quadrature node."""
     r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = np.minimum(_interference_factor_at(r, cfg), 1.0)
-    if not np.isfinite(beta).all():
-        raise CapacityError(f"interference factors leave the float range at "
-                            f"radius={cfg.radius:g}, alpha={cfg.alpha:g}")
-    return _readonly(beta)
+    return _readonly(np.minimum(_interference_factor_at(r, cfg), 1.0))
 
 
 @memo_on("quad_nodes", "radius", "alpha", "tau", "snr")
@@ -142,9 +139,11 @@ def success_probability_mc(u: int, cfg: SystemConfig, trials: int, seed: int):
     """Monte Carlo estimate of P[SINR > tau | u] by direct SINR sampling.
 
     Positions uniform in the disc (r = R*sqrt(U)), Rayleigh power gains
-    Exp(1), interference summed over the u-1 other transmitters.  Returns
-    (estimate, stderr); deterministic for a fixed seed.  At an estimate of 0
-    or 1 the stderr is the one-sigma Wilson half-width, never 0.
+    Exp(1), interference summed over the u-1 other transmitters; the SINR
+    is divided through by the signal's path gain, as
+    h / (r**alpha/snr + sum hi*(r/x)**alpha).  Returns (estimate, stderr);
+    deterministic for a fixed seed.  At an estimate of 0 or 1 the stderr is
+    the one-sigma Wilson half-width, never 0.
     """
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
@@ -153,14 +152,14 @@ def success_probability_mc(u: int, cfg: SystemConfig, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     r = cfg.radius * np.sqrt(rng.random(trials))
     h = rng.exponential(1.0, trials)
-    with np.errstate(divide="ignore"):
-        signal = h * r ** (-cfg.alpha) * cfg.snr
+    # a power past the float range is inf, a SINR of 0; r = 0 is a SINR of inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         interference = 0.0
         if u > 1:
             x = cfg.radius * np.sqrt(rng.random((trials, u - 1)))
             hi = rng.exponential(1.0, (trials, u - 1))
-            interference = (hi * x ** (-cfg.alpha)).sum(axis=1) * cfg.snr
-    sinr = signal / (1.0 + interference)
+            interference = (hi * (r[:, None] / x) ** cfg.alpha).sum(axis=1)
+        sinr = h / (r**cfg.alpha / cfg.snr + interference)
     hits = sinr > cfg.tau
     p = float(hits.mean())
     if 0.0 < p < 1.0:

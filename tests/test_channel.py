@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import (
     CapacityError,
@@ -13,7 +15,10 @@ from d2dcache import (
     average_load_fast,
     build_link_budget,
     default_config,
+    estimate_average_load,
+    high_mobility_placement,
     interference_factor,
+    jensen_gap_check,
     packet_budget,
     rate,
     success_probability,
@@ -96,21 +101,59 @@ class TestInterferenceFactor:
             assert peak < 2**20
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_extreme_channels_finish_or_refuse(self, scheme):
-        # x**alpha and r**alpha underflow (0/0) or overflow (inf/inf) at the
-        # nodes: a NaN beta is refused, an infinite noise exponent is a noise
-        # factor of 0, and no numpy warning comes first
-        for radius, alpha in itertools.product([1e-160, 5.0, 1e150], [0.01, 4.0, 1000.0]):
-            cfg = default_config(radius=radius, alpha=alpha, scheme=scheme)
+    def test_extreme_channels_finish(self, scheme):
+        # each term of beta is 1/(1 + tau*(r/x)**alpha), and the SINR sampler
+        # divides through by the signal's path gain: at every radius the
+        # powers are of distance ratios, so each config finishes with a
+        # finite load and no numpy warning; an infinite noise exponent is a
+        # noise factor of 0
+        grid = itertools.product([1e-160, 1e-100, 5.0, 1e150], [0.01, 2.0, 4.0, 120.0, 1000.0],
+                                 [1e-300, 3.16, 1e300], [1e-300, 100.0, 1e300])
+        for radius, alpha, tau, snr in grid:
+            cfg = default_config(radius=radius, alpha=alpha, tau=tau, snr=snr, scheme=scheme)
             dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                try:
-                    placement, _ = greedy_placement(dist, cfg)
-                except CapacityError as exc:
-                    assert "float range" in str(exc) and scheme is Scheme.NON_ORTHOGONAL, cfg
-                    continue
+                placement, _ = greedy_placement(dist, cfg)
                 assert math.isfinite(average_load_fast(placement, dist, cfg).total), cfg
+                high_mobility_placement(dist, cfg)
+                assert jensen_gap_check(placement, dist, cfg).ok, cfg
+                assert math.isfinite(estimate_average_load(placement, dist, cfg, 200, 1)[0]), cfg
+                success_probability_mc(3, cfg, 200, 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(radius=st.floats(-150, 150).map(lambda e: 10.0**e), alpha=st.floats(0.01, 200),
+           tau=st.floats(-300, 300).map(lambda e: 10.0**e),
+           snr=st.floats(-300, 300).map(lambda e: 10.0**e), scheme=st.sampled_from(Scheme))
+    def test_wide_channels_finish(self, radius, alpha, tau, snr, scheme):
+        cfg = default_config(radius=radius, alpha=alpha, tau=tau, snr=snr, scheme=scheme)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = _beta(cfg)
+            placement, _ = greedy_placement(dist, cfg)
+            load = average_load_fast(placement, dist, cfg).total
+            report = jensen_gap_check(placement, dist, cfg)
+        assert np.isfinite(beta).all() and (beta >= 0).all() and (beta <= 1).all()
+        assert 0.0 <= load <= cfg.L
+        assert report.ok
+
+    @pytest.mark.parametrize("radius", [1e-100, 1e150])
+    def test_beta_depends_on_the_radius_only_through_r_over_x(self, radius):
+        # beta reads distance ratios, so scaling the disc changes it only by
+        # the rounding of the scaled nodes
+        at_one = _beta(default_config(radius=1.0, scheme=Scheme.NON_ORTHOGONAL))
+        scaled = _beta(default_config(radius=radius, scheme=Scheme.NON_ORTHOGONAL))
+        np.testing.assert_allclose(scaled, at_one, rtol=1e-15)
+
+    def test_powers_below_the_float_range_give_a_finite_factor(self):
+        # r**120 underflows at r = 1e-3 and so does x**120 at the smallest
+        # nodes: 0/0 if formed apart, a finite term as a power of r/x
+        cfg = default_config(alpha=120.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = interference_factor(1e-3, cfg)
+        assert 0.0 <= beta <= 1.0 + 1e-12
 
 
 class TestSuccessProbability:
@@ -281,6 +324,16 @@ class TestSuccessProbabilityMc:
     def test_u1_matches_quadrature(self, cfg):
         est, se = success_probability_mc(1, cfg, 10**6, seed=11)
         assert abs(est - success_probability(1, cfg)) <= 3 * se
+
+    @pytest.mark.parametrize("radius", [1e-100, 1e150])
+    def test_scaled_discs_match_quadrature(self, radius):
+        # the sampler divides the SINR through by the signal's path gain, so
+        # it samples a disc whose powers r**alpha leave the float range too
+        cfg = default_config(radius=radius, scheme=Scheme.NON_ORTHOGONAL)
+        for u in (1, 2, 3):
+            est, _ = success_probability_mc(u, cfg, 200_000, seed=u)
+            lo, hi = wilson_interval(est, 200_000, 3.0)
+            assert lo - 1e-12 <= success_probability(u, cfg) <= hi + 1e-12, u
 
     def test_input_validation(self, cfg):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -299,13 +300,24 @@ class TestSweepCommand:
         assert "cap" in self._refused_optimize(edits, tmp_path, capsys)
 
     @pytest.mark.parametrize("edits", [
-        pytest.param({"alpha=4": "alpha=120", "scheme=orthogonal": "scheme=non_orthogonal"},
-                     id="nan_interference_factor"),
         pytest.param({"radius=5": "radius=1e300"}, id="radius_squared_inf"),
         pytest.param({"radius=5": "radius=1e-300"}, id="radius_squared_zero"),
     ])
     def test_extreme_channel_is_one_line_on_stderr(self, edits, tmp_path, capsys):
         self._refused_optimize(edits, tmp_path, capsys)
+
+    def test_powers_below_the_float_range_finish(self, tmp_path, capsys):
+        # alpha=120: x**alpha and r**alpha underflow at the quadrature nodes,
+        # the ratio r/x they are read through does not
+        path = tmp_path / "alpha.cfg"
+        path.write_text(GOOD_CONFIG.replace("alpha=4", "alpha=120")
+                        .replace("scheme=orthogonal", "scheme=non_orthogonal"))
+        out = tmp_path / "x.csv"
+        rc = main(["optimize", "--config", str(path), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        loads = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+        assert loads and all(math.isfinite(load) for load in loads)
 
     @staticmethod
     def _refused_optimize(edits, tmp_path, capsys):
