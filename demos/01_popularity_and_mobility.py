@@ -8,9 +8,9 @@ thinned by the energy-availability probability), and the expected stay time.
 import numpy as np
 
 from d2dcache import (
-    capable_user_pmf,
     default_config,
     expected_stay_time,
+    poisson_pmf,
     poisson_truncation,
     zipf_popularity,
 )
@@ -29,7 +29,7 @@ mean = cfg.mean_capable
 print(f"arrival rate {cfg.lam}, departure rate {cfg.mu}, energy prob {cfg.eta}"
       f" -> Poisson mean {mean}")
 n_max = poisson_truncation(cfg)
-pmf = [capable_user_pmf(cfg, n) for n in range(n_max + 1)]
+pmf = poisson_pmf(np.arange(n_max + 1), mean)
 for n, p in enumerate(pmf):
     bar = "#" * int(round(60 * p))
     print(f"  P[n={n:2d}] = {p:.3e} {bar}")

@@ -43,10 +43,10 @@ from .model import (
     Placement,
     Scheme,
     SystemConfig,
-    capable_user_pmf,
     db_to_linear,
     default_config,
     expected_stay_time,
+    poisson_pmf,
     poisson_truncation,
     zipf_popularity,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "average_load_enum",
     "average_load_fast",
     "build_link_budget",
-    "capable_user_pmf",
     "check_matroid_axioms",
     "check_submodularity",
     "db_to_linear",
@@ -101,6 +100,7 @@ __all__ = [
     "noma_delivery_mean",
     "packet_budget",
     "per_content_delivery",
+    "poisson_pmf",
     "poisson_truncation",
     "rate",
     "relaxed_objective",

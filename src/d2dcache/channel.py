@@ -7,7 +7,8 @@ uniform in the disc.  The success probability P[SINR > tau | u transmitters]
 reduces to a nested 1-d integral over the disc, evaluated here by fixed-order
 Gauss-Legendre quadrature and cross-checked by direct Monte Carlo sampling.
 Both read an interferer's distance through its ratio to the link's length,
-so no accepted radius or path-loss exponent makes a term NaN.
+so no accepted radius or path-loss exponent makes a term NaN.  A packet
+budget past int64, at a tiny mu, is refused rather than wrapped.
 """
 
 from __future__ import annotations
@@ -200,9 +201,12 @@ def rate(u, cfg: SystemConfig):
 def packet_budget(u, cfg: SystemConfig):
     """Packets one neighbor can deliver during an expected stay: floor(L*rate/mu).
 
-    An int for an int ``u``, an integer array for an array ``u``.
+    An int for an int ``u``, an integer array for an array ``u``; a budget of
+    2**63 or more, past int64 (mu below about 1.5e-19 at the defaults), raises.
     """
     budget = np.floor(cfg.L * rate(u, cfg) / cfg.mu)
+    if np.any(budget >= 2.0**63):   # CapacityError, not a cast that wraps
+        raise CapacityError(f"packet budget {np.max(budget):.6g} at mu={cfg.mu:.6g} is past int64")
     return int(budget) if np.ndim(budget) == 0 else budget.astype(int)
 
 

@@ -180,7 +180,8 @@ def delivered_packets_pmf(q_i: np.ndarray, cfg: SystemConfig, budget: np.ndarray
     silent = b == 0
     convolved = b[1 : min(L, counts.size)]   # budgets of u = 1..min(L, U+1)-1
     convolved = convolved[convolved > 0].tolist()   # and u < u0: zeros are a suffix
-    weight = counts * b   # packets u transmitters hand over, floors included
+    # packets u transmitters hand over, floors included, in floats: u*b(u) may pass int64
+    weight = counts * b.astype(float)
     pmf = np.zeros((q_i.shape[0], L))
     delivery = np.empty(q_i.shape[0])
     step = max(1, BLOCK_ENTRIES // max(counts.size, L * L))

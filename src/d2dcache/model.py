@@ -5,7 +5,9 @@ many coded packets of each of ``F`` contents to store.  Neighbors wander in
 and out of its communication disc (Poisson arrivals at rate ``lam``, Poisson
 departures at rate ``mu``), each is battery-capable with probability ``eta``,
 and each independently caches a random number of packets of every content.
-Requests follow a Zipf popularity law.
+Requests follow a Zipf popularity law.  The capable count in the disc is
+Poisson(eta*lam/mu), ``poisson_pmf(n, cfg.mean_capable)``, and every sum over
+it is cut at ``poisson_truncation``, found for every accepted epsilon.
 """
 
 from __future__ import annotations
@@ -130,17 +132,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def memo_on(*fields: str, maxsize: int = 8):
-    """Memoize ``f(cfg, *args)`` on the named fields of ``cfg`` and on
-    ``args``, so configs that differ only in other fields share one entry.
+    """Memoize ``f(cfg, *args)`` on the named fields (two or more) of ``cfg``
+    and on ``args``, so configs that differ only in other fields share one entry.
 
     ``f`` is handed a named tuple of those fields in place of the config:
     reading any other field raises instead of serving a stale result.
     ``__wrapped__(cfg, *args)`` is a fresh build; ``cache_info`` and
     ``cache_clear`` are those of the underlying ``lru_cache``.
     """
-    view = namedtuple("Fields", fields)
-    get = attrgetter(*fields)   # a tuple of two fields or more, one field's value
-    make = view._make if len(fields) > 1 else view
+    get, make = attrgetter(*fields), namedtuple("Fields", fields)._make
 
     def decorate(f):
         cached = lru_cache(maxsize=maxsize)(f)
@@ -261,17 +261,6 @@ class Placement:
         return f"Placement({self.c.tolist()})"
 
 
-def capable_user_pmf(cfg: SystemConfig, n: int) -> float:
-    """P[n transmit-capable users in the disc]: Poisson with mean eta*lam/mu.
-
-    The arrival stream is thinned by the energy-availability probability, so
-    the stationary capable-user count is Poisson(eta*lam/mu).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return float(poisson_pmf(n, cfg.mean_capable))
-
-
 def poisson_pmf(k, mean: float):
     """P[X = k] for X ~ Poisson(mean), mean >= 0, elementwise over integers
     k >= 0; at mean 0 it is 1 at k = 0 and 0 elsewhere.
@@ -304,16 +293,14 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     if mean is None:
         mean = cfg.mean_capable
     eps = cfg.n_trunc_epsilon
-    # scipy.stats' ppf as a start; the loops below fix n whatever the start.
-    # At mean 0 the start is 0 and every tail is 0, so n stays 0.
-    q = 1.0 - eps
-    n = np.maximum(0.0, np.ceil(special.pdtrik(q, mean)))
+    # start at scipy.stats' ppf of 1 - max(eps, 2**-53), finite where 1 - eps
+    # rounds to 1; the loops fix n from any start.  At mean 0 every tail is 0.
+    n = np.maximum(0.0, np.ceil(special.pdtrik(1.0 - max(eps, 2.0**-53), mean)))
     # the steps move n by far less than the cap, so a start past twice the
     # cap, or NaN as pdtrik gives at means near 1e19, is refused before them
     if not np.all(n <= 2 * MAX_TRUNCATION):
         _refuse_truncation(mean)
     n = n.astype(int)
-    n -= special.pdtr(n - 1, mean) >= q   # NaN, so False, at n - 1 = -1
     step = special.pdtrc(n, mean) >= eps
     while np.count_nonzero(step):
         n += step

@@ -32,6 +32,7 @@ import numpy as np
 from .channel import build_link_budget
 from .load import link_budget_for
 from .model import (
+    MAX_TABLE_ENTRIES,
     CapacityError,
     NeighborCacheDistribution,
     Placement,
@@ -124,13 +125,16 @@ def estimate_average_load(
     The request is averaged exactly over the popularity weights inside each
     trial.  Packet budgets come from the memoized ``link_budget_for`` table;
     a longer one is built only when a sampled count passes its end.
-    Raises CapacityError when one trial's expected draws exceed the cap.
+    Raises CapacityError, before anything is allocated, above
+    MAX_TABLE_ENTRIES trials or when one trial's expected draws exceed the cap.
     """
     trials, seed = _index("trials", trials), _index("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if trials > MAX_TABLE_ENTRIES:   # the trial values are one float each
+        raise CapacityError(f"trials={trials} is above the cap {MAX_TABLE_ENTRIES}")
     B = _block_trials(cfg)
     F = cfg.F
     f = zipf_popularity(F, cfg.gamma)

@@ -41,6 +41,9 @@ from .model import (
 # Work cap of the exact placement DP, F * (min(L, M) + 1) * (M + 1) steps.
 DP_MAX_WORK = 10**8
 
+# Rounding by which the submodularity harness lets a gain rise or go negative.
+GAIN_SLACK = 1e-9
+
 # Transmitter counts u = 1..U_SCAN (at least) scanned for the peak of
 # u * P[SINR > tau | u]; past the peak u * p(u) falls towards its u -> inf
 # limit.  The peak moves out about tenfold per 10 dB less snr: at radius 5,
@@ -209,7 +212,6 @@ def check_submodularity(
     cfg: SystemConfig,
     samples: int,
     seed: int,
-    slack: float = 1e-9,
 ) -> SubmodularityReport:
     """Sample chains C' <= C and fresh packets; assert diminishing returns.
 
@@ -232,7 +234,7 @@ def check_submodularity(
         excess = g_sup - g_sub
         worst = max(worst, excess)
         min_gain = min(min_gain, g_sup, g_sub)
-        if excess > slack or min(g_sup, g_sub) < -slack:
+        if excess > GAIN_SLACK or min(g_sup, g_sub) < -GAIN_SLACK:
             violations += 1
     return SubmodularityReport(
         passed=(violations == 0),

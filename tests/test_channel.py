@@ -19,7 +19,9 @@ from d2dcache import (
     high_mobility_placement,
     interference_factor,
     jensen_gap_check,
+    link_budget_for,
     packet_budget,
+    poisson_truncation,
     rate,
     success_probability,
     greedy_placement,
@@ -34,6 +36,8 @@ from d2dcache.channel import (
     _noise,
     wilson_interval,
 )
+from d2dcache.load import scenario
+from d2dcache.model import poisson_pmf
 
 # Frozen by an independent 40-digit mpmath adaptive-quadrature script
 # (tau = 10**0.5, alpha = 4, radius = 5).
@@ -374,6 +378,47 @@ class TestPacketBudget:
         # independent mpmath evaluation: L/mu * rate(1) = 1.4213907... at 20 dB
         assert packet_budget(1, cfg) == 1
         assert packet_budget(1, default_config(snr=1e4)) == 6
+
+    @pytest.mark.parametrize("mu", [1e-300, 1.5e-19])
+    def test_budgets_past_int64_are_refused_before_the_cast(self, mu):
+        # L*rate(1)/mu is 1.42e300 and 9.48e18, both past 2**63: a cast would
+        # wrap them, with a numpy warning, into negative budgets
+        cfg = default_config(mu=mu, lam=0.0)
+        assert cfg.L * rate(1, cfg) / cfg.mu >= 2.0**63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (1, np.arange(1, 4)):
+                with pytest.raises(CapacityError, match=f"at mu={mu:.6g} is past int64"):
+                    packet_budget(u, cfg)
+            with pytest.raises(CapacityError, match="past int64"):
+                link_budget_for(cfg)
+
+    def test_budgets_just_inside_int64_build(self):
+        cfg = default_config(mu=1e-18, lam=1e-18)   # mean 0.5, budget 1.42e18 at u=1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = link_budget_for(cfg)
+        assert table[1] == packet_budget(1, cfg) == math.floor(cfg.L * rate(1, cfg) / cfg.mu)
+        assert (np.diff(table[1:]) <= 0).all() and (table >= 0).all()
+
+    def test_floored_delivery_is_formed_past_int64(self):
+        # mean 1000 under NOMA at snr=1: every budget fits int64, but u*b(u)
+        # passes 2**63 for u >= 14, which an integer product wraps to negative
+        cfg = default_config(mu=1.42e-19, lam=2.84e-16, snr=1.0, scheme=Scheme.NON_ORTHOGONAL)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        table = link_budget_for(cfg)
+        u = np.arange(table.size)
+        assert (u.astype(float) * table).max() >= 2.0**63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            placement, _ = greedy_placement(dist, cfg)
+            delivery = scenario(dist, cfg).delivery
+            report = jensen_gap_check(placement, dist, cfg)
+        mean = cfg.mean_capable * (1.0 - dist.q[0, 0])
+        window = u[: poisson_truncation(cfg, mean) + 1]
+        expected = float(np.dot(poisson_pmf(window, mean), window * table[window].astype(float)))
+        assert delivery == pytest.approx(expected, rel=1e-12)
+        assert (delivery > 0).all() and report.ok
 
 
 class TestLinkBudget:

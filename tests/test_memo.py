@@ -157,7 +157,7 @@ def test_the_scenario_is_keyed_by_the_budget_table_and_the_fields_it_reads(field
 
 
 def test_a_field_not_named_cannot_be_read():
-    @memo_on("L")
+    @memo_on("F", "L")
     def reads_m(cfg):
         return cfg.L + cfg.M
 

@@ -1,8 +1,11 @@
+import collections
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +20,17 @@ from d2dcache import (
     Placement,
     Scheme,
     SystemConfig,
-    capable_user_pmf,
+    average_load_fast,
     db_to_linear,
     default_config,
+    estimate_average_load,
     expected_stay_time,
     greedy_placement,
+    high_mobility_placement,
     jensen_gap_check,
     packet_budget,
     poisson_truncation,
+    rate,
     zipf_popularity,
 )
 from d2dcache.load import link_budget_for, scenario, shortfall_tables
@@ -93,24 +99,20 @@ class TestZipfPopularity:
 class TestCapableUserPmf:
     def test_no_arrivals(self):
         cfg = default_config(lam=0.0)
-        assert capable_user_pmf(cfg, 0) == 1.0
-        assert capable_user_pmf(cfg, 3) == 0.0
+        assert poisson_pmf(0, cfg.mean_capable) == 1.0
+        assert poisson_pmf(3, cfg.mean_capable) == 0.0
 
     def test_frozen_value(self):
         # eta=0.5, lam=1, mu=1: P[n=0] = exp(-0.5)
         cfg = default_config()
-        assert capable_user_pmf(cfg, 0) == pytest.approx(0.60653065971263342, abs=1e-14)
+        assert poisson_pmf(0, cfg.mean_capable) == pytest.approx(0.60653065971263342, abs=1e-14)
 
     def test_sums_to_one_with_tail(self):
         for lam, mu, eta in [(1.0, 1.0, 0.5), (2.0, 0.7, 0.9), (0.3, 2.0, 1.0)]:
             cfg = default_config(lam=lam, mu=mu, eta=eta)
             n_max = poisson_truncation(cfg)
-            total = sum(capable_user_pmf(cfg, n) for n in range(n_max + 1))
+            total = sum(poisson_pmf(n, cfg.mean_capable) for n in range(n_max + 1))
             assert abs(total + poisson_tail(cfg.mean_capable, n_max) - 1.0) <= 1e-12
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            capable_user_pmf(default_config(), -1)
 
 
 class TestPoissonTruncation:
@@ -148,6 +150,21 @@ class TestPoissonTruncation:
         with pytest.raises(CapacityError, match="truncation point"):
             poisson_truncation(cfg, np.array([0.5, mean]))
 
+    def test_epsilon_below_two_to_the_minus_54_is_the_definitional_point(self):
+        # 1 - eps rounds to 1 below 2**-54, where the ppf start would be inf;
+        # the start is taken at 1 - 2**-53 and the loops walk to the point.
+        # mpmath at 50 digits: the tail past 145 is 5.8e-299, past 146 2.0e-301
+        assert poisson_truncation(default_config(n_trunc_epsilon=1e-300)) == 146
+        means = np.array([0.0, 1e-300, 0.5, 3.0, 100.0, 1e4])
+        for eps in (2.0**-54, 1e-17, 1e-100, 1e-300, 5e-324):
+            cfg = default_config(n_trunc_epsilon=eps)
+            points = poisson_truncation(cfg, means)
+            assert points.tolist() == [poisson_truncation(cfg, m) for m in means]
+            for m, n in zip(means, points):
+                assert poisson_tail(m, n - 1) >= eps > poisson_tail(m, n) or m == n == 0
+        n = poisson_truncation(default_config(n_trunc_epsilon=1e-300), 5e6)
+        assert poisson_tail(5e6, n - 1) >= 1e-300 > poisson_tail(5e6, n)
+
     def test_placement_above_the_cap_allocates_nothing(self):
         cfg = default_config(lam=1e9)   # mean 5e8: point 500,130,921
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
@@ -159,6 +176,45 @@ class TestPoissonTruncation:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+
+class TestMobilityExtremes:
+    # the accepted mobility range at its ends: each config finishes with a
+    # sound result or raises a CapacityError whose reason holds.  Per scheme,
+    # 192 of the 320 finish, 96 refuse a packet budget past int64 and 32 a
+    # truncation point past the cap (2.9 s orthogonal, 4.0 s NOMA, on 2 CPUs)
+    GRID = list(itertools.product([1e-300, 1e-19, 1e-3, 1.0, 1e300], [0.0, 1e-300, 1.0, 30.0],
+                                  [0.0, 1e-300, 0.5, 1.0], [1e-300, 1e-17, 1e-9, 0.5]))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_every_config_finishes_or_is_refused_truthfully(self, scheme):
+        outcomes = collections.Counter()
+        for mu, lam, eta, eps in self.GRID:
+            cfg = default_config(mu=mu, lam=lam, eta=eta, n_trunc_epsilon=eps, scheme=scheme)
+            dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    placement, _ = greedy_placement(dist, cfg)
+                    load = average_load_fast(placement, dist, cfg).total
+                    high_mobility_placement(dist, cfg)
+                    report = jensen_gap_check(placement, dist, cfg)
+                    mc, _ = estimate_average_load(placement, dist, cfg, 20, 1)
+                    delivery = scenario(dist, cfg).delivery
+            except CapacityError as exc:
+                if "truncation point" in str(exc):
+                    # the point is at least the median, at least mean - ln 2
+                    assert cfg.mean_capable > MAX_TRUNCATION + 1, cfg
+                    outcomes["truncation"] += 1
+                else:
+                    assert f"at mu={mu:.6g} is past int64" in str(exc), exc
+                    assert cfg.L * rate(1, cfg) / mu >= 2.0**63, cfg
+                    outcomes["budget"] += 1
+                continue
+            assert 0.0 <= load <= cfg.L and 0.0 <= mc <= cfg.L, cfg
+            assert (delivery >= 0).all() and report.ok, cfg
+            outcomes["finished"] += 1
+        assert outcomes == {"finished": 192, "budget": 96, "truncation": 32}
 
 
 def _stats_truncation(mean, eps):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from d2dcache import (
     zipf_popularity,
 )
 from d2dcache import montecarlo
-from d2dcache.model import poisson_pmf
+from d2dcache.model import MAX_TABLE_ENTRIES, poisson_pmf
 from d2dcache.montecarlo import BLOCK_TRIALS
 
 
@@ -314,6 +315,20 @@ class TestEstimateAverageLoad:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("trials", [MAX_TABLE_ENTRIES + 1, 10**11])
+    def test_trials_over_the_cap_raise_before_allocating(self, cfg, uniform_dist, trials):
+        # 1e11 trials would take 745 GiB of trial values alone
+        pl = Placement([1] * cfg.F, cfg)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"trials={trials} is above the cap"):
+                estimate_average_load(pl, uniform_dist, cfg, trials=trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16 and time.perf_counter() - start < 1.0
 
     def test_huge_mean_below_draw_cap(self):
         cfg = default_config(lam=1e6)                  # mean_capable 5e5, F=5

@@ -11,7 +11,6 @@ from d2dcache import (
     Placement,
     Scheme,
     average_load_fast,
-    capable_user_pmf,
     check_matroid_axioms,
     check_submodularity,
     default_config,
@@ -306,7 +305,7 @@ def enum_delivery_oracle(q_i, cfg, scheme):
     log_term = math.log1p(cfg.tau)
     total = 0.0
     for n in range(n_max + 1):
-        p_n = capable_user_pmf(cfg, n)
+        p_n = poisson_pmf(n, cfg.mean_capable)
         for d in itertools.product(range(cfg.L + 1), repeat=n):
             u = sum(1 for dk in d if dk > 0)
             if u == 0:
