@@ -287,31 +287,59 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     absolute error on the average load is at most L times the tail mass and
     is reported by the evaluators, not hidden.  ``mean`` defaults to the mean
     capable count; an array of means gives an int array, each entry the N of
-    its own mean, found by the same start and steps as a scalar mean.
+    its own mean, found by the same start and search as a scalar mean.
     A point above MAX_TRUNCATION raises CapacityError.
     """
     if mean is None:
         mean = cfg.mean_capable
     eps = cfg.n_trunc_epsilon
     # start at scipy.stats' ppf of 1 - max(eps, 2**-53), finite where 1 - eps
-    # rounds to 1; the loops fix n from any start.  At mean 0 every tail is 0.
+    # rounds to 1; the search finds the point from any start.  At mean 0
+    # every tail is 0.
     n = np.maximum(0.0, np.ceil(special.pdtrik(1.0 - max(eps, 2.0**-53), mean)))
-    # the steps move n by far less than the cap, so a start past twice the
-    # cap, or NaN as pdtrik gives at means near 1e19, is refused before them
+    # the point lies far less than the cap from the start, so a start past
+    # twice the cap, or NaN as pdtrik gives at means near 1e19, is refused first
     if not np.all(n <= 2 * MAX_TRUNCATION):
         _refuse_truncation(mean)
-    n = n.astype(int)
-    step = special.pdtrc(n, mean) >= eps
-    while np.count_nonzero(step):
-        n += step
-        step &= special.pdtrc(n, mean) >= eps
-    step = special.pdtrc(n - 1, mean) < eps   # NaN at n - 1 = -1 is not below eps
-    while np.count_nonzero(step):
-        n -= step
-        step &= special.pdtrc(n - 1, mean) < eps
-    if np.any(n > MAX_TRUNCATION):
+    point = _first_tail_below(n.astype(int), mean, eps)
+    if np.any(point > MAX_TRUNCATION):
         _refuse_truncation(mean)
-    return int(n) if np.ndim(n) == 0 else n
+    return int(point[0]) if np.ndim(n) == 0 else point.reshape(np.shape(n))
+
+
+def _first_tail_below(start, mean, eps):
+    """Smallest n >= 0 with ``pdtrc(n, mean) < eps``, searched from the int
+    array ``start``; returns a flat array.
+
+    The search gallops away from the start, doubling the offset, while each
+    probe stays on the start's side of the point, then bisects the bracket
+    ``lo < n <= hi`` that it found.  Each probe evaluates the unfinished
+    entries only.  A start within one step of the point costs no more pdtrc
+    calls than a unit-step walk from it: two at the point or one below it,
+    three one above it.
+    """
+    start, mean = np.ravel(start), np.ravel(mean)
+    first = special.pdtrc(start, mean) < eps
+    sign = np.where(first, -1, 1)
+    probe = start + sign
+    below = special.pdtrc(probe, mean) < eps   # NaN at -1 is not below
+    lo, hi = np.where(below, start, probe), np.where(below, probe, start)
+    todo, offset = np.flatnonzero(below == first), 2
+    while todo.size:
+        probe = np.maximum(start[todo] + sign[todo] * offset, -1)
+        below = special.pdtrc(probe, mean[todo]) < eps
+        hi[todo[below]] = probe[below]
+        lo[todo[~below]] = probe[~below]
+        todo = todo[below == first[todo]]
+        offset *= 2
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        below = special.pdtrc(mid, mean[todo]) < eps
+        hi[todo[below]] = mid[below]
+        lo[todo[~below]] = mid[~below]
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return hi
 
 
 def _refuse_truncation(mean):

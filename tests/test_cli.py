@@ -22,18 +22,23 @@ DEFAULT_CFG = str(REPO / "demos" / "default.cfg")
 # - long.cfg, long contents with few of them (F=2, L=40, M=10): the largest
 #   packet budget exceeds F at both mu values, so Monte Carlo draws counts
 #   content by content;
+# - wide.cfg, many contents (F=80, L=64): the counts cap at 18 levels at
+#   mu=1, above LEVEL_LOOP_MAX, and at 9 at mu=2, so Monte Carlo draws counts
+#   content by content at one grid point and level by level at the other;
 # - l47.cfg, F=3, L=47, M=40, lambda=12: the delivered-packet dots are one
 #   term short of a multiple of 16, where the summation order of a dot changes.
 EDITED_CONFIGS = {
     "long.cfg": {"F": "2", "L": "40", "M": "10"},
+    "wide.cfg": {"F": "80", "L": "64"},
     "l47.cfg": {"F": "3", "L": "47", "M": "40", "lambda": "12"},
 }
 
 # The README's four commands, optimize with every method on the default
 # config and on L=47, a sweep over lambda, which pins that memoized Poisson
-# windows follow the mean, and three Monte Carlo sweeps over mu, which pin each
-# grid point's seed: one on the default config, one on long contents and one
-# of 30,000 trials, whose blocks are counted in several passes.
+# windows follow the mean, and four Monte Carlo sweeps over mu, which pin each
+# grid point's seed: one on the default config, one on long contents, one on
+# many contents and one of 30,000 trials, whose blocks are counted in several
+# passes.
 # Their golden outputs were written by running each command alone in a fresh
 # process.
 README_RUNS = {
@@ -56,6 +61,9 @@ README_RUNS = {
     "sweep_mc_long": ["sweep", "--config", "../long.cfg", "--axis", "mu",
                       "--values", "0.25,1", "--methods", "greedy,monte_carlo",
                       "--trials", "2000", "--out", "sweep_mc_long.csv"],
+    "sweep_mc_wide": ["sweep", "--config", "../wide.cfg", "--axis", "mu",
+                      "--values", "1,2", "--methods", "greedy,monte_carlo",
+                      "--trials", "200", "--out", "sweep_mc_wide.csv"],
     "sweep_mc_many": ["sweep", "--config", DEFAULT_CFG, "--axis", "mu", "--values", "0.25,1",
                       "--methods", "greedy,monte_carlo", "--schemes", "both",
                       "--trials", "30000", "--seed", "3", "--out", "sweep_mc_many.csv"],

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import d2dcache
 
@@ -165,6 +165,41 @@ class TestPoissonTruncation:
         n = poisson_truncation(default_config(n_trunc_epsilon=1e-300), 5e6)
         assert poisson_tail(5e6, n - 1) >= 1e-300 > poisson_tail(5e6, n)
 
+    def test_search_equals_a_unit_step_walk(self, pdtrc_calls):
+        # the gallop and bisection find the point of a unit-step walk from the
+        # same start, at epsilons on both sides of 2**-54, and a start within
+        # one step of the point costs no pdtrc call more than the walk
+        rng = np.random.default_rng(8)
+        means = np.concatenate(([0.0, 1e-300, 0.5], 10.0 ** rng.uniform(-4, 4, 300)))
+        tiny = [2.0**-53, 2.0**-54, 2.0**-55, 1e-300, 5e-324]
+        for k, m in enumerate(means):
+            low = (-320, -16, -0.5)[k % 3:k % 3 + 2]
+            eps = tiny[k % 5] if k % 3 == 2 else float(10.0 ** rng.uniform(*low))
+            cfg = default_config(n_trunc_epsilon=eps)
+            del pdtrc_calls[:]
+            n = poisson_truncation(cfg, m)
+            point, start, walk_calls = _unit_step_truncation(m, eps)
+            assert n == point, (m, eps)
+            if abs(start - point) <= 1:
+                assert len(pdtrc_calls) <= walk_calls, (m, eps)
+        for eps in tiny + [1e-9, 0.3]:
+            cfg = default_config(n_trunc_epsilon=eps)
+            assert (poisson_truncation(cfg, means).tolist()
+                    == [_unit_step_truncation(m, eps)[0] for m in means])
+
+    def test_tiny_epsilon_search_is_logarithmic(self, pdtrc_calls):
+        # at mean 5e6 and eps 1e-300 the point is 6.5e4 above the pdtrik start:
+        # a unit-step walk took that many pdtrc calls over every mean
+        cfg = default_config(n_trunc_epsilon=1e-300)
+        n = poisson_truncation(cfg, 5e6)
+        assert len(pdtrc_calls) <= 40
+        means = np.linspace(5e5, 5e6, 10)
+        del pdtrc_calls[:]
+        points = poisson_truncation(cfg, means)
+        assert len(pdtrc_calls) <= 40 and sum(pdtrc_calls) <= 10 * 40
+        assert points[-1] == n and points.tolist() == [poisson_truncation(cfg, m) for m in means]
+        assert poisson_tail(5e6, n - 1) >= 1e-300 > poisson_tail(5e6, n)
+
     def test_placement_above_the_cap_allocates_nothing(self):
         cfg = default_config(lam=1e9)   # mean 5e8: point 500,130,921
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
@@ -215,6 +250,36 @@ class TestMobilityExtremes:
             assert (delivery >= 0).all() and report.ok, cfg
             outcomes["finished"] += 1
         assert outcomes == {"finished": 192, "budget": 96, "truncation": 32}
+
+
+_PDTRC = special.pdtrc
+
+
+@pytest.fixture
+def pdtrc_calls(monkeypatch):
+    """The size of the first argument of every scipy.special.pdtrc call."""
+    calls = []
+
+    def counted(n, mean):
+        calls.append(np.size(n))
+        return _PDTRC(n, mean)
+
+    monkeypatch.setattr(special, "pdtrc", counted)
+    return calls
+
+
+def _unit_step_truncation(mean, eps):
+    """The truncation point by unit steps from poisson_truncation's pdtrik
+    start, up while the tail is at least eps, then down while the tail one
+    below is under it; returns (point, start, pdtrc calls)."""
+    start = n = max(0, math.ceil(special.pdtrik(1.0 - max(eps, 2.0**-53), mean)))
+    calls = 1
+    while _PDTRC(n, mean) >= eps:
+        n, calls = n + 1, calls + 1
+    calls += 1
+    while n > 0 and _PDTRC(n - 1, mean) < eps:
+        n, calls = n - 1, calls + 1
+    return n, start, calls
 
 
 def _stats_truncation(mean, eps):

@@ -15,6 +15,7 @@ from d2dcache import (
     estimate_average_load,
     greedy_placement,
     link_budget_for,
+    rate,
     request_load,
     sample_state,
     zipf_popularity,
@@ -67,6 +68,22 @@ def _pin_estimate(cfg, trials, seed=7):
 def _levels(cfg):
     """The count cap of the draws: the largest packet budget, within 1..L."""
     return max(1, min(cfg.L, int(link_budget_for(cfg)[1])))
+
+
+def _assert_inverse_cdf_counts(dist, cfg, trials):
+    """sample_state's counts are the inverse-CDF draws of the same uniforms,
+    one searchsorted per content, capped at the largest packet budget."""
+    d, _ = sample_state(dist, cfg, np.random.default_rng([3, trials]), trials)
+    rng = np.random.default_rng([3, trials])
+    n = int(rng.poisson(cfg.mean_capable, size=trials).sum())
+    u = rng.random((n, cfg.F))
+    cum = np.cumsum(dist.q, axis=1)
+    cap = _levels(cfg)
+    expected = np.stack([np.minimum(np.searchsorted(cum[i], u[:, i], side="right"), cap)
+                         for i in range(cfg.F)], axis=1).reshape(n, cfg.F)
+    assert d.shape == (n, cfg.F)
+    assert d.dtype == np.min_scalar_type(cfg.L)
+    assert np.array_equal(d, expected)
 
 
 # Config of each pinned case, with its count cap (levels) against F: caps of
@@ -148,18 +165,23 @@ class TestSampleState:
     def test_counts_are_the_inverse_cdf_draw_capped_at_the_largest_budget(self, case,
                                                                            trials):
         cfg = default_config(**PIN_CONFIGS[case])
-        dist = _pin_rows(cfg.F, cfg.L)
-        d, _ = sample_state(dist, cfg, np.random.default_rng([3, trials]), trials)
-        rng = np.random.default_rng([3, trials])
-        n = int(rng.poisson(cfg.mean_capable, size=trials).sum())
-        u = rng.random((n, cfg.F))
-        cum = np.cumsum(dist.q, axis=1)
-        cap = _levels(cfg)
-        expected = np.stack([np.minimum(np.searchsorted(cum[i], u[:, i], side="right"), cap)
-                             for i in range(cfg.F)], axis=1).reshape(n, cfg.F)
-        assert d.shape == (n, cfg.F)
-        assert d.dtype == np.min_scalar_type(cfg.L)
-        assert np.array_equal(d, expected)
+        _assert_inverse_cdf_counts(_pin_rows(cfg.F, cfg.L), cfg, trials)
+
+    # the count rule's boundary, levels == min(F, K) and one above, with F
+    # below and above K; L=300 gives uint16 counts
+    @pytest.mark.parametrize("F, L", [(5, 40), (5, 300),
+                                      (montecarlo.LEVEL_LOOP_MAX + 8, 64),
+                                      (montecarlo.LEVEL_LOOP_MAX + 8, 300)])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_counts_at_the_level_loop_boundary_are_the_inverse_cdf_draw(self, F, L, above):
+        levels = min(F, montecarlo.LEVEL_LOOP_MAX) + above
+        # the largest budget floor(L * rate(1) / mu) is levels at this mu
+        mu = L * rate(1, default_config(F=F, L=L)) / (levels + 0.5)
+        cfg = default_config(F=F, L=L, M=F, mu=mu, lam=4 * mu)   # mean capable 2
+        assert _levels(cfg) == levels
+        rows = np.random.default_rng([F, L]).dirichlet(np.ones(L + 1), size=F)
+        _assert_inverse_cdf_counts(NeighborCacheDistribution(rows / rows.sum(axis=1)[:, None]),
+                                   cfg, 60)
 
     def test_streams_stack_in_order(self, cfg, uniform_dist):
         # two streams give the two one-stream states stacked, trials numbered on
