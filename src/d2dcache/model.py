@@ -301,37 +301,37 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     # twice the cap, or NaN as pdtrik gives at means near 1e19, is refused first
     if not np.all(n <= 2 * MAX_TRUNCATION):
         _refuse_truncation(mean)
-    point = _first_tail_below(n.astype(int), mean, eps)
-    if np.any(point > MAX_TRUNCATION):
+    n = n.astype(int)
+    up = special.pdtrc(n, mean) >= eps         # the point is above the start
+    down = special.pdtrc(n - 1, mean) < eps    # or below it; NaN at -1 is not below eps
+    if np.count_nonzero(up) or np.count_nonzero(down):
+        n = _search_truncation(np.ravel(n), np.ravel(mean), eps,
+                               np.ravel(up), np.ravel(down)).reshape(np.shape(n))
+    if np.any(n > MAX_TRUNCATION):
         _refuse_truncation(mean)
-    return int(point[0]) if np.ndim(n) == 0 else point.reshape(np.shape(n))
+    return int(n) if np.ndim(n) == 0 else n
 
 
-def _first_tail_below(start, mean, eps):
-    """Smallest n >= 0 with ``pdtrc(n, mean) < eps``, searched from the int
-    array ``start``; returns a flat array.
+def _search_truncation(n, mean, eps, up, down):
+    """The truncation points of the flat arrays ``n`` and ``mean`` where ``up``
+    marks a start below its point and ``down`` one above it.
 
-    The search gallops away from the start, doubling the offset, while each
-    probe stays on the start's side of the point, then bisects the bracket
-    ``lo < n <= hi`` that it found.  Each probe evaluates the unfinished
-    entries only.  A start within one step of the point costs no more pdtrc
-    calls than a unit-step walk from it: two at the point or one below it,
-    three one above it.
+    From each such start the search gallops away, doubling its step, until
+    a probe crosses the point, then bisects the bracket ``lo < point <= hi``,
+    ``pdtrc(lo) >= eps > pdtrc(hi)``.  Each probe evaluates the unfinished
+    entries only; the first probe is the unit-step walk's next one.
     """
-    start, mean = np.ravel(start), np.ravel(mean)
-    first = special.pdtrc(start, mean) < eps
-    sign = np.where(first, -1, 1)
-    probe = start + sign
-    below = special.pdtrc(probe, mean) < eps   # NaN at -1 is not below
-    lo, hi = np.where(below, start, probe), np.where(below, probe, start)
-    todo, offset = np.flatnonzero(below == first), 2
+    lo, hi = n - 1, n.copy()
+    lo[up], hi[down] = n[up], n[down] - 1
+    todo = np.flatnonzero(up | down)
+    rising, step = up[todo], 1
     while todo.size:
-        probe = np.maximum(start[todo] + sign[todo] * offset, -1)
-        below = special.pdtrc(probe, mean[todo]) < eps
+        probe = np.where(rising, lo[todo] + step, np.maximum(hi[todo] - step, -1))
+        below = special.pdtrc(probe, mean[todo]) < eps   # NaN at -1 is not below
         hi[todo[below]] = probe[below]
         lo[todo[~below]] = probe[~below]
-        todo = todo[below == first[todo]]
-        offset *= 2
+        keep = below != rising
+        todo, rising, step = todo[keep], rising[keep], 2 * step
     todo = np.flatnonzero(hi - lo > 1)
     while todo.size:
         mid = (lo[todo] + hi[todo]) // 2

@@ -52,11 +52,14 @@ BLOCK_TRIALS = 256          # trials per RNG stream unless the draw cap lowers i
 MAX_BLOCK_DRAWS = 2**22     # expected cache-count draws per block (32 MB of uniforms)
 PASS_DRAWS = 2**16          # expected draws (and cells) counted and reduced in one pass
 # Counts are taken level by level where they cap at most this many levels
-# (and at most F), else content by content.  Against the per-content loop the
+# and at most F, else content by content.  Against the per-content loop the
 # estimator (2 CPUs, 500 trials) took 0.75-0.97x the time at 8-12 levels.  At
 # 16 levels it took 0.90-1.04x where the levels are few of L (L=300, 1000), so
 # that most uniforms pass every cut point and the search is cheap, and
 # 1.13-1.39x at 32; where they are most of L (L=40) it took 0.75-0.79x at 32.
+# With fewer contents than levels, at F=1 and 2 with 8-16 levels, it took
+# 1.10-1.43x at one capable neighbor on average and 0.93-1.29x at five.
+# perfbench's mc_crosscheck counts 2 levels, so it times the level loop only.
 LEVEL_LOOP_MAX = 16
 
 
