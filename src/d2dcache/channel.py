@@ -18,11 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import CapacityError, Scheme, SystemConfig, _readonly, memo_on
-
-# (u, node) terms per block of an array call, max(1, BLOCK_ENTRIES // quad_nodes)
-# rows, so a block's memory does not grow with the node count.
-BLOCK_ENTRIES = 8192 * 64
+from .model import BLOCK_ENTRIES, CapacityError, Scheme, SystemConfig, _readonly, memo_on
 
 # Most (node, node) pairs of a rule: the interference factors at the nodes
 # take (n, n) arrays of about 16 bytes per pair, about 67 MB at 2048 nodes.

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -136,14 +137,17 @@ class TestPoissonTruncation:
                 assert poisson_tail(mean, n - 1) >= eps
 
     def test_points_up_to_the_cap_are_kept(self):
-        # the top rung of the scale ladder, and a mean just under the cap
-        assert poisson_truncation(default_config(lam=1e7)) == 5_013_416
+        # the top rung of the scale ladder, and a mean just under the cap.
+        # mpmath at 35 digits, summing the terms from n + 1 for 70,000 steps:
+        # at mean 5e6 the tail past 5,013,416 is 1.00229044229e-9 and past
+        # 5,013,417 9.99537253559e-10; at mean 8.37e6 the tail past
+        # 8,387,357 is 1.00118025605e-9 and past 8,387,358 9.99053540576e-10
+        assert poisson_truncation(default_config(lam=1e7)) == 5_013_417
         n = poisson_truncation(default_config(lam=1e7), np.array([0.5, 8.37e6]))
-        assert n.tolist() == [9, 8_387_353] and n[1] <= MAX_TRUNCATION
+        assert n.tolist() == [9, 8_387_358] and n[1] <= MAX_TRUNCATION
 
     @pytest.mark.parametrize("mean", [8.39e6, 5e7, 5e8, 5e20])
     def test_points_above_the_cap_raise(self, mean):
-        # 5e20 is past where scipy's ppf start is NaN
         cfg = default_config(eta=1.0, lam=mean)
         with pytest.raises(CapacityError, match="truncation point"):
             poisson_truncation(cfg)
@@ -151,9 +155,9 @@ class TestPoissonTruncation:
             poisson_truncation(cfg, np.array([0.5, mean]))
 
     def test_epsilon_below_two_to_the_minus_54_is_the_definitional_point(self):
-        # 1 - eps rounds to 1 below 2**-54, where the ppf start would be inf;
-        # the start is taken at 1 - 2**-53 and the loops walk to the point.
-        # mpmath at 50 digits: the tail past 145 is 5.8e-299, past 146 2.0e-301
+        # 1 - eps rounds to 1 below 2**-54; the window's start and top do not
+        # read it.  mpmath at 50 digits: the tail past 145 is 5.8e-299, past
+        # 146 2.0e-301
         assert poisson_truncation(default_config(n_trunc_epsilon=1e-300)) == 146
         means = np.array([0.0, 1e-300, 0.5, 3.0, 100.0, 1e4])
         for eps in (2.0**-54, 1e-17, 1e-100, 1e-300, 5e-324):
@@ -165,38 +169,51 @@ class TestPoissonTruncation:
         n = poisson_truncation(default_config(n_trunc_epsilon=1e-300), 5e6)
         assert poisson_tail(5e6, n - 1) >= 1e-300 > poisson_tail(5e6, n)
 
-    def test_search_equals_a_unit_step_walk(self, pdtrc_calls):
-        # the gallop and bisection find the point of a unit-step walk from the
-        # same start, at epsilons on both sides of 2**-54, and a start within
-        # one step of the point costs no pdtrc call more than the walk
+    def test_tails_below_the_normal_range_sum_their_subnormal_terms(self):
+        # scipy's pdtrc drops to 0 once its leading term underflows:
+        # pdtrc(149, 0.5) = 7.5e-309 but pdtrc(150, 0.5) = 0.  mpmath at 35
+        # digits, summing the terms: the tail past 149 is 7.46277614032e-309,
+        # past 150 2.47106392081e-311 and past 151 8.12832441645e-314.  The
+        # terms underflow gradually, each within 2**-1075, so each tail is
+        # within a few subnormal steps of its sum
+        for n, exact in [(149, 7.46277614032e-309), (150, 2.47106392081e-311),
+                         (151, 8.12832441645e-314)]:
+            assert abs(poisson_tail(0.5, n) - exact) <= 1e-11 * exact + 4 * 2.0**-1074
+        rng = np.random.default_rng(12)
+        for m in np.concatenate(([1e-300, 0.5, 7.0], 10.0 ** rng.uniform(-3, 3, 30))):
+            for eps in (2.0**-1023, 1e-310, 1e-320, 5e-324):
+                n = poisson_truncation(default_config(n_trunc_epsilon=eps), m)
+                assert poisson_tail(m, n - 1) >= eps > poisson_tail(m, n), (m, eps)
+
+    def test_search_equals_a_unit_step_walk(self):
+        # the window finds the point of a unit-step walk on scipy's pdtrc from
+        # scipy's ppf start, at epsilons on both sides of 2**-54, wherever
+        # pdtrc is accurate: means up to 1e4 here, and epsilon >= 2**-1022
         rng = np.random.default_rng(8)
         means = np.concatenate(([0.0, 1e-300, 0.5], 10.0 ** rng.uniform(-4, 4, 300)))
-        tiny = [2.0**-53, 2.0**-54, 2.0**-55, 1e-300, 5e-324]
+        tiny = [2.0**-53, 2.0**-54, 2.0**-55, 1e-300, 2.0**-1022]
         for k, m in enumerate(means):
-            low = (-320, -16, -0.5)[k % 3:k % 3 + 2]
+            low = (-307, -16, -0.5)[k % 3:k % 3 + 2]
             eps = tiny[k % 5] if k % 3 == 2 else float(10.0 ** rng.uniform(*low))
             cfg = default_config(n_trunc_epsilon=eps)
-            del pdtrc_calls[:]
-            n = poisson_truncation(cfg, m)
-            point, start, walk_calls = _unit_step_truncation(m, eps)
-            assert n == point, (m, eps)
-            if abs(start - point) <= 1:
-                assert len(pdtrc_calls) <= walk_calls, (m, eps)
+            assert poisson_truncation(cfg, m) == _unit_step_truncation(m, eps), (m, eps)
         for eps in tiny + [1e-9, 0.3]:
             cfg = default_config(n_trunc_epsilon=eps)
             assert (poisson_truncation(cfg, means).tolist()
-                    == [_unit_step_truncation(m, eps)[0] for m in means])
+                    == [_unit_step_truncation(m, eps) for m in means])
 
-    def test_tiny_epsilon_search_is_logarithmic(self, pdtrc_calls):
-        # at mean 5e6 and eps 1e-300 the point is 6.5e4 above the pdtrik start:
-        # a unit-step walk took that many pdtrc calls over every mean
+    def test_tiny_epsilon_windows_are_bounded(self, pmf_entries):
+        # at mean 5e6 and eps 1e-300 the point is 6.5e4 above scipy's ppf
+        # start, where a unit-step walk took that many pdtrc calls.  A window
+        # reaches a Chernoff top, 86,467 terms here with its start just below
+        # the mean: at most 2**18 terms for each of 10 means
         cfg = default_config(n_trunc_epsilon=1e-300)
         n = poisson_truncation(cfg, 5e6)
-        assert len(pdtrc_calls) <= 40
+        assert sum(pmf_entries) <= 2**18
         means = np.linspace(5e5, 5e6, 10)
-        del pdtrc_calls[:]
+        del pmf_entries[:]
         points = poisson_truncation(cfg, means)
-        assert len(pdtrc_calls) <= 40 and sum(pdtrc_calls) <= 10 * 40
+        assert sum(pmf_entries) <= 10 * 2**18
         assert points[-1] == n and points.tolist() == [poisson_truncation(cfg, m) for m in means]
         assert poisson_tail(5e6, n - 1) >= 1e-300 > poisson_tail(5e6, n)
 
@@ -252,34 +269,33 @@ class TestMobilityExtremes:
         assert outcomes == {"finished": 192, "budget": 96, "truncation": 32}
 
 
-_PDTRC = special.pdtrc
-
-
 @pytest.fixture
-def pdtrc_calls(monkeypatch):
-    """The size of the first argument of every scipy.special.pdtrc call."""
-    calls = []
+def pmf_entries(monkeypatch):
+    """The number of Poisson terms of every model.poisson_pmf call."""
+    from d2dcache import model
 
-    def counted(n, mean):
-        calls.append(np.size(n))
-        return _PDTRC(n, mean)
+    entries, pmf = [], model.poisson_pmf
 
-    monkeypatch.setattr(special, "pdtrc", counted)
-    return calls
+    def counted(k, mean):
+        terms = pmf(k, mean)
+        entries.append(terms.size)
+        return terms
+
+    monkeypatch.setattr(model, "poisson_pmf", counted)
+    return entries
 
 
 def _unit_step_truncation(mean, eps):
-    """The truncation point by unit steps from poisson_truncation's pdtrik
-    start, up while the tail is at least eps, then down while the tail one
-    below is under it; returns (point, start, pdtrc calls)."""
-    start = n = max(0, math.ceil(special.pdtrik(1.0 - max(eps, 2.0**-53), mean)))
-    calls = 1
-    while _PDTRC(n, mean) >= eps:
-        n, calls = n + 1, calls + 1
-    calls += 1
-    while n > 0 and _PDTRC(n - 1, mean) < eps:
-        n, calls = n - 1, calls + 1
-    return n, start, calls
+    """The truncation point by unit steps on scipy's pdtrc from the start
+    poisson_truncation once took, scipy's ppf of 1 - max(eps, 2**-53): up
+    while the tail is at least eps, then down while the tail one below is
+    under it."""
+    n = max(0, math.ceil(special.pdtrik(1.0 - max(eps, 2.0**-53), mean)))
+    while special.pdtrc(n, mean) >= eps:
+        n += 1
+    while n > 0 and special.pdtrc(n - 1, mean) < eps:
+        n -= 1
+    return n
 
 
 def _stats_truncation(mean, eps):
@@ -292,22 +308,75 @@ def _stats_truncation(mean, eps):
     return n
 
 
+@mpmath.workdps(35)
+def _mp_pmf(k, mean):
+    """P[X = k] at 35 digits."""
+    mean = mpmath.mpf(float(mean))
+    return mpmath.exp(k * mpmath.log(mean) - mean - mpmath.loggamma(k + 1))
+
+
+@mpmath.workdps(35)
+def _mp_tail(n, mean):
+    """P[X > n] at 35 digits: its terms summed up from n + 1 where n is at
+    least the mean, else 1 less the terms summed down from n, each sum until
+    the terms fall below 1e-40 of it."""
+    mean = mpmath.mpf(float(mean))
+    k, step = (n + 1, 1) if n >= mean else (n, -1)
+    term, total = _mp_pmf(k, mean), mpmath.mpf(0)
+    while k >= 0 and term > total * mpmath.mpf(10) ** -40:
+        total += term
+        term = term * mean / (k + 1) if step == 1 else term * k / mean
+        k += step
+    return total if step == 1 else 1 - total
+
+
 class TestPoissonHelpers:
-    # scipy.stats is the independent reference; the library calls scipy.special
+    # mpmath is the independent reference; scipy.stats, what the library
+    # once called, is matched within its own error
     MEANS = np.exp(np.random.default_rng(5).uniform(np.log(1e-3), np.log(1e6), 2000))
 
-    def test_pmf_bit_equal_to_scipy_stats(self):
-        # mean 0 too: 1 at k = 0 and 0 elsewhere, as scipy.stats gives it
-        for m in np.concatenate(([0.0], self.MEANS)):
-            around = np.floor(m + math.sqrt(m) * np.linspace(-8, 8, 33))
-            k = np.unique(np.concatenate([np.arange(10), np.maximum(around, 0)])).astype(int)
-            assert np.array_equal(poisson_pmf(k, m), stats.poisson.pmf(k, m)), m
+    @staticmethod
+    def _probes(m):
+        around = np.floor(m + math.sqrt(m) * np.linspace(-8, 8, 9))
+        return np.unique(np.concatenate([[0, 1, 5, 30, 63, 64, 100], np.maximum(around, 0)]))
 
-    def test_tail_bit_equal_to_scipy_stats(self):
-        for m in self.MEANS:
-            for n in {-1, 0, 1, int(m), int(m + 3 * math.sqrt(m)) + 1}:
-                assert poisson_tail(m, n) == float(stats.poisson.sf(n, m)), (m, n)
+    def test_pmf_matches_mpmath_and_scipy_stats(self):
+        # over the exact-factorial terms (k < 64) and Loader's (k >= 64):
+        # within 1e-13 of mpmath where the term is at least 1e-98, and below
+        # within 4 ulps of its log, what rounding its exponent alone costs,
+        # at most 3.1e-13 at the bottom of the normal range; and no further
+        # from scipy.stats than scipy is from mpmath, plus that tolerance
+        for m in np.concatenate(([1e-300, 0.3, 40.0, 5e6], self.MEANS[::20])):
+            k = self._probes(m).astype(int)
+            got, scipy_terms = poisson_pmf(k, m), stats.poisson.pmf(k, m)
+            for kk, g, sc in zip(k.tolist(), got, scipy_terms):
+                exact = _mp_pmf(kk, m)
+                tol = max(1e-13, 2.0**-51 * abs(float(mpmath.log(exact)))) * exact
+                if exact >= 2.0**-1022:
+                    assert abs(g - exact) <= tol, (m, kk)
+                    if m <= 1e6:
+                        assert abs(g - sc) <= abs(sc - exact) + tol, (m, kk)
+                else:
+                    assert abs(g - exact) <= tol + 2.0**-1074, (m, kk)
+        # mean 0: 1 at k = 0 and 0 elsewhere, as scipy.stats gives it
+        assert poisson_pmf(np.arange(5), 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_tail_matches_mpmath_and_scipy_stats(self):
+        for m in np.concatenate(([0.3, 40.0, 5e6], self.MEANS[::40])):
+            for n in {0, 1, int(m), int(m + 3 * math.sqrt(m)) + 1, int(m + 8 * math.sqrt(m)) + 9}:
+                got, exact = poisson_tail(m, n), _mp_tail(n, m)
+                assert abs(got - exact) <= 1e-13 * exact, (m, n)
+                if m <= 1e6:
+                    scipy_tail = float(stats.poisson.sf(n, m))
+                    assert abs(got - scipy_tail) <= abs(scipy_tail - exact) + 1e-13 * exact, (m, n)
         assert poisson_tail(0.3, -1) == 1.0
+
+    @pytest.mark.parametrize("mean", [4.8e5, 5e6])
+    def test_terms_to_the_point_and_the_tail_past_it_sum_to_one(self, mean):
+        cfg = default_config(eta=1.0, lam=mean)
+        n = poisson_truncation(cfg)
+        total = math.fsum(poisson_pmf(np.arange(n + 1), mean)) + poisson_tail(mean, n)
+        assert abs(total - 1.0) <= 1e-11
 
     def test_truncation_equals_the_stats_version(self):
         rng = np.random.default_rng(6)
@@ -350,18 +419,28 @@ def test_floored_delivery_bound_at_zero_truncation_point():
         assert jensen_gap_check(placement, dist, scfg).ok
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    listing = ("print(sorted(m for m in sys.modules "
-               "if m.startswith(('scipy.stats', 'scipy.integrate'))))")
+def test_import_and_every_command_leave_out_scipy(tmp_path):
+    # import d2dcache alone, then each CLI command, Monte Carlo sweep
+    # included, in one fresh interpreter: none loads a scipy module
     cfg = str(Path(__file__).resolve().parents[1] / "demos" / "default.cfg")
     src = str(Path(d2dcache.__file__).resolve().parents[1])
-    # the import alone, then the whole validate command
-    for run in ("import sys, d2dcache",
-                "import sys, d2dcache.cli; "
-                f"assert d2dcache.cli.main(['validate', '--config', {cfg!r}]) == 0"):
-        out = subprocess.run([sys.executable, "-c", f"{run}; {listing}"], capture_output=True,
+    sweep = ["sweep", "--config", cfg, "--axis", "mu", "--values", "1,4", "--schemes", "both"]
+    commands = [
+        ["eval", "--config", cfg, "--placement", "5,0,0,0,0", "--out", "eval.csv"],
+        ["optimize", "--config", cfg, "--methods", "greedy,exhaustive,high_mobility",
+         "--schemes", "both"],
+        ["validate", "--config", cfg],
+        sweep + ["--methods", "greedy,exhaustive,high_mobility", "--out", "sweep.csv"],
+        sweep + ["--methods", "greedy,monte_carlo", "--trials", "200", "--out", "mc.csv"],
+    ]
+    listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    calls = "".join(f"    assert d2dcache.cli.main({c!r}) == 0\n" for c in commands)
+    for run in ("import sys, d2dcache\n",
+                "import contextlib, io, sys, d2dcache.cli\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n{calls}"):
+        out = subprocess.run([sys.executable, "-c", run + listing], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-                             timeout=120)
+                             timeout=120, cwd=tmp_path)
         assert out.stdout.splitlines()[-1] == "[]", out.stdout
 
 
