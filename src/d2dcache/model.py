@@ -390,11 +390,11 @@ def poisson_tail(mean, n):
     if special:   # the tail is 1 for n < 0 at mean > 0, and 0 at mean 0
         below, zero = k < 1, mean == 0
         k, mean = np.maximum(k, 1), np.where(zero, 1.0, mean)
-    # past k the terms fall by at least r = mean / (k + 1) a step, so those
+    # past k the terms fall by at least r = mean / k a step, so those
     # past k + w sum to at most r**w / (1 - r) of the first; where some r
     # passes 1/2, Bernstein's inequality bounds them instead, against the
     # term at k, exp(-stirlerr - bd0) / sqrt(2 pi k), stirlerr <= 1/12
-    r = max(float((mean / (k + 1)).max(initial=0.0)), 2.0**-1074)
+    r = max(float((mean / k).max(initial=0.0)), 2.0**-1074)
     if r <= 0.5:   # the width grows with r
         width = (_LEFT_OUT - math.log1p(-r)) / -math.log(r)
     else:
@@ -451,21 +451,20 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     tiny = eps * 2.0**-70
     a = min(4 - math.log(tiny), 1135 * math.log(2)) if tiny else 1135 * math.log(2)
     j = np.arange(int(_chernoff_top(m_top, a) - m_top + math.sqrt(m_top * c)) + 5)
-    lo = np.zeros((m.size, 1), dtype=int)
-    if m_top >= 2:   # below, every start is 0
-        lo[:, 0] = np.maximum(np.floor(m - np.sqrt(m * c)) - 1, 0)
+    lo = None   # every start is 0 at means below 2
+    if m_top >= 2:
+        lo = np.maximum(np.floor(m - np.sqrt(m * c)) - 1, 0).astype(int)[:, None]
     step = max(1, _WINDOW_ENTRIES // j.size)
-    n = lo[:, 0] - 1
+    n = np.empty(m.size, dtype=int)
     for start in range(0, m.size, step):
         rows = slice(start, start + step)
-        k = lo[rows] + j
-        terms = poisson_pmf(k, m[rows, None])
+        terms = poisson_pmf(j if lo is None else lo[rows] + j, m[rows, None])
         terms *= terms >= tiny
         # the tails past lo - 1 .. lo + j[-1] - 1, added from the top: the
         # point is lo - 1 plus the count of those at least epsilon
-        n[rows] += (np.cumsum(terms[:, ::-1], axis=1) >= eps).sum(axis=1)
-    n = np.maximum(n, 0, out=n)
-    if n.max(initial=0) > MAX_TRUNCATION:
+        n[rows] = (np.cumsum(terms[:, ::-1], axis=1) >= eps).sum(axis=1)
+    n = np.maximum(n - 1 if lo is None else n + (lo[:, 0] - 1), 0)
+    if m_top + j.size > MAX_TRUNCATION and n.max() > MAX_TRUNCATION:
         _refuse_truncation(mean)
     return int(n[0]) if np.ndim(mean) == 0 else n.reshape(np.shape(mean))
 
