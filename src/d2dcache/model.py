@@ -341,18 +341,12 @@ def _loader_pmf(k, mean):
     return pmf
 
 
-def _bernstein_top(mean, a):
-    """The n with P[X > n] <= exp(-a), by Bernstein's inequality
-    P[X >= mean + t] <= exp(-t**2 / (2 (mean + t/3)))."""
-    a3 = a / 3
-    return np.ceil(mean + a3 + np.sqrt(a3 * a3 + 2 * a * mean)).astype(int)
-
-
 def _chernoff_top(mean: float, a: float) -> float:
     """An x with P[X >= x] <= exp(-a): above the root of
     x ln(x / mean) - x + mean = a, by the Chernoff bound
-    P[X >= x] <= exp(-mean) (e mean / x)**x.  Newton steps from Bernstein's
-    top, which is above the root, stay above it on this convex function."""
+    P[X >= x] <= exp(-mean) (e mean / x)**x.  Newton steps from the top by
+    Bernstein's inequality, P[X >= mean + t] <= exp(-t**2 / (2 (mean + t/3))),
+    which is above the root, stay above it on this convex function."""
     if mean == 0:
         return 0.0
     x = mean + a / 3 + math.sqrt(a * a / 9 + 2 * a * mean)
@@ -400,9 +394,10 @@ def poisson_tail(mean, n):
     else:
         a = k * (np.log(k) - np.log(mean)) + (mean - k) + 0.5 * np.log(k) + (_LEFT_OUT + 1 + _HALF_LOG_2PI)
         # every term past P[X > top] < 2**-1135 is 0
-        top = _bernstein_top(mean, np.minimum(a, 1135 * math.log(2)))
+        a = np.minimum(a, 1135 * math.log(2)) / 3
+        top = np.ceil(mean + a + np.sqrt(a * a + 6 * a * mean))
         k = np.maximum(k, np.floor(mean - np.sqrt(mean * (2 * _LEFT_OUT + 2 * math.log(2)))).astype(int))
-        width = (top - k).max()
+        width = (top - k).max(initial=0)
     j = np.arange(math.ceil(width) + 1)
     shape = np.broadcast(mean, k)
     if shape.size * j.size <= _WINDOW_ENTRIES:
