@@ -286,10 +286,9 @@ def pmf_entries(monkeypatch):
 
 
 def _unit_step_truncation(mean, eps):
-    """The truncation point by unit steps on scipy's pdtrc from the start
-    poisson_truncation once took, scipy's ppf of 1 - max(eps, 2**-53): up
-    while the tail is at least eps, then down while the tail one below is
-    under it."""
+    """The truncation point by unit steps on scipy's pdtrc from scipy's ppf
+    of 1 - max(eps, 2**-53): up while the tail is at least eps, then down
+    while the tail one below is under it."""
     n = max(0, math.ceil(special.pdtrik(1.0 - max(eps, 2.0**-53), mean)))
     while special.pdtrc(n, mean) >= eps:
         n += 1
@@ -331,8 +330,8 @@ def _mp_tail(n, mean):
 
 
 class TestPoissonHelpers:
-    # mpmath is the independent reference; scipy.stats, what the library
-    # once called, is matched within its own error
+    # mpmath is the independent reference; scipy.stats is matched within
+    # its own error
     MEANS = np.exp(np.random.default_rng(5).uniform(np.log(1e-3), np.log(1e6), 2000))
 
     @staticmethod
