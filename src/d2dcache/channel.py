@@ -67,9 +67,14 @@ def interference_factor(r: float, cfg: SystemConfig) -> float:
 # range raise no warning: an infinite noise exponent gives a noise factor of 0.
 @memo_on("quad_nodes", "radius", "alpha", "tau")
 def _beta(cfg: SystemConfig) -> np.ndarray:
-    """Read-only interference factor beta at each outer quadrature node."""
+    """Read-only rows beta and log(beta): the interference factor at each
+    outer quadrature node and its log, floored at -746 where beta = 0.
+    exp(-746) is 0.0 and exp(-0.0) is 1.0, so exp(k log beta) is beta**k at
+    every k >= 0, with the 0**0 = 1 convention, and raises no warning."""
     r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    return _readonly(np.minimum(_interference_factor_at(r, cfg), 1.0))
+    beta = np.minimum(_interference_factor_at(r, cfg), 1.0)
+    with np.errstate(divide="ignore"):
+        return _readonly(np.stack([beta, np.maximum(np.log(beta), -746.0)]))
 
 
 @memo_on("quad_nodes", "radius", "alpha", "tau", "snr")
@@ -87,28 +92,27 @@ def success_probability(u, cfg: SystemConfig):
     over each of the u-1 interferer distances; the inner factor is the empty
     product (1) at u=1.  Only the power of the inner factor depends on u, so
     the nodes, noise factors and interference factors are memoized; a call
-    at u = 1 only, all that orthogonal access asks for, builds no interference
-    factor, as beta**0 = 1.  ``u`` is an int (gives a float) or an integer
-    array (gives an array), evaluated BLOCK_ENTRIES (u, node) terms at a time.
+    at u = 1 only, all that orthogonal access asks for, dots the noise
+    factors with the weights and builds no interference factor, as
+    beta**0 = 1.  ``u`` is an int (gives a float) or an integer array
+    (gives an array), evaluated BLOCK_ENTRIES (u, node) terms at a time.
     """
     k = np.asarray(u) - 1
     if (k < 0).any():
         raise ValueError(f"u must be >= 1 (no transmitter otherwise), got {u}")
     r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
     noise = _noise(cfg)
-    beta = _beta(cfg) if k.any() else np.ones(1)
-    with np.errstate(divide="ignore"):
-        log_beta = np.log(beta)
+    if not k.any():
+        p = float(np.vecdot(noise * 2.0 * r / cfg.radius**2, w))
+        return p if k.ndim == 0 else np.full(k.shape, p)
+    _, log_beta = _beta(cfg)
     flat = k.reshape(-1, 1)
     out = np.empty(flat.shape[0])
     rows = max(1, BLOCK_ENTRIES // cfg.quad_nodes)
     for lo in range(0, out.size, rows):
-        kb = flat[lo:lo + rows]
-        # beta**k as exp(k*log(beta)), with the 0**0 = 1 convention at beta = 0
-        with np.errstate(invalid="ignore"):
-            power = np.exp(kb * log_beta)
-        power[:, beta == 0] = kb == 0
-        # the integrand reuses the name, so one block array, not two, outlives a step
+        # beta**k, then the integrand under the same name, so one block
+        # array, not two, outlives a step
+        power = np.exp(flat[lo:lo + rows] * log_beta)
         power = noise * power * 2.0 * r / cfg.radius**2
         # vecdot sums each row as np.dot does one vector; a matrix product may not
         out[lo:lo + rows] = np.vecdot(power, w)
@@ -121,7 +125,7 @@ def expected_successes(m, cfg: SystemConfig):
     ``m`` is a float (gives a float) or an array of means (gives one value
     per mean), evaluated BLOCK_ENTRIES (mean, node) terms at a time."""
     r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
-    noise, beta = _noise(cfg), _beta(cfg)
+    noise, beta = _noise(cfg), _beta(cfg)[0]
     flat = np.reshape(m, (-1, 1))
     out = np.empty(flat.shape[0])
     rows = max(1, BLOCK_ENTRIES // cfg.quad_nodes)
@@ -186,12 +190,12 @@ def rate(u, cfg: SystemConfig):
     through the success probability.  Rates are in nats (natural log).  Like
     ``success_probability``, ``u`` is an int or an integer array.
     """
+    log_term = math.log1p(cfg.tau)
+    if cfg.scheme is Scheme.NON_ORTHOGONAL:   # success_probability refuses u < 1
+        return success_probability(u, cfg) * log_term
     if (np.asarray(u) < 1).any():
         raise ValueError(f"u must be >= 1, got {u}")
-    log_term = math.log1p(cfg.tau)
-    if cfg.scheme is Scheme.ORTHOGONAL:
-        return success_probability(1, cfg) * log_term / u
-    return success_probability(u, cfg) * log_term
+    return success_probability(1, cfg) * log_term / u
 
 
 def packet_budget(u, cfg: SystemConfig):
@@ -201,22 +205,25 @@ def packet_budget(u, cfg: SystemConfig):
     2**63 or more, past int64 (mu below about 1.5e-19 at the defaults), raises.
     """
     budget = np.floor(cfg.L * rate(u, cfg) / cfg.mu)
-    if np.any(budget >= 2.0**63):   # CapacityError, not a cast that wraps
+    if (budget >= 2.0**63).any():   # CapacityError, not a cast that wraps
         raise CapacityError(f"packet budget {np.max(budget):.6g} at mu={cfg.mu:.6g} is past int64")
     return int(budget) if np.ndim(budget) == 0 else budget.astype(int)
 
 
 def build_link_budget(cfg: SystemConfig, u_max: int) -> np.ndarray:
     """Read-only packet budgets of u = 0..u_max, indexed directly by u: one
-    ``packet_budget`` call on the array u = 1..u_max, so entries equal the
-    scalar calls, and index 0 a sentinel (no transmitter: budget 0).  The
-    budgets never rise with u, under either scheme, so the zero budgets
-    form a suffix; a table that breaks this raises."""
+    ``packet_budget`` call on the array u = 1..u_max, written into the
+    table, so entries equal the scalar calls, and index 0 a sentinel (no
+    transmitter: budget 0).  The budgets never rise with u, under either
+    scheme, so the zero budgets form a suffix; a table that breaks this
+    raises."""
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
-    b = packet_budget(np.arange(1, u_max + 1), cfg)
+    table = np.zeros(u_max + 1, dtype=int)
+    b = table[1:]
+    b[:] = packet_budget(np.arange(1, u_max + 1), cfg)
     if (b < 0).any():
         raise ValueError("packet budgets must be nonnegative")
-    if (np.diff(b) > 0).any():
+    if (b[1:] > b[:-1]).any():
         raise ValueError("packet budget must be non-increasing in u")
-    return _readonly(np.concatenate(([0], b)))
+    return _readonly(table)

@@ -55,6 +55,10 @@ from .model import (
 # every 1 - q0 > 0, which is at least 2**-53, as it is.
 _TINY = np.finfo(float).tiny
 
+# The q0 = 0 of a row whose every neighbour holds a packet: its window is
+# the widest, and keys the truncation point that sizes a budget table.
+_WIDEST = np.zeros(1).tobytes()
+
 # Enumeration oracle refuses beyond this many neighbors per term: (L+1)**5
 # vectors at L=5 is still cheap, (L+1)**6 is not.  Verification-only cap.
 N_ENUM_MAX = 5
@@ -269,7 +273,7 @@ def link_budget_for(cfg: SystemConfig) -> np.ndarray:
     """The read-only packet-budget table of ``cfg``, indexed by u, for every
     transmitter count of the widest window (at q0 = 0); memoized, as every
     evaluator reads it, and a view of the bytes object that keys the scenario."""
-    table = build_link_budget(cfg, max(1, int(_windows(cfg, np.zeros(1).tobytes())[1][0])))
+    table = build_link_budget(cfg, max(1, int(_windows(cfg, _WIDEST)[1][0])))
     return np.frombuffer(table.tobytes(), dtype=table.dtype)
 
 

@@ -364,6 +364,10 @@ _LEFT_OUT = 60 * math.log(2)
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 # Poisson terms per block of the truncation and tail windows
 _WINDOW_ENTRIES = BLOCK_ENTRIES // 8
+# Truncation windows of up to this many terms start where their means set
+# them: below it, as measured on 10 means, the numpy calls of a raised start
+# cost more than the terms it leaves out
+_RAISE_FROM = 128
 
 
 def poisson_tail(mean, n):
@@ -428,9 +432,11 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     tail past every n in it, poisson_tail's tail up to rounding.  A window
     starts at mean - sqrt(2 mean ln(1/(1 - epsilon))) less one, where the
     tail is at least epsilon, as P[X <= mean - t] <= exp(-t**2 / (2 mean)).
-    Its terms below 2**-70 epsilon are left out, and by the Chernoff bound
-    no term that large lies past its top; so a point does not depend on the
-    width of the window, which the largest mean of an array sets.
+    Where that start leaves more than _RAISE_FROM terms, a window starts at
+    the higher of it and _point_floor's bound on the point instead.  Its
+    terms below 2**-70 epsilon are left out, and by the Chernoff bound no
+    term that large lies past its top; so a point does not depend on the
+    start or width of its window, which the widest window of an array sets.
     """
     if mean is None:
         mean = cfg.mean_capable
@@ -438,17 +444,26 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     m = np.ravel(np.asarray(mean, dtype=float))
     c = -2 * math.log1p(-eps)
     m_top = float(m.max(initial=0.0))
-    # the point is at least the start, and a window's start and width grow
-    # with the mean: so the largest mean refuses, NaN at an infinite mean
-    # too, or sizes every window
+    # the point is at least the start below, and that start and the width
+    # of its window grow with the mean: so the largest mean refuses, NaN at
+    # an infinite mean too, or sizes every window that starts there
     if not m_top - math.sqrt(m_top * c) - 2 <= MAX_TRUNCATION:
         _refuse_truncation(mean)
     tiny = eps * 2.0**-70
     a = min(4 - math.log(tiny), 1135 * math.log(2)) if tiny else 1135 * math.log(2)
-    j = np.arange(int(_chernoff_top(m_top, a) - m_top + math.sqrt(m_top * c)) + 5)
+    top = _chernoff_top(m_top, a)
+    j = np.arange(int(top - m_top + math.sqrt(m_top * c)) + 5)
     lo = None   # every start is 0 at means below 2
     if m_top >= 2:
-        lo = np.maximum(np.floor(m - np.sqrt(m * c)) - 1, 0).astype(int)[:, None]
+        lo = np.maximum(np.floor(m - np.sqrt(m * c)) - 1, 0)
+        if j.size > _RAISE_FROM:
+            # start at a lower bound on the point; each window then reaches
+            # the lower of its own Bernstein top and the largest mean's
+            # Chernoff top, past which no term is tiny or more
+            lo = np.maximum(lo, _point_floor(m, eps))
+            bernstein = m + a / 3 + np.sqrt(a * a / 9 + 2 * a * m)
+            j = np.arange(int((np.minimum(bernstein, top) - lo).max()) + 5)
+        lo = lo.astype(int)[:, None]
     step = max(1, _WINDOW_ENTRIES // j.size)
     n = np.empty(m.size, dtype=int)
     for start in range(0, m.size, step):
@@ -459,9 +474,24 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
         # point is lo - 1 plus the count of those at least epsilon
         n[rows] = (np.cumsum(terms[:, ::-1], axis=1) >= eps).sum(axis=1)
     n = np.maximum(n - 1 if lo is None else n + (lo[:, 0] - 1), 0)
-    if m_top + j.size > MAX_TRUNCATION and n.max() > MAX_TRUNCATION:
+    if top > MAX_TRUNCATION and n.max() > MAX_TRUNCATION:
         _refuse_truncation(mean)
     return int(n[0]) if np.ndim(mean) == 0 else n.reshape(np.shape(mean))
+
+
+def _point_floor(m, eps):
+    """A lower bound on the truncation point of each mean m: an
+    n = floor(m + t) >= 1 and >= m with P[X = n] >= eps, and so
+    P[X >= n] >= eps too; 0 where the bound finds none.  P[X = n] is
+    exp(-stirlerr(n) - bd0(n, m)) / sqrt(2 pi n) with stirlerr(n) <= 1/12,
+    and bd0(m + t, m) <= t**2 / (2m), as its second derivative in t is
+    1/(m + t) <= 1/m.  So P[X = n] >= eps where t**2 / (2m) <= a -
+    log(2 pi n) / 2, a = -log(eps) - 1/12, and such an n is at most
+    max(1, m + sqrt(2 a m))."""
+    a = -math.log(eps) - 1 / 12
+    n_top = np.maximum(m + np.sqrt(2 * a * m), 1.0)
+    n = np.floor(m + np.sqrt(2 * m * np.maximum(a - 0.5 * np.log(2 * math.pi * n_top), 0.0)))
+    return np.where(n >= m, n, 0.0)
 
 
 def _refuse_truncation(mean):

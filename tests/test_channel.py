@@ -134,11 +134,12 @@ class TestInterferenceFactor:
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta = _beta(cfg)
+            beta, log_beta = _beta(cfg)
             placement, _ = greedy_placement(dist, cfg)
             load = average_load_fast(placement, dist, cfg).total
             report = jensen_gap_check(placement, dist, cfg)
         assert np.isfinite(beta).all() and (beta >= 0).all() and (beta <= 1).all()
+        assert (log_beta >= -746).all() and (log_beta <= 0).all()
         assert 0.0 <= load <= cfg.L
         assert report.ok
 
@@ -146,8 +147,8 @@ class TestInterferenceFactor:
     def test_beta_depends_on_the_radius_only_through_r_over_x(self, radius):
         # beta reads distance ratios, so scaling the disc changes it only by
         # the rounding of the scaled nodes
-        at_one = _beta(default_config(radius=1.0, scheme=Scheme.NON_ORTHOGONAL))
-        scaled = _beta(default_config(radius=radius, scheme=Scheme.NON_ORTHOGONAL))
+        at_one = _beta(default_config(radius=1.0, scheme=Scheme.NON_ORTHOGONAL))[0]
+        scaled = _beta(default_config(radius=radius, scheme=Scheme.NON_ORTHOGONAL))[0]
         np.testing.assert_allclose(scaled, at_one, rtol=1e-15)
 
     def test_powers_below_the_float_range_give_a_finite_factor(self):
@@ -250,15 +251,14 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability(np.array([1, 0, 2]), cfg)
 
-    def test_zero_interference_factor_keeps_zero_to_the_zero(self, monkeypatch):
-        from d2dcache import channel
-
+    def test_zero_interference_factor_keeps_zero_to_the_zero(self, patch_beta):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
         r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
         noise = _noise(cfg)
-        zeroed = _beta(cfg).copy()
+        zeroed = _beta(cfg)[0].copy()
         zeroed[::2] = 0.0
-        monkeypatch.setattr(channel, "_beta", lambda c: zeroed)
+        entry = patch_beta(zeroed, cfg)
+        assert (entry[1, ::2] == -746.0).all()
         scale = noise * 2.0 * r / cfg.radius**2
         p = success_probability(np.array([1, 3]), cfg)
         assert p[0] == float(np.dot(w, scale))      # beta**0 = 1, 0**0 included
@@ -450,10 +450,10 @@ class TestLinkBudget:
                             lambda r, c: np.full(r.shape, 1.0 + 2.0**-52))
         _beta.cache_clear()
         try:
-            beta = _beta(cfg)
+            beta, log_beta = _beta(cfg)
         finally:
             _beta.cache_clear()
-        assert np.all(beta == 1.0)
+        assert np.all(beta == 1.0) and np.all(log_beta == 0.0)
 
     def test_budget_non_increasing_orthogonal(self):
         budget = build_link_budget(default_config(snr=1e4), 10)
@@ -496,3 +496,97 @@ class TestLinkBudget:
         monkeypatch.setattr(channel, "packet_budget", lambda u, cfg: np.array(table))
         with pytest.raises(ValueError, match=match):
             build_link_budget(default_config(), len(table))
+
+
+def reference_success_probability(u, cfg, beta):
+    """success_probability with the interference factors ``beta``, step by
+    step as it was before log(beta) was memoized with beta: log(beta) and
+    exp(k log(beta)) under errstate, the 0**0 = 1 mask, and beta = 1 at u = 1."""
+    k = np.asarray(u) - 1
+    r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+    noise = _noise(cfg)
+    beta = beta if k.any() else np.ones(1)
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(beta)
+    flat = k.reshape(-1, 1)
+    out = np.empty(flat.shape[0])
+    rows = max(1, BLOCK_ENTRIES // cfg.quad_nodes)
+    for lo in range(0, out.size, rows):
+        kb = flat[lo:lo + rows]
+        with np.errstate(invalid="ignore"):
+            power = np.exp(kb * log_beta)
+        power[:, beta == 0] = kb == 0
+        power = noise * power * 2.0 * r / cfg.radius**2
+        out[lo:lo + rows] = np.vecdot(power, w)
+    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
+
+
+def reference_link_budget(cfg, u_max, beta):
+    """build_link_budget from reference_success_probability, its table
+    joined from the sentinel and the budgets."""
+    u = np.arange(1, u_max + 1)
+    if cfg.scheme is Scheme.ORTHOGONAL:
+        rates = reference_success_probability(1, cfg, beta) * math.log1p(cfg.tau) / u
+    else:
+        rates = reference_success_probability(u, cfg, beta) * math.log1p(cfg.tau)
+    return np.concatenate(([0], np.floor(cfg.L * rates / cfg.mu).astype(int)))
+
+
+def channels(seed, count, extreme):
+    """Seeded configs over both schemes and 8 to 128 nodes.  Extreme: alpha
+    in [0.01, 200], radius in [1e-160, 1e150], tau and snr in [1e-300,
+    1e300]; else alpha in [2, 5], radius in [0.1, 100], tau in [0.1, 30] and
+    snr in [1, 1e5], where few noise factors are exactly 0 or 1."""
+    rng = np.random.default_rng(seed)
+    alpha, radius, tau, snr = ((0.01, 200), (-160, 150), (-300, 300), (-300, 300)) if extreme \
+        else ((2, 5), (-1, 2), (-1, 1.5), (0, 5))
+    for _ in range(count):
+        yield default_config(
+            scheme=list(Scheme)[rng.integers(2)], quad_nodes=int(rng.integers(8, 129)),
+            alpha=float(rng.uniform(*alpha)), radius=float(10 ** rng.uniform(*radius)),
+            tau=float(10 ** rng.uniform(*tau)), snr=float(10 ** rng.uniform(*snr)))
+
+
+class TestBitIdentity:
+    """The memoized log(beta), the u = 1 dot and the in-place budget table
+    give every bit that the step-by-step reference above gives."""
+
+    U = (1, 7, np.ones(5, dtype=int), np.array([1, 2, 1, 40, 3]),
+         np.arange(1, 61).reshape(4, 15), np.array([10**6, 2**40]))
+
+    @staticmethod
+    def same(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes() and type(a) is type(b)
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_channels(self, extreme, monkeypatch):
+        from d2dcache import optimize
+        from d2dcache.load import _windows
+
+        for cfg in channels(34, 200, extreme):
+            r, _ = _gauss_legendre(cfg.quad_nodes, cfg.radius)
+            beta = np.minimum(_interference_factor_at(r, cfg), 1.0)
+            for u in self.U:
+                assert self.same(success_probability(u, cfg),
+                                 reference_success_probability(u, cfg, beta)), (cfg, u)
+            assert self.same(build_link_budget(cfg, 50), reference_link_budget(cfg, 50, beta)), cfg
+            widest = max(1, int(_windows(cfg, np.zeros(1).tobytes())[1][0]))
+            assert self.same(link_budget_for(cfg), reference_link_budget(cfg, widest, beta)), cfg
+            gap = optimize.gap_constant(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "success_probability",
+                          lambda u, c: reference_success_probability(u, c, beta))
+                assert gap == optimize.gap_constant(cfg), cfg
+
+    @pytest.mark.parametrize("extreme", [False, True])
+    def test_a_zero_interference_factor(self, extreme, patch_beta, monkeypatch):
+        # one node's factor zeroed, or, in every fourth config, every node's
+        for i, cfg in enumerate(channels(35, 40, extreme)):
+            beta = _beta(cfg)[0].copy()
+            beta[i % beta.size if i % 4 else slice(None)] = 0.0
+            patch_beta(beta, cfg)
+            for u in self.U:
+                assert self.same(success_probability(u, cfg),
+                                 reference_success_probability(u, cfg, beta)), (cfg, u)
+            assert self.same(build_link_budget(cfg, 50), reference_link_budget(cfg, 50, beta)), cfg
+            monkeypatch.undo()

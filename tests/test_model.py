@@ -35,7 +35,13 @@ from d2dcache import (
     zipf_popularity,
 )
 from d2dcache.load import link_budget_for, scenario, shortfall_tables
-from d2dcache.model import MAX_TABLE_ENTRIES, MAX_TRUNCATION, poisson_pmf, poisson_tail
+from d2dcache.model import (
+    MAX_TABLE_ENTRIES,
+    MAX_TRUNCATION,
+    _point_floor,
+    poisson_pmf,
+    poisson_tail,
+)
 
 # Frozen by an independent 40-digit mpmath script: i**-0.6 summed over i=1..5.
 ZIPF_5_06 = [
@@ -205,17 +211,28 @@ class TestPoissonTruncation:
     def test_tiny_epsilon_windows_are_bounded(self, pmf_entries):
         # at mean 5e6 and eps 1e-300 the point is 6.5e4 above scipy's ppf
         # start, where a unit-step walk took that many pdtrc calls.  A window
-        # reaches a Chernoff top, 86,467 terms here with its start just below
-        # the mean: at most 2**18 terms for each of 10 means
+        # reaches a Chernoff top; started just below the mean it held 86,467
+        # terms here, started at a lower bound on the point, 8.3e4 above the
+        # mean, it holds 3,881: at most 2**12 terms for each of 10 means
         cfg = default_config(n_trunc_epsilon=1e-300)
         n = poisson_truncation(cfg, 5e6)
-        assert sum(pmf_entries) <= 2**18
+        assert n - 5e6 > 8.3e4 and sum(pmf_entries) <= 2**12
         means = np.linspace(5e5, 5e6, 10)
         del pmf_entries[:]
         points = poisson_truncation(cfg, means)
-        assert sum(pmf_entries) <= 10 * 2**18
+        assert sum(pmf_entries) <= 10 * 2**12
         assert points[-1] == n and points.tolist() == [poisson_truncation(cfg, m) for m in means]
         assert poisson_tail(5e6, n - 1) >= 1e-300 > poisson_tail(5e6, n)
+
+    def test_a_raised_start_lies_at_or_below_the_point(self):
+        # the start has a term, and so a tail P[X >= start], of at least eps
+        rng = np.random.default_rng(13)
+        means = np.concatenate(([2.0, 5e6], 10.0 ** rng.uniform(-3, 6.5, 200)))
+        for eps in (0.3, 1e-9, 1e-300, 5e-324):
+            start = _point_floor(means, eps)
+            points = poisson_truncation(default_config(n_trunc_epsilon=eps), means)
+            assert (start <= points).all()
+            assert (poisson_tail(means, start - 1)[start > 0] >= eps).all()
 
     def test_placement_above_the_cap_allocates_nothing(self):
         cfg = default_config(lam=1e9)   # mean 5e8: point 500,130,921

@@ -371,16 +371,14 @@ class TestDeliveryMeans:
             assert noma_delivery_mean(q, cfg) == pytest.approx(
                 long_noma_sum(q, cfg), rel=1e-9, abs=0.0)
 
-    def test_noma_closed_form_edges(self, monkeypatch):
-        from d2dcache import channel
-
+    def test_noma_closed_form_edges(self, monkeypatch, patch_beta):
         cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, lam=4.0, snr=1e4)
         q = np.full(cfg.L + 1, 1.0 / (cfg.L + 1))
         # at a zeroed interference factor only u = 1 transmits (0**0 = 1),
         # which the closed form gives as m * exp(-m)
-        zeroed = _beta(cfg).copy()
+        zeroed = _beta(cfg)[0].copy()
         zeroed[::2] = 0.0
-        monkeypatch.setattr(channel, "_beta", lambda c: zeroed)
+        patch_beta(zeroed, cfg)
         assert noma_delivery_mean(q, cfg) == pytest.approx(long_noma_sum(q, cfg),
                                                            rel=1e-9, abs=0.0)
         monkeypatch.undo()
