@@ -500,8 +500,8 @@ class TestLinkBudget:
 
 def reference_success_probability(u, cfg, beta):
     """success_probability with the interference factors ``beta``, step by
-    step as it was before log(beta) was memoized with beta: log(beta) and
-    exp(k log(beta)) under errstate, the 0**0 = 1 mask, and beta = 1 at u = 1."""
+    step: log(beta) and exp(k log(beta)) under errstate, the 0**0 = 1 mask
+    at beta = 0, and beta = 1 where every u is 1."""
     k = np.asarray(u) - 1
     r, w = _gauss_legendre(cfg.quad_nodes, cfg.radius)
     noise = _noise(cfg)
@@ -548,8 +548,8 @@ def channels(seed, count, extreme):
 
 
 class TestBitIdentity:
-    """The memoized log(beta), the u = 1 dot and the in-place budget table
-    give every bit that the step-by-step reference above gives."""
+    """The memoized, floored log(beta), the u = 1 dot and the in-place
+    budget table give every bit that the step-by-step reference gives."""
 
     U = (1, 7, np.ones(5, dtype=int), np.array([1, 2, 1, 40, 3]),
          np.arange(1, 61).reshape(4, 15), np.array([10**6, 2**40]))
