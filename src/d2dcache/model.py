@@ -365,8 +365,8 @@ _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 # Poisson terms per block of the truncation and tail windows
 _WINDOW_ENTRIES = BLOCK_ENTRIES // 8
 # Truncation windows of up to this many terms start where their means set
-# them: below it, as measured on 10 means, the numpy calls of a raised start
-# cost more than the terms it leaves out
+# them: at 40 to 103 terms a raised start's numpy calls cost about 20 us a
+# call more than the terms it leaves out, and at 135 terms about as much
 _RAISE_FROM = 128
 
 
@@ -487,11 +487,13 @@ def _point_floor(m, eps):
     and bd0(m + t, m) <= t**2 / (2m), as its second derivative in t is
     1/(m + t) <= 1/m.  So P[X = n] >= eps where t**2 / (2m) <= a -
     log(2 pi n) / 2, a = -log(eps) - 1/12, and such an n is at most
-    max(1, m + sqrt(2 a m))."""
+    n_top = max(1, m + sqrt(2 max(a, 0) m)).  Where a - log(2 pi n_top) / 2
+    is below 0, no t passes, not even t = 0."""
     a = -math.log(eps) - 1 / 12
-    n_top = np.maximum(m + np.sqrt(2 * a * m), 1.0)
-    n = np.floor(m + np.sqrt(2 * m * np.maximum(a - 0.5 * np.log(2 * math.pi * n_top), 0.0)))
-    return np.where(n >= m, n, 0.0)
+    n_top = np.maximum(m + np.sqrt(2 * max(a, 0.0) * m), 1.0)
+    s = a - 0.5 * np.log(2 * math.pi * n_top)
+    n = np.floor(m + np.sqrt(2 * m * np.maximum(s, 0.0)))
+    return np.where((s >= 0) & (n >= m), n, 0.0)
 
 
 def _refuse_truncation(mean):

@@ -207,6 +207,14 @@ class TestPoissonTruncation:
             cfg = default_config(n_trunc_epsilon=eps)
             assert (poisson_truncation(cfg, means).tolist()
                     == [_unit_step_truncation(m, eps) for m in means])
+        # above eps = 1/2 the point lies below an integer mean, where
+        # P[X >= mean] < eps; windows of more than 128 terms start raised
+        for eps in (0.6, 0.95):
+            cfg = default_config(n_trunc_epsilon=eps)
+            for m in (200.0, 1e3, 5e6):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert poisson_truncation(cfg, m) == _unit_step_truncation(m, eps), (m, eps)
 
     def test_tiny_epsilon_windows_are_bounded(self, pmf_entries):
         # at mean 5e6 and eps 1e-300 the point is 6.5e4 above scipy's ppf
@@ -227,9 +235,11 @@ class TestPoissonTruncation:
     def test_a_raised_start_lies_at_or_below_the_point(self):
         # the start has a term, and so a tail P[X >= start], of at least eps
         rng = np.random.default_rng(13)
-        means = np.concatenate(([2.0, 5e6], 10.0 ** rng.uniform(-3, 6.5, 200)))
-        for eps in (0.3, 1e-9, 1e-300, 5e-324):
-            start = _point_floor(means, eps)
+        means = np.concatenate(([2.0, 200.0, 1e3, 5e6], 10.0 ** rng.uniform(-3, 6.5, 200)))
+        for eps in (0.95, 0.6, 0.3, 1e-9, 1e-300, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                start = _point_floor(means, eps)
             points = poisson_truncation(default_config(n_trunc_epsilon=eps), means)
             assert (start <= points).all()
             assert (poisson_tail(means, start - 1)[start > 0] >= eps).all()
