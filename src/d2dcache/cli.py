@@ -275,6 +275,14 @@ def _parse_placement(text: str, cfg: SystemConfig) -> Placement:
         raise ConfigError(f"bad --placement {text!r}: {exc}") from exc
 
 
+def _parse_list(name: str, text: str, allowed) -> tuple:
+    """The stripped entries of the comma list --name: distinct, each one of ``allowed``."""
+    entries = tuple(part.strip() for part in text.split(","))
+    if len(set(entries) & set(allowed)) < len(entries):
+        raise ConfigError(f"--{name} must list distinct entries of {tuple(allowed)}, got {text!r}")
+    return entries
+
+
 @lru_cache(maxsize=1)   # parsing does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -341,14 +349,9 @@ def main(argv=None) -> int:
 
         # optimize and sweep share one grid loop; Monte Carlo places nothing
         allowed = METHODS if args.command == "sweep" else METHODS[:-1]
-        methods = tuple(args.methods.split(","))
-        if any(m not in allowed for m in methods):
-            raise ConfigError(f"methods must be a subset of {allowed}, got {args.methods!r}")
-        schemes = tuple(SCHEMES) if args.schemes == "both" else tuple(
-            s.strip() for s in args.schemes.split(","))
-        if any(s not in SCHEMES for s in schemes):
-            raise ConfigError(f"schemes must be 'both' or a subset of {tuple(SCHEMES)}: "
-                              f"{args.schemes!r}")
+        methods = _parse_list("methods", args.methods, allowed)
+        schemes = tuple(SCHEMES) if args.schemes == "both" else _parse_list(
+            "schemes", args.schemes, SCHEMES)
         if args.command == "optimize":
             # one point of the snr_db grid: the parsed config itself, since
             # rebuilding it from the dB value could move snr in its last bit

@@ -10,8 +10,8 @@ Poisson(eta*lam/mu), ``poisson_pmf(n, cfg.mean_capable)``, and every sum over
 it is cut at ``poisson_truncation``, found for every accepted epsilon.  The
 Poisson terms, tails and truncation points are numpy's own: exact
 factorials below k = 64, Loader's saddle-point form above, and tails summed
-from windows of terms that Chernoff and Bernstein bounds size.  The library
-imports no scipy module.
+from windows of terms that end at a Bernstein bound, or at a geometric one
+where the terms fall fast.  The library imports no scipy module.
 """
 
 from __future__ import annotations
@@ -341,22 +341,10 @@ def _loader_pmf(k, mean):
     return pmf
 
 
-def _chernoff_top(mean: float, a: float) -> float:
-    """An x with P[X >= x] <= exp(-a): above the root of
-    x ln(x / mean) - x + mean = a, by the Chernoff bound
-    P[X >= x] <= exp(-mean) (e mean / x)**x.  Newton steps from the top by
-    Bernstein's inequality, P[X >= mean + t] <= exp(-t**2 / (2 (mean + t/3))),
-    which is above the root, stay above it on this convex function."""
-    if mean == 0:
-        return 0.0
-    x = mean + a / 3 + math.sqrt(a * a / 9 + 2 * a * mean)
-    for _ in range(50):
-        log_ratio = math.log(x) - math.log(mean)
-        step = (x * log_ratio - x + mean - a) / log_ratio
-        x -= step
-        if step < 0.25:
-            break
-    return x
+def _bernstein_top(mean, a):
+    """An x with P[X >= x] <= exp(-a) for X ~ Poisson(mean), elementwise: by
+    Bernstein's inequality, P[X >= mean + t] <= exp(-t**2 / (2 (mean + t/3)))."""
+    return mean + a / 3 + np.sqrt(a * a / 9 + 2 * a * mean)
 
 
 # -log of the share of a tail that its window's top may leave out
@@ -364,10 +352,6 @@ _LEFT_OUT = 60 * math.log(2)
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 # Poisson terms per block of the truncation and tail windows
 _WINDOW_ENTRIES = BLOCK_ENTRIES // 8
-# Truncation windows of up to this many terms start where their means set
-# them: at 40 to 103 terms a raised start's numpy calls cost about 20 us a
-# call more than the terms it leaves out, and at 135 terms about as much
-_RAISE_FROM = 128
 
 
 def poisson_tail(mean, n):
@@ -398,8 +382,7 @@ def poisson_tail(mean, n):
     else:
         a = k * (np.log(k) - np.log(mean)) + (mean - k) + 0.5 * np.log(k) + (_LEFT_OUT + 1 + _HALF_LOG_2PI)
         # every term past P[X > top] < 2**-1135 is 0
-        a = np.minimum(a, 1135 * math.log(2)) / 3
-        top = np.ceil(mean + a + np.sqrt(a * a + 6 * a * mean))
+        top = np.ceil(_bernstein_top(mean, np.minimum(a, 1135 * math.log(2))))
         k = np.maximum(k, np.floor(mean - np.sqrt(mean * (2 * _LEFT_OUT + 2 * math.log(2)))).astype(int))
         width = (top - k).max(initial=0)
     j = np.arange(math.ceil(width) + 1)
@@ -429,14 +412,15 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     its own mean.  A point above MAX_TRUNCATION raises CapacityError.
 
     Each mean takes one window of terms, and one sum from its top gives the
-    tail past every n in it, poisson_tail's tail up to rounding.  A window
-    starts at mean - sqrt(2 mean ln(1/(1 - epsilon))) less one, where the
-    tail is at least epsilon, as P[X <= mean - t] <= exp(-t**2 / (2 mean)).
-    Where that start leaves more than _RAISE_FROM terms, a window starts at
-    the higher of it and _point_floor's bound on the point instead.  Its
-    terms below 2**-70 epsilon are left out, and by the Chernoff bound no
-    term that large lies past its top; so a point does not depend on the
-    start or width of its window, which the widest window of an array sets.
+    tail past every n in it, poisson_tail's tail up to rounding.  Where
+    every mean is below 2, every window starts at 0.  Elsewhere a window
+    starts at the higher of two lower bounds on the point: mean -
+    sqrt(2 mean ln(1/(1 - epsilon))) less one, where the tail is at least
+    epsilon, as P[X <= mean - t] <= exp(-t**2 / (2 mean)); and
+    _point_floor's.  Its terms below 2**-70 epsilon are left out, and no
+    term that large lies past its own Bernstein top; so a point does not
+    depend on the start or width of its window, which the widest window of
+    an array sets.
     """
     if mean is None:
         mean = cfg.mean_capable
@@ -444,26 +428,19 @@ def poisson_truncation(cfg: SystemConfig, mean=None):
     m = np.ravel(np.asarray(mean, dtype=float))
     c = -2 * math.log1p(-eps)
     m_top = float(m.max(initial=0.0))
-    # the point is at least the start below, and that start and the width
-    # of its window grow with the mean: so the largest mean refuses, NaN at
-    # an infinite mean too, or sizes every window that starts there
+    # the point is at least the start below, and that start grows with the
+    # mean: so the largest mean refuses, NaN at an infinite mean too
     if not m_top - math.sqrt(m_top * c) - 2 <= MAX_TRUNCATION:
         _refuse_truncation(mean)
     tiny = eps * 2.0**-70
     a = min(4 - math.log(tiny), 1135 * math.log(2)) if tiny else 1135 * math.log(2)
-    top = _chernoff_top(m_top, a)
-    j = np.arange(int(top - m_top + math.sqrt(m_top * c)) + 5)
-    lo = None   # every start is 0 at means below 2
+    top = _bernstein_top(m_top, a)   # the largest mean's, above every point
+    lo, width = None, top   # every start is 0 where every mean is below 2
     if m_top >= 2:
-        lo = np.maximum(np.floor(m - np.sqrt(m * c)) - 1, 0)
-        if j.size > _RAISE_FROM:
-            # start at a lower bound on the point; each window then reaches
-            # the lower of its own Bernstein top and the largest mean's
-            # Chernoff top, past which no term is tiny or more
-            lo = np.maximum(lo, _point_floor(m, eps))
-            bernstein = m + a / 3 + np.sqrt(a * a / 9 + 2 * a * m)
-            j = np.arange(int((np.minimum(bernstein, top) - lo).max()) + 5)
+        lo = np.maximum(np.floor(m - np.sqrt(m * c)) - 1, _point_floor(m, eps))
+        width = (_bernstein_top(m, a) - lo).max()   # to each window's own top
         lo = lo.astype(int)[:, None]
+    j = np.arange(int(width) + 5)
     step = max(1, _WINDOW_ENTRIES // j.size)
     n = np.empty(m.size, dtype=int)
     for start in range(0, m.size, step):

@@ -218,6 +218,18 @@ class TestSweepCommand:
         assert (open(outs[0] + ".manifest", "rb").read()
                 == open(outs[1] + ".manifest", "rb").read())
 
+    def test_list_entries_are_stripped(self, tmp_path, config_path):
+        # --methods and --schemes read one rule: split on commas and strip,
+        # so a spaced list writes the bytes of the unspaced one
+        written = []
+        for methods, schemes in (("greedy,exhaustive", "orthogonal,non_orthogonal"),
+                                 (" greedy , exhaustive", "orthogonal, non_orthogonal ")):
+            out = str(tmp_path / f"{len(written)}.csv")
+            assert main(["sweep", "--config", config_path, "--axis", "mu", "--values", "1,4",
+                         "--methods", methods, "--schemes", schemes, "--out", out]) == 0
+            written.append((open(out, "rb").read(), open(out + ".manifest", "rb").read()))
+        assert written[0] == written[1]
+
     def test_readme_sweep_builds_one_scenario_per_budget_table(self, tmp_path, monkeypatch):
         # its 18 (snr, scheme) points read 10 distinct packet-budget tables:
         # one for 0-15 dB, where every budget is 0 under both schemes, one
@@ -253,6 +265,13 @@ class TestSweepCommand:
                      id="optimize_unknown_method"),
         pytest.param(["sweep", "--axis", "snr_db", "--values", "0,10", "--schemes", "fdma"],
                      id="unknown_scheme"),
+        pytest.param(["optimize", "--methods", "greedy,greedy"], id="repeated_method"),
+        pytest.param(["optimize", "--methods", "greedy,greedy", "--schemes",
+                      "orthogonal,orthogonal"], id="repeated_method_and_scheme"),
+        pytest.param(["sweep", "--axis", "snr_db", "--values", "0,10", "--methods",
+                      "greedy, exhaustive,greedy "], id="repeated_method_with_spaces"),
+        pytest.param(["sweep", "--axis", "snr_db", "--values", "0,10", "--schemes",
+                      "non_orthogonal,orthogonal,non_orthogonal"], id="repeated_scheme"),
         pytest.param(["sweep", "--axis", "snr_db", "--values", ""], id="empty_values"),
         pytest.param(["sweep", "--axis", "snr_db", "--values", "10,0"],
                      id="decreasing_values"),

@@ -53,6 +53,12 @@ ZIPF_5_06 = [
 ]
 
 
+# means from 2 to 127: each truncation window starts at the higher of its
+# lower-tail start and _point_floor's bound, and at eps = 1e-9 from mean 5
+# its top passes k = 64, where Loader's form begins
+RAISED_MEANS = np.array([2.0, 2.5, 3.0, 5.0, 8.0, 13.0, 20.0, 40.0, 80.0, 127.0])
+
+
 class TestZipfPopularity:
     def test_uniform_at_gamma_zero(self):
         assert np.allclose(zipf_popularity(5, 0.0), 0.2, atol=1e-15)
@@ -208,18 +214,25 @@ class TestPoissonTruncation:
             assert (poisson_truncation(cfg, means).tolist()
                     == [_unit_step_truncation(m, eps) for m in means])
         # above eps = 1/2 the point lies below an integer mean, where
-        # P[X >= mean] < eps; windows of more than 128 terms start raised
+        # P[X >= mean] < eps; from mean 2 every window starts raised
         for eps in (0.6, 0.95):
             cfg = default_config(n_trunc_epsilon=eps)
             for m in (200.0, 1e3, 5e6):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert poisson_truncation(cfg, m) == _unit_step_truncation(m, eps), (m, eps)
+        for eps in (1e-9, 1e-3, 0.6, 1e-300):
+            cfg = default_config(n_trunc_epsilon=eps)
+            walk = [_unit_step_truncation(m, eps) for m in RAISED_MEANS]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert poisson_truncation(cfg, RAISED_MEANS).tolist() == walk, eps
+                assert [poisson_truncation(cfg, m) for m in RAISED_MEANS] == walk, eps
 
     def test_tiny_epsilon_windows_are_bounded(self, pmf_entries):
         # at mean 5e6 and eps 1e-300 the point is 6.5e4 above scipy's ppf
         # start, where a unit-step walk took that many pdtrc calls.  A window
-        # reaches a Chernoff top; started just below the mean it held 86,467
+        # reaches a Bernstein top; started just below the mean it held 86,467
         # terms here, started at a lower bound on the point, 8.3e4 above the
         # mean, it holds 3,881: at most 2**12 terms for each of 10 means
         cfg = default_config(n_trunc_epsilon=1e-300)
@@ -235,14 +248,15 @@ class TestPoissonTruncation:
     def test_a_raised_start_lies_at_or_below_the_point(self):
         # the start has a term, and so a tail P[X >= start], of at least eps
         rng = np.random.default_rng(13)
-        means = np.concatenate(([2.0, 200.0, 1e3, 5e6], 10.0 ** rng.uniform(-3, 6.5, 200)))
-        for eps in (0.95, 0.6, 0.3, 1e-9, 1e-300, 5e-324):
+        means = np.concatenate(([200.0, 1e3, 5e6], RAISED_MEANS,
+                                10.0 ** rng.uniform(-3, 6.5, 200)))
+        for eps in (0.95, 0.6, 0.3, 1e-3, 1e-9, 1e-300, 5e-324):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 start = _point_floor(means, eps)
-            points = poisson_truncation(default_config(n_trunc_epsilon=eps), means)
-            assert (start <= points).all()
-            assert (poisson_tail(means, start - 1)[start > 0] >= eps).all()
+                points = poisson_truncation(default_config(n_trunc_epsilon=eps), means)
+                assert (start <= points).all()
+                assert (poisson_tail(means, start - 1)[start > 0] >= eps).all()
 
     def test_placement_above_the_cap_allocates_nothing(self):
         cfg = default_config(lam=1e9)   # mean 5e8: point 500,130,921
@@ -403,6 +417,13 @@ class TestPoissonHelpers:
         n = poisson_truncation(cfg)
         total = math.fsum(poisson_pmf(np.arange(n + 1), mean)) + poisson_tail(mean, n)
         assert abs(total - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (1, 0)])
+    def test_empty_arrays_give_empty_arrays_of_their_shape(self, shape):
+        for eps in (1e-9, 1e-300):
+            points = poisson_truncation(default_config(n_trunc_epsilon=eps), np.zeros(shape))
+            assert points.shape == shape and points.dtype.kind == "i"
+            assert poisson_tail(np.zeros(shape), points).shape == shape
 
     def test_truncation_equals_the_stats_version(self):
         rng = np.random.default_rng(6)
