@@ -211,17 +211,23 @@ def packet_budget(u, cfg: SystemConfig):
 
 
 def build_link_budget(cfg: SystemConfig, u_max: int) -> np.ndarray:
-    """Read-only packet budgets of u = 0..u_max, indexed directly by u: one
-    ``packet_budget`` call on the array u = 1..u_max, written into the
-    table, so entries equal the scalar calls, and index 0 a sentinel (no
-    transmitter: budget 0).  The budgets never rise with u, under either
-    scheme, so the zero budgets form a suffix; a table that breaks this
-    raises."""
+    """Read-only packet budgets of u = 0..u_max, indexed directly by u, and
+    index 0 a sentinel (no transmitter: budget 0).  ``packet_budget`` calls
+    on blocks of the quadrature's BLOCK_ENTRIES (u, node) terms fill it, so
+    entries equal the scalar calls.  Budgets never rise with u, under either
+    scheme, so the build stops after the first block that ends in a zero
+    budget: the entries past it are zero by construction, and not checked.
+    Computed budgets that rise raise."""
     if u_max < 1:
         raise ValueError(f"u_max must be >= 1, got {u_max}")
     table = np.zeros(u_max + 1, dtype=int)
-    b = table[1:]
-    b[:] = packet_budget(np.arange(1, u_max + 1), cfg)
+    rows = max(1, BLOCK_ENTRIES // cfg.quad_nodes)
+    for lo in range(1, u_max + 1, rows):
+        end = min(lo + rows, u_max + 1)
+        table[lo:end] = packet_budget(np.arange(lo, end), cfg)
+        if table[end - 1] == 0:
+            break
+    b = table[1:end]
     if (b < 0).any():
         raise ValueError("packet budgets must be nonnegative")
     if (b[1:] > b[:-1]).any():

@@ -20,7 +20,8 @@ product.  The bins equal a per-row construction up to rounding.  The
 same Poisson windows give each row's floored delivery E[u * budget(u)] and
 its truncation bound; the scenario carries the deliveries for the
 high-mobility placement, and the bounds summed over the popularity for the
-Jensen-gap check.  Every Poisson window is formed here.
+Jensen-gap check.  Every Poisson window the evaluators read is formed here
+(optimize.gap_constant forms the config's truncation point for its scan).
 The scenario of a cache distribution reads, of the config, only its budget
 table (which it passes to the PMFs), gamma, the mean capable count and
 epsilon; it is memoized on those, the table by the bytes object holding it,

@@ -68,6 +68,30 @@ class TestInterferenceFactor:
         assert interference_factor(5.0, cfg) == pytest.approx(BETA_AT_R5, abs=1e-10)
         assert interference_factor(2.5, cfg) == pytest.approx(BETA_AT_R25, abs=1e-10)
 
+    # Substituting y = x**(alpha/2) in the disc average gives beta in closed
+    # form at alpha = 2 and 4.  Over tau in {0.1, 10**0.5, 10, 30} and R in
+    # {1, 5, 50}, the 64-node rule is off by at most 3.3e-8 (alpha 2) and
+    # 2.6e-7 (alpha 4) relative at its own nodes, and by 4.7e-8 and 2.5e-7
+    # at 200 radii in [1e-3, R]: the tolerances leave about 4x headroom.
+    @pytest.mark.parametrize("alpha, rel", [(2.0, 2e-7), (4.0, 1e-6)])
+    @pytest.mark.parametrize("tau", [0.1, 10**0.5, 10.0, 30.0])
+    @pytest.mark.parametrize("radius", [1.0, 5.0, 50.0])
+    def test_closed_forms(self, alpha, rel, tau, radius):
+        cfg = default_config(alpha=alpha, tau=tau, radius=radius)
+
+        def closed(r):
+            if alpha == 2.0:   # 1 - s ln(1 + 1/s), s = tau r^2 / R^2
+                s = tau * r**2 / radius**2
+                return 1.0 - s * np.log1p(1.0 / s)
+            s = math.sqrt(tau) * r**2 / radius**2   # 1 - s arctan(1/s)
+            return 1.0 - s * np.arctan(1.0 / s)
+
+        nodes, _ = _gauss_legendre(cfg.quad_nodes, radius)
+        assert np.allclose(_beta(cfg)[0], closed(nodes), rtol=rel, atol=0.0)
+        r = np.linspace(1e-3, radius, 200)
+        got = np.array([interference_factor(x, cfg) for x in r])
+        assert np.allclose(got, closed(r), rtol=rel, atol=0.0)
+
     def test_monte_carlo_oracle(self, cfg):
         # E[x^a / (x^a + tau r^a)] with x = R sqrt(U): direct sampling
         rng = np.random.default_rng(123)
@@ -426,6 +450,40 @@ class TestLinkBudget:
         budget = build_link_budget(cfg, 1)
         assert budget.tolist() == [0, packet_budget(1, cfg)]
         assert not budget.flags.writeable
+        with pytest.raises(ValueError, match="u_max must be >= 1"):
+            build_link_budget(cfg, 0)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_blocks_stop_at_the_first_zero_budget(self, scheme, monkeypatch):
+        # at mean 5e6 the table has 5,013,418 entries and 1 (orthogonal) or
+        # 2 (non-orthogonal) nonzero budgets: one block of u reaches the
+        # quadrature, and the rest of the table is zero
+        from d2dcache import channel
+
+        cfg = default_config(lam=1e7, scheme=scheme)
+        assert cfg.mean_capable == 5e6
+        u_max = poisson_truncation(cfg)
+        sizes = []
+        monkeypatch.setattr(channel, "success_probability",
+                            lambda u, c: sizes.append(np.size(u)) or success_probability(u, c))
+        budget = build_link_budget(cfg, u_max)
+        assert sum(sizes) <= BLOCK_ENTRIES // cfg.quad_nodes
+        assert budget.size == u_max + 1 and 0 < np.count_nonzero(budget) <= 2
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_tables_do_not_depend_on_the_block(self, scheme, monkeypatch):
+        # blocks of 1, 3 and 8192 counts u, with budgets that reach zero
+        # within the first block, in a later one, or never
+        from d2dcache import channel
+
+        for mu in (0.001, 0.05, 1.0, 20.0):
+            cfg = default_config(scheme=scheme, mu=mu, snr=1e3)
+            whole = np.concatenate([[0], packet_budget(np.arange(1, 201), cfg)])
+            assert np.array_equal(build_link_budget(cfg, 200), whole), mu
+            for rows in (1, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(channel, "BLOCK_ENTRIES", rows * cfg.quad_nodes)
+                    assert np.array_equal(build_link_budget(cfg, 200), whole), (mu, rows)
 
     def test_tables_match_pointwise_ops(self):
         for scheme, snr in itertools.product(Scheme, (100.0, 1e4)):
@@ -460,7 +518,8 @@ class TestLinkBudget:
         assert np.all(np.diff(budget[1:]) <= 0)
 
     def test_memory_is_bounded_by_the_block(self):
-        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL)
+        # at mu = 1e-6 no budget up to u = 200,000 is zero, so every block is built
+        cfg = default_config(scheme=Scheme.NON_ORTHOGONAL, mu=1e-6)
         _beta(cfg), _noise(cfg)
         tracemalloc.start()
         try:
@@ -468,7 +527,7 @@ class TestLinkBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert budget.size == 200_001
+        assert budget.size == 200_001 and budget[-1] > 0
         # the budget table plus one or two block arrays of BLOCK_ENTRIES floats
         # (4 MB each); one unblocked (u, node) matrix alone would be 102 MB
         assert peak < 64 * 2**20

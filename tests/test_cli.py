@@ -301,8 +301,8 @@ class TestSweepCommand:
         assert all(b <= a + 1e-12 for a, b in zip(loads, loads[1:]))
 
     def test_capacity_errors_surface_verbatim(self, tmp_path, capsys, monkeypatch):
-        # F*(min(L,M)+1)*(M+1) = 1000*21*20001 DP steps: the exact search
-        # must refuse before building any shortfall table
+        # F*((min(L,M)+1)*(M+1) + 2500) = 1000*(21*20001 + 2500) DP steps:
+        # the exact search must refuse before building any shortfall table
         from d2dcache import load
 
         def no_tables(*args):
@@ -317,7 +317,7 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "exact placement search needs 420021000 steps, above the cap 100000000\n")
+            "exact placement search needs 422521000 steps, above the cap 100000000\n")
 
     @pytest.mark.parametrize("edits", [
         pytest.param({"lambda=1": "lambda=1e9"}, id="poisson_window"),

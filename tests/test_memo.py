@@ -171,7 +171,7 @@ MEMOIZED = {
     "channel._beta", "channel._gauss_legendre", "channel._noise", "cli.build_parser",
     "load._build_scenario", "load._shortfall_weights", "load._transition_index",
     "load._windows", "load.link_budget_for",
-    "model.zipf_popularity", "optimize._verify_cardinality_matroid",
+    "model.zipf_popularity",
 }
 
 

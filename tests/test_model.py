@@ -153,12 +153,17 @@ class TestPoissonTruncation:
         # mpmath at 35 digits, summing the terms from n + 1 for 70,000 steps:
         # at mean 5e6 the tail past 5,013,416 is 1.00229044229e-9 and past
         # 5,013,417 9.99537253559e-10; at mean 8.37e6 the tail past
-        # 8,387,357 is 1.00118025605e-9 and past 8,387,358 9.99053540576e-10
+        # 8,387,357 is 1.00118025605e-9 and past 8,387,358 9.99053540576e-10;
+        # at mean MAX_TRUNCATION - 20,000 the tail past 8,385,964 is
+        # 1.00023766259e-9 and past 8,385,965 9.98112721528e-10
         assert poisson_truncation(default_config(lam=1e7)) == 5_013_417
         n = poisson_truncation(default_config(lam=1e7), np.array([0.5, 8.37e6]))
         assert n.tolist() == [9, 8_387_358] and n[1] <= MAX_TRUNCATION
+        assert poisson_truncation(default_config(), MAX_TRUNCATION - 20_000) == 8_385_965
 
-    @pytest.mark.parametrize("mean", [8.39e6, 5e7, 5e8, 5e20])
+    # MAX_TRUNCATION - 1000 passes the check on the window's start and is
+    # refused once its point is found
+    @pytest.mark.parametrize("mean", [MAX_TRUNCATION - 1000, 8.39e6, 5e7, 5e8, 5e20])
     def test_points_above_the_cap_raise(self, mean):
         cfg = default_config(eta=1.0, lam=mean)
         with pytest.raises(CapacityError, match="truncation point"):

@@ -1,9 +1,12 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import (
     CapacityError,
@@ -15,6 +18,7 @@ from d2dcache import (
     check_submodularity,
     default_config,
     exhaustive_placement,
+    expected_stay_time,
     gap_constant,
     greedy_placement,
     high_mobility_continuous,
@@ -197,6 +201,19 @@ class TestExhaustive:
         dist = NeighborCacheDistribution.uniform(2, 1)
         assert exhaustive_placement(dist, cfg).c.tolist() == [0, 1]
 
+    def test_a_million_single_packet_contents_are_refused_at_once(self, monkeypatch):
+        # each content is a Python-level step of about 5 us, counted as 2,500
+        # entries: 1e6 * (2 * 2 + 2500) steps, refused before any table
+        from d2dcache import optimize
+
+        def no_scenario(*args):
+            raise AssertionError("scenario built before the capacity check")
+
+        monkeypatch.setattr(optimize, "scenario", no_scenario)
+        cfg = default_config(F=1_000_000, L=1, M=1)
+        with pytest.raises(CapacityError, match="needs 2504000000 steps"):
+            exhaustive_placement(NeighborCacheDistribution.uniform(cfg.F, cfg.L), cfg)
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_dp_matches_brute_force_and_greedy(self, scheme):
         # the brute force is the reference: every feasible placement's load
@@ -266,10 +283,14 @@ class TestMatroid:
         with pytest.raises(ValueError):
             check_matroid_axioms(2, 2, 5)
 
-    def test_counts_independent_sets(self):
-        report = check_matroid_axioms(2, 2, 2)
-        # subsets of a 4-set with size <= 2: 1 + 4 + 6
-        assert report.independent_sets == 11
+    @pytest.mark.parametrize("F,L", [(2, 2), (1, 7), (3, 4)])
+    def test_counts_independent_sets(self, F, L):
+        # subsets of an n-set with size <= M: 1 + 4 + 6 at n = 4 and M = 2
+        n = F * L
+        for M in range(n + 1):
+            report = check_matroid_axioms(F, L, M)
+            assert report.passed, report.counterexample
+            assert report.independent_sets == sum(math.comb(n, k) for k in range(M + 1))
 
 
 class TestSubmodularity:
@@ -291,6 +312,42 @@ class TestSubmodularity:
         a = check_submodularity(uniform_dist, cfg, samples=300, seed=5)
         b = check_submodularity(uniform_dist, cfg, samples=300, seed=5)
         assert a == b
+
+    def test_a_rising_gain_is_a_violation(self, monkeypatch):
+        # content 1's third packet gains more than its second, and content
+        # 0's third gains less than nothing; the report is that of a loop
+        # over the same draws
+        from types import SimpleNamespace
+
+        from d2dcache import optimize
+
+        gains = np.array([[3.0, 2.0, -1e-3], [3.0, 2.0, 2.5]])
+        monkeypatch.setattr(optimize, "scenario", lambda d, c: SimpleNamespace(gains=gains))
+        cfg = default_config(F=2, L=3, M=0)
+        report = check_submodularity(None, cfg, samples=2000, seed=4)
+        assert not report.passed
+        assert report.violations > 0 and report.worst_excess > optimize.GAIN_SLACK
+        rng = np.random.default_rng(4)
+        i = rng.integers(cfg.F, size=2000)
+        c = rng.integers(0, cfg.L, 2000)
+        pairs = [(gains[a, b], gains[a, b_sub])
+                 for a, b, b_sub in zip(i, c, rng.integers(0, c + 1))]
+        slack = optimize.GAIN_SLACK
+        assert report.violations == sum(sup - sub > slack or min(sup, sub) < -slack
+                                        for sup, sub in pairs)
+        assert report.worst_excess == max(sup - sub for sup, sub in pairs) == 0.5
+        assert report.min_gain == min(min(pair) for pair in pairs) == -1e-3
+
+    def test_samples_draw_no_count_vector(self):
+        # a content's gain reads its own count alone, so no sample draws F
+        # counts, and the samples take milliseconds at any F
+        cfg = default_config(F=100_000, L=1, M=1)
+        dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
+        scenario(dist, cfg)
+        start = time.perf_counter()
+        report = check_submodularity(dist, cfg, samples=2000, seed=3)
+        assert time.perf_counter() - start < 0.05
+        assert report.passed and report.samples == 2000
 
 
 def enum_delivery_oracle(q_i, cfg, scheme):
@@ -645,7 +702,46 @@ class TestRelaxedObjective:
             relaxed_objective(np.array([-0.5, 0, 0, 0, 0]), delivery, cfg)
 
 
+@st.composite
+def mobility_instances(draw):
+    """A config with F < 40, L < 25, lambda and mu over 0.1-100 and snr over
+    0-40 dB; uniform or Dirichlet cache rows."""
+    F, L = draw(st.integers(1, 39)), draw(st.integers(1, 24))
+    cfg = default_config(
+        F=F, L=L, M=draw(st.integers(0, F * L)), gamma=draw(st.floats(0.0, 2.0)),
+        lam=10 ** draw(st.floats(-1.0, 2.0)), mu=10 ** draw(st.floats(-1.0, 2.0)),
+        snr=10 ** draw(st.floats(0.0, 4.0)),
+    )
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return cfg, NeighborCacheDistribution(rng.dirichlet(np.ones(L + 1), size=F))
+    return cfg, NeighborCacheDistribution.uniform(F, L)
+
+
 class TestJensenGap:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instance=mobility_instances())
+    def test_high_mobility_is_within_twice_the_bound_of_greedy(self, scheme, instance):
+        """The paper's high-mobility claim at every size.  With J the exact
+        load, R the relaxed objective at the floored deliveries and B =
+        T*|c| the Jensen bound, |J - R| <= B at both placements.  The
+        high-mobility placement h minimises R (orthogonal access), and
+        greedy g minimises J, so J(h) <= R(h) + B <= R(g) + B <= J(g) + 2B.
+        Non-orthogonal h minimises R at the floor-free deliveries, which
+        adds at most sum f_i (floor-free_i - floored_i).  The slack is the
+        surfaced truncation error of both loads and deliveries."""
+        cfg, dist = instance
+        cfg = cfg.with_scheme(scheme)
+        h = average_load_fast(high_mobility_placement(dist, cfg), dist, cfg)
+        g = average_load_fast(greedy_placement(dist, cfg)[0], dist, cfg)
+        s = scenario(dist, cfg)
+        slack = h.truncation_bound + g.truncation_bound + 2 * s.delivery_bound + 1e-9
+        if scheme is Scheme.NON_ORTHOGONAL:
+            slack += float(np.dot(s.f, per_content_delivery(dist, cfg) - s.delivery))
+        bound = expected_stay_time(cfg) * abs(gap_constant(cfg))
+        assert h.total - g.total <= 2 * bound + slack
+
     def test_zero_gap_without_arrivals(self):
         cfg = default_config(lam=0.0)
         dist = NeighborCacheDistribution.uniform(cfg.F, cfg.L)
